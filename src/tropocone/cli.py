@@ -14,10 +14,11 @@ import sys
 from . import io_json
 from .complexes import ComplexError
 from .cone import ConeError
-from .fibration import equivariant_basis, validate_fibration
+from .fibration import FibrationError, equivariant_basis, validate_fibration
 from .graphs import GraphError, enumerate_category
 from .io_json import SchemaError
 from .moduli import ModuliError, build_moduli
+from .spaces import SpaceError
 from .stfib import (
     FibrationMorphismError,
     clutching,
@@ -39,7 +40,8 @@ from .subdivision import (
 from .weights import WeightError, is_balanced_at, minkowski_basis
 
 VALIDATION_ERRORS = (ComplexError, ConeError, GraphError, ModuliError,
-                     SubdivisionError, WeightError, FibrationMorphismError)
+                     SubdivisionError, WeightError, FibrationError,
+                     FibrationMorphismError, SpaceError)
 
 
 def _read_json(path):
@@ -63,6 +65,13 @@ def _marks(text):
     if not text:
         return []
     return [t.strip() for t in text.split(",") if t.strip()]
+
+
+def _genus_marks(text):
+    g, sep, labels = text.partition(":")
+    if not sep or not g.isdigit():
+        raise SchemaError(f"expected g:A with a genus g >= 0, not {text!r}")
+    return int(g), _marks(labels)
 
 
 def _digest(path):
@@ -137,11 +146,19 @@ def cmd_verify(args):
 
 
 def cmd_subdivide(args):
-    phi, lin = io_json.complex_from_json(_read_json(args.complex))
+    phi, _ = io_json.complex_from_json(_read_json(args.complex))
     if args.ord:
         sub = ord_subdivision(phi)
     elif args.stellar:
-        ray = tuple(int(x) for x in args.ray.split(","))
+        if args.stellar not in phi.cones:
+            raise SchemaError(f"unknown cone {args.stellar!r}")
+        try:
+            ray = tuple(int(x) for x in (args.ray or "").split(","))
+        except ValueError:
+            ray = ()
+        if len(ray) != phi.dim(args.stellar) or not any(ray):
+            raise SchemaError(f"--stellar {args.stellar} needs --ray with "
+                              f"{phi.dim(args.stellar)} integers, not all 0")
         sub = stellar(phi, args.stellar, ray)
     else:
         sub = identity_subdivision(phi)
@@ -193,6 +210,9 @@ def cmd_equivariant(args):
     k = args.k if args.k is not None else st.complex.max_dim()
     if args.subdivision:
         sub = io_json.subdivision_from_json(_read_json(args.subdivision))
+        if sub.target.cones != st.complex.cones:
+            raise SchemaError("the subdivision is not one of the fibration "
+                              "source")
     else:
         sub = identity_subdivision(st.complex)
     lat = equivariant_basis(st.fibration, k, sub)
@@ -209,9 +229,7 @@ def cmd_equivariant(args):
 
 
 def cmd_clutch(args):
-    g, labels_a = args.left.split(":", 1)
-    h, labels_b = args.right.split(":", 1)
-    cm = clutching(int(g), _marks(labels_a), int(h), _marks(labels_b))
+    cm = clutching(*_genus_marks(args.left), *_genus_marks(args.right))
     mor = cm.complex_morphism()
     flag, witness = is_weakly_proper(mor)
     return {"weakly_proper": flag,
@@ -248,23 +266,23 @@ COMMANDS = {
 def cmd_run(args):
     """Execute a manifest: a fully reproducible description of one run."""
     manifest = _read_json(args.manifest)
+    if not isinstance(manifest, dict):
+        raise SchemaError("a manifest is a JSON object")
     command = manifest.get("command")
-    if command not in COMMANDS or command == "run":
+    params = manifest.get("params", {})
+    inputs = manifest.get("inputs", {})
+    if not isinstance(command, str) or command not in COMMANDS:
         raise SchemaError(f"unknown manifest command {command!r}")
-    params = dict(manifest.get("params", {}))
-    inputs = dict(manifest.get("inputs", {}))
-    ns = argparse.Namespace(**{k.replace("-", "_"): v
-                               for k, v in {**params, **inputs}.items()})
-    for field in ("marks", "ray", "left", "right", "mark"):
-        if not hasattr(ns, field):
-            setattr(ns, field, None)
-    for field in ("genus", "k"):
-        if hasattr(ns, field) and getattr(ns, field) is not None:
-            setattr(ns, field, int(getattr(ns, field)))
-    for field in ("ord", "stellar", "subdivision"):
-        if not hasattr(ns, field):
-            setattr(ns, field, None)
-    result = COMMANDS[command](ns)
+    if not (isinstance(params, dict) and isinstance(inputs, dict)):
+        raise SchemaError("manifest params and inputs are JSON objects")
+    # params and inputs are the command's options, checked by its parser
+    argv = [command]
+    for key, value in {**params, **inputs}.items():
+        if value is True:
+            argv.append(f"--{key}")
+        elif value is not False and value is not None:
+            argv.append(f"--{key}={value}")
+    result = COMMANDS[command](build_parser().parse_args(argv))
     report = {
         "command": command,
         "params": params,

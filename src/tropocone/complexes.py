@@ -12,6 +12,8 @@ from fractions import Fraction
 
 from .cone import (
     Poic,
+    cell_key,
+    chart_cone,
     check_morphism,
     faces,
     facets_from_rays,
@@ -20,10 +22,7 @@ from .cone import (
 from .intlinalg import (
     IntMatrix,
     dot,
-    frac_solve,
-    is_zero_vec,
     primitive,
-    saturation,
     solve_integer,
     unimodular_inverse,
 )
@@ -107,14 +106,11 @@ class PoicComplex:
         return True
 
 
-def _image_face_key(complex_or_cone, matrix, sub: Poic, sup: Poic):
+def _image_face_key(matrix, sub: Poic, sup: Poic):
     """The gens_key of the face of sup equal to matrix(sub)."""
-    img = sorted({tuple(matrix.apply(g)) for g in sub.closure_rays})
+    key = cell_key(matrix.apply(g) for g in sub.closure_rays)
     for f in faces(sup):
-        if f.dim != sub.rank:
-            continue
-        if frozenset(f.gens_key) == frozenset(
-                tuple(primitive(g)) for g in img if not is_zero_vec(g)):
+        if f.dim == sub.rank and frozenset(f.gens_key) == key:
             return f.gens_key
     return None
 
@@ -149,14 +145,14 @@ def complex_new(cones, order, face_maps) -> PoicComplex:
         if not mor.face_embedding:
             raise NotFaceEmbedding(f"map for {p}<{q} is not a face-embedding")
         image_key[(p, q)] = frozenset(
-            _image_face_key(None, m, cones[p], cones[q]))
+            _image_face_key(m, cones[p], cones[q]))
     # functoriality: face maps compose
     for (p, q) in sorted(order):
         for (qq, r) in sorted(order):
             if qq != q:
                 continue
             lhs = face_maps[(q, r)] @ face_maps[(p, q)]
-            if lhs.entries != face_maps[(p, r)].entries:
+            if lhs != face_maps[(p, r)]:
                 raise NonFunctorial(
                     f"face maps do not compose along {p}<{q}<{r}")
     # axiom 2: every face of every cone realized exactly once
@@ -304,7 +300,7 @@ def validate_linear(phi: PoicComplex, lin: LinearStructure):
             raise ComplexError(f"linear map shape mismatch at {p}")
     for (p, q) in phi.order:
         lhs = lin.maps[q] @ phi.facemap(p, q)
-        if lhs.entries != lin.maps[p].entries:
+        if lhs != lin.maps[p]:
             raise NonFunctorial(f"linear structure not natural at {p}<{q}")
     return True
 
@@ -389,11 +385,11 @@ def skeletonize(objects, morphisms):
         rs, rt = find(s), find(t)
         mat = to_parent[t] @ m @ unimodular_inverse(to_parent[s])
         if rs == rt:
-            if mat.entries != IntMatrix.identity(mat.rows).entries:
+            if mat != IntMatrix.identity(mat.rows):
                 raise NotThin(f"non-identity endomorphism at {rs}")
             continue
         key = (rs, rt)
-        if key in rel and rel[key].entries != mat.entries:
+        if key in rel and rel[key] != mat:
             raise NotThin(f"two distinct parallel morphisms {rs} -> {rt}")
         rel[key] = mat
     # transitive closure
@@ -472,24 +468,11 @@ def conify(cells):
         cone_gens[c.name] = gens
     poics = {}
     embeds = {}
+    # every cone has a vertex generator with last coordinate > 0, so the
+    # cut z > 0 of unbounded complexes never pulls back to zero
+    cuts = [((0,) * ambient + (1,), True)] if unbounded else []
     for name, gens in sorted(cone_gens.items()):
-        gmat = IntMatrix.from_rows(gens, n)
-        basis = saturation(gmat)
-        d = basis.rows
-        local = [tuple(frac_solve(
-            [tuple(basis.col(j)) for j in range(n)], g))
-            for g in gens]
-        local = [tuple(int(x) for x in g) for g in local]
-        facets, ann = facets_from_rays(local, d)
-        constraints = [(f, False) for f in facets]
-        if unbounded:
-            zrow = tuple(basis.entry(j, n - 1) for j in range(d))
-            if is_zero_vec(zrow):
-                raise NotPolyhedralComplex(
-                    f"cell {name} is a recession direction")
-            constraints.append((zrow, True))
-        poics[name] = poic_new(d, constraints)
-        embeds[name] = basis.transpose()
+        poics[name], embeds[name] = chart_cone(gens, n, cuts)
     cones = dict(poics)
     order = set()
     face_maps = {}

@@ -46,10 +46,6 @@ class NotIntoCodomain(ConeError):
     """Some point of the domain cone maps outside the codomain cone."""
 
 
-class RayNotInterior(ConeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # exact double description
 
@@ -176,6 +172,28 @@ def _implied(constraints, target, rank):
     return strict_feasible(list(constraints) + [negation], rank) is None
 
 
+def _minimal(constraints, rank):
+    """Drop constraints implied by the others, one at a time, in a
+    deterministic scan order."""
+    minimal = list(constraints)
+    changed = True
+    while changed:
+        changed = False
+        for i, c in enumerate(minimal):
+            rest = minimal[:i] + minimal[i + 1:]
+            if _implied(rest, c, rank):
+                minimal = rest
+                changed = True
+                break
+    return minimal
+
+
+def cell_key(gens):
+    """The primitive nonzero generators of a closed cell, as a set: the
+    key under which cells and images of cones are compared."""
+    return frozenset(primitive(g) for g in gens if not is_zero_vec(g))
+
+
 # ---------------------------------------------------------------------------
 # the Poic type
 
@@ -259,19 +277,28 @@ def poic_new(lattice_rank, facets):
     if frac_rank(list(gens) or [(0,) * rank]) != rank and rank > 0:
         raise NotFullDimensional(
             "closure span is a proper subspace; re-coordinate first")
-    # minimality (deterministic scan order)
-    minimal = list(constraints)
-    changed = True
-    while changed:
-        changed = False
-        for i, c in enumerate(minimal):
-            rest = minimal[:i] + minimal[i + 1:]
-            if _implied(rest, c, rank):
-                minimal = rest
-                changed = True
-                break
+    minimal = _minimal(constraints, rank)
     gens = dual_generators([n for n, _ in minimal], rank)
     return Poic(rank=rank, facets=tuple(minimal), closure_rays=tuple(gens))
+
+
+def chart_cone(gens, rank, ambient):
+    """The closed cone generated by ``gens`` in Z^rank, re-coordinated to
+    its saturated lattice and cut by the pullbacks of the ``ambient``
+    (normal, strict) pairs.  Returns (poic, embedding into Z^rank)."""
+    gens = list(gens)
+    basis = saturation(IntMatrix.from_rows(gens, rank)) if gens \
+        else IntMatrix.from_rows([], rank)
+    d = basis.rows
+    cols = [tuple(basis.col(j)) for j in range(rank)]
+    local = [tuple(int(x) for x in frac_solve(cols, g)) for g in gens]
+    facets, _ = facets_from_rays(local, d)
+    constraints = [(f, False) for f in facets]
+    for n, strict in ambient:
+        pn = tuple(dot(n, basis.row(j)) for j in range(d))
+        if not is_zero_vec(pn):
+            constraints.append((pn, strict))
+    return poic_new(d, constraints), basis.transpose()
 
 
 def product(sigma: Poic, xi: Poic) -> Poic:
@@ -318,17 +345,7 @@ _FACES_CACHE = {}
 def _closed_facet_normals(sigma: Poic):
     """Normals that are facets of the closure (strictness ignored)."""
     closed = [(n, False) for n, _ in sigma.facets]
-    minimal = list(closed)
-    changed = True
-    while changed:
-        changed = False
-        for i, c in enumerate(minimal):
-            rest = minimal[:i] + minimal[i + 1:]
-            if _implied(rest, c, sigma.rank):
-                minimal = rest
-                changed = True
-                break
-    return [n for n, _ in minimal]
+    return [n for n, _ in _minimal(closed, sigma.rank)]
 
 
 def faces(sigma: Poic):
@@ -445,7 +462,6 @@ def _face_target(matrix, sigma, xi):
         if not ok:
             continue
         # face ⊆ matrix(sigma): pull each face witness back into sigma
-        cols = [tuple(matrix.col(j)) for j in range(matrix.cols)]
         rows = [tuple(matrix.row(i)) for i in range(matrix.rows)]
         for ff in faces(f.sub):
             w = f.matrix.apply(ff.ambient_interior_point())

@@ -10,16 +10,16 @@ permutations of subdivision pieces, appended to the balancing system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .cone import faces
+from .cone import cell_key, dual_generators, faces, facets_from_rays
 from .complexes import LinearStructure, PoicComplex
 from .intlinalg import IntMatrix, unimodular_inverse
 from .spaces import PoicSpace, iso_class_reps, space_isos
 from .subdivision import (
+    Report,
     Subdivision,
-    cell_key,
-    intersect_cells,
+    fold_cells,
     refine_assemble,
     validate_subdivision,
 )
@@ -56,26 +56,9 @@ class Fibration:
         return self.morphism_map[(p, q)]
 
 
-@dataclass
-class FibrationReport:
-    issues: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.issues
-
-    def add(self, axiom, message, witness=None):
-        self.issues.append({"axiom": axiom, "message": message,
-                            "witness": witness})
-
-
-def _matrix_in(mat, mats):
-    return any(mat.entries == m.entries for m in mats)
-
-
-def validate_fibration(fib: Fibration) -> FibrationReport:
+def validate_fibration(fib: Fibration) -> Report:
     """Verify the three fibration axioms on the finite data."""
-    report = FibrationReport()
+    report = Report()
     phi, space = fib.complex, fib.space
     # naturality of the transforms
     for (p, q) in sorted(phi.order):
@@ -83,19 +66,19 @@ def validate_fibration(fib: Fibration) -> FibrationReport:
             report.add("shape", f"morphism map missing for {p}<{q}")
             continue
         m = fib.morphism_map[(p, q)]
-        if not _matrix_in(m, space.hom(fib.pi(p), fib.pi(q))):
+        if m not in space.hom(fib.pi(p), fib.pi(q)):
             report.add("shape",
                        f"morphism map of {p}<{q} is not a hom of the space")
         lhs = m @ fib.transforms[p]
         rhs = fib.transforms[q] @ phi.facemap(p, q)
-        if lhs.entries != rhs.entries:
+        if lhs != rhs:
             report.add("shape", f"transform square fails at {p}<{q}")
     for (p, q) in sorted(phi.order):
         for (q2, r) in sorted(phi.order):
             if q2 != q:
                 continue
             lhs = fib.pi_mor(q, r) @ fib.pi_mor(p, q)
-            if lhs.entries != fib.pi_mor(p, r).entries:
+            if lhs != fib.pi_mor(p, r):
                 report.add("shape", f"morphism map not functorial "
                                     f"at {p}<{q}<{r}")
     if not report.ok:
@@ -137,7 +120,6 @@ def validate_fibration(fib: Fibration) -> FibrationReport:
     # axiom 3: lifting of space morphisms, unique up to isomorphism (the
     # valid factorizations may differ by cones with isomorphic images, as
     # in the two-sheet examples; their images must be isomorphic)
-    reps = iso_class_reps(space)
     for p in sorted(phi.ids()):
         x0 = fib.pi(p)
         for x in space.ids():
@@ -146,7 +128,7 @@ def validate_fibration(fib: Fibration) -> FibrationReport:
                 for q in [p] + phi.above(p):
                     pih = fib.pi_mor(p, q)
                     for g in space_isos(space, fib.pi(q), x):
-                        if (g @ pih).entries == f.entries:
+                        if g @ pih == f:
                             valid_q.add(q)
                 if not valid_q:
                     report.add("lifting",
@@ -164,7 +146,6 @@ def validate_fibration(fib: Fibration) -> FibrationReport:
 # pi-compatibility
 
 def _canonical_closed_key(gens, rank):
-    from .cone import dual_generators, facets_from_rays
     facets, ann = facets_from_rays(list(gens), rank)
     normals = list(facets)
     for a in ann:
@@ -250,30 +231,13 @@ def _apply_cells(matrix, cells):
     return [tuple(tuple(matrix.apply(g)) for g in cell) for cell in cells]
 
 
-def _fold_systems(systems, rank):
-    current = [tuple(sorted(cell_key(c))) for c in systems[0]]
-    for nxt in systems[1:]:
-        merged = {}
-        for c1 in current:
-            for c2 in nxt:
-                cell = intersect_cells(c1, c2, rank)
-                merged.setdefault(cell_key(cell),
-                                  tuple(sorted(cell_key(cell))))
-        current = list(merged.values())
-    return current
-
-
 def _absent_closure_faces(phi: PoicComplex, s):
     """Closure faces of Phi(s) not realized by cones of the complex."""
     sigma = phi.cones[s]
     realized = {frozenset(sigma.closure_rays)}
-    from .intlinalg import is_zero_vec, primitive
     for f in phi.below(s):
         m = phi.facemap(f, s)
-        key = frozenset(primitive(tuple(m.apply(g)))
-                        for g in phi.cones[f].closure_rays
-                        if not is_zero_vec(tuple(m.apply(g))))
-        realized.add(key)
+        realized.add(cell_key(m.apply(g) for g in phi.cones[f].closure_rays))
     out = []
     for f in faces(sigma.closure()):
         key = frozenset(f.gens_key)
@@ -338,7 +302,7 @@ def compatible_refinement(fib: Fibration, sub: Subdivision) -> Subdivision:
                                 tuple((m @ sub.matrices[t]).apply(g))
                                 for g in sub.source.cones[t].closure_rays)
                             sp_cells.append(cell)
-                    cover = _fold_systems([cone_off, sp_cells], sigma.rank)
+                    cover = fold_cells([cone_off, sp_cells], sigma.rank)
                 # transport member-cells to the representative
                 f_s = sorted(space_isos(fib.space, fib.pi(rep), fib.pi(s)),
                              key=lambda m: m.entries)[0]
@@ -347,8 +311,7 @@ def compatible_refinement(fib: Fibration, sub: Subdivision) -> Subdivision:
                 transports[s] = a_s
                 systems_at_rep.append(_apply_cells(a_s, cover))
             rank = phi.dim(rep)
-            sigma_rep = phi.cones[rep]
-            merged = _fold_systems(systems_at_rep, rank) \
+            merged = fold_cells(systems_at_rep, rank) \
                 if systems_at_rep else [()]
             # close under the automorphism group of the representative
             autos = [unimodular_inverse(fib.transforms[rep]) @ a
@@ -369,7 +332,7 @@ def compatible_refinement(fib: Fibration, sub: Subdivision) -> Subdivision:
                 stable = True
                 for g in group.values():
                     moved = _apply_cells(g, merged)
-                    new = _fold_systems([merged, moved], rank)
+                    new = fold_cells([merged, moved], rank)
                     if {cell_key(c) for c in new} != \
                             {cell_key(c) for c in merged}:
                         merged = new

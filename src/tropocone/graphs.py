@@ -325,10 +325,6 @@ def canonical_form(g: DiscreteGraph):
     return canon, phi_min, sorted(canon_autos)
 
 
-def iso_classes_equal(g1: DiscreteGraph, g2: DiscreteGraph):
-    return canonical_form(g1)[0].encoding() == canonical_form(g2)[0].encoding()
-
-
 # ---------------------------------------------------------------------------
 # trees and the categories of stable graphs
 

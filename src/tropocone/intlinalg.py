@@ -32,10 +32,6 @@ def vadd(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vscale(c, u):
     return tuple(c * a for a in u)
 
@@ -122,10 +118,6 @@ class IntMatrix:
         return IntMatrix(n, n, tuple(1 if i == j else 0
                                      for i in range(n) for j in range(n)))
 
-    @staticmethod
-    def zero(r, c):
-        return IntMatrix(r, c, (0,) * (r * c))
-
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
@@ -158,9 +150,6 @@ class IntMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         return tuple(dot(self.row(i), vec) for i in range(self.rows))
-
-    def is_zero(self):
-        return all(x == 0 for x in self.entries)
 
     def __str__(self):
         return "[" + "; ".join(" ".join(str(x) for x in self.row(i))

@@ -66,9 +66,12 @@ def linear_to_json(lin: LinearStructure):
 
 
 def linear_from_json(doc):
-    return LinearStructure(
-        target_rank=int(doc["target_rank"]),
-        maps={p: matrix_from_json(m) for p, m in doc["maps"].items()})
+    try:
+        return LinearStructure(
+            target_rank=int(doc["target_rank"]),
+            maps={p: matrix_from_json(m) for p, m in doc["maps"].items()})
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise SchemaError(f"bad linear structure document: {exc}") from exc
 
 
 def complex_to_json(phi: PoicComplex, lin: LinearStructure = None):

@@ -218,7 +218,7 @@ def build_moduli(g, labels):
                     cat.classes[x], cat.classes[y], mapping))
             if x == y:
                 ident = IntMatrix.identity(len(cat.classes[x].edges()))
-                if not any(m.entries == ident.entries for m in mats):
+                if ident not in mats:
                     mats.append(ident)
             if mats:
                 homs[(x, y)] = tuple(mats)

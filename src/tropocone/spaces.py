@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cone import check_morphism, faces
+from .cone import cell_key, check_morphism, faces
 from .complexes import PoicComplex
 from .intlinalg import IntMatrix, unimodular_inverse
 
@@ -38,11 +38,6 @@ class PoicSpace:
         return sorted({reps[x] for x in self.ids() if self.dim(x) == k})
 
 
-def _matrix_in(mat, mats):
-    return any(mat.entries == m.entries and mat.rows == m.rows
-               and mat.cols == m.cols for m in mats)
-
-
 def is_space_iso(space: PoicSpace, x, y, mat: IntMatrix):
     """True iff mat is an isomorphism x -> y of the space."""
     if space.dim(x) != space.dim(y):
@@ -51,7 +46,7 @@ def is_space_iso(space: PoicSpace, x, y, mat: IntMatrix):
         inv = unimodular_inverse(mat)
     except ValueError:
         return False
-    return _matrix_in(inv, space.hom(y, x))
+    return inv in space.hom(y, x)
 
 
 def space_isos(space: PoicSpace, x, y):
@@ -85,17 +80,15 @@ def space_new(objects, homs) -> PoicSpace:
     for (x, y), mats in homs.items():
         uniq = []
         for m in mats:
-            if not _matrix_in(m, uniq):
+            if m not in uniq:
                 uniq.append(m)
         if uniq:
             cleaned[(x, y)] = tuple(uniq)
     space = PoicSpace(objects=objects, homs=cleaned)
     for x in space.ids():
-        if not _matrix_in(IntMatrix.identity(space.dim(x)),
-                          space.hom(x, x)):
+        if IntMatrix.identity(space.dim(x)) not in space.hom(x, x):
             raise SpaceError(f"identity missing in hom({x},{x})")
     # face-embedding check and composition closure
-    image_face = {}
     for (x, y), mats in sorted(cleaned.items()):
         for m in mats:
             mor = check_morphism(m, objects[x], objects[y])
@@ -108,7 +101,7 @@ def space_new(objects, homs) -> PoicSpace:
                 continue
             for f in cleaned[(x, y)]:
                 for g in cleaned[(y2, z)]:
-                    if not _matrix_in(g @ f, space.hom(x, z)):
+                    if g @ f not in space.hom(x, z):
                         raise SpaceError(
                             f"hom-sets are not closed under composition "
                             f"({x} -> {y} -> {z})")
@@ -118,8 +111,7 @@ def space_new(objects, homs) -> PoicSpace:
         realizations = {}
         for x in space.ids():
             for m in space.hom(x, y):
-                img = frozenset(
-                    _face_key_of_image(m, objects[x], sigma))
+                img = cell_key(m.apply(g) for g in objects[x].closure_rays)
                 realizations.setdefault(img, []).append((x, m))
         for f in faces(sigma):
             key = frozenset(f.gens_key)
@@ -130,18 +122,12 @@ def space_new(objects, homs) -> PoicSpace:
             (x0, m0) = reals[0]
             for (x1, m1) in reals[1:]:
                 if not any(
-                        (m1 @ u).entries == m0.entries
+                        m1 @ u == m0
                         for u in space_isos(space, x0, x1)):
                     raise SpaceError(
                         f"face of {y} realized non-uniquely "
                         f"({x0} vs {x1})")
     return space
-
-
-def _face_key_of_image(matrix, sub, sup):
-    from .intlinalg import is_zero_vec, primitive
-    img = {tuple(matrix.apply(g)) for g in sub.closure_rays}
-    return {primitive(g) for g in img if not is_zero_vec(g)}
 
 
 def space_from_complex(phi: PoicComplex) -> PoicSpace:

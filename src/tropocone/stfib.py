@@ -165,7 +165,7 @@ def spanning_tree_fibration(g, labels) -> STFibration:
         m = transforms[q] @ source.facemap(p, q) \
             @ unimodular_inverse(transforms[p])
         homset = space.hom(object_map[p], object_map[q])
-        if not any(m.entries == h.entries for h in homset):
+        if m not in homset:
             raise FibrationError(
                 f"induced morphism of {p}<{q} missing in the space")
         morphism_map[(p, q)] = m
@@ -205,7 +205,7 @@ def validate_fibration_morphism(fm: FibrationMorphism):
     for p in src.complex.ids():
         lhs = fm.int_matrix @ src.fibration.linear.maps[p]
         rhs = tgt.fibration.linear.maps[fm.cone_map[p]] @ fm.matrices[p]
-        if lhs.entries != rhs.entries:
+        if lhs != rhs:
             raise FibrationMorphismError(f"linear square fails at {p}")
         x = src.fibration.pi(p)
         if tgt.fibration.pi(fm.cone_map[p]) != fm.space_map[x]:
@@ -215,7 +215,7 @@ def validate_fibration_morphism(fm: FibrationMorphism):
         if fm.twists is not None and p in fm.twists:
             rhs = fm.twists[p] @ fm.space_matrices[x] \
                 @ src.fibration.transforms[p]
-        if lhs.entries != rhs.entries:
+        if lhs != rhs:
             raise FibrationMorphismError(
                 f"space transform square fails at {p}")
     # functoriality on space homs
@@ -224,8 +224,7 @@ def validate_fibration_morphism(fm: FibrationMorphism):
         for f in mats:
             cand = None
             for f2 in sp_t.hom(fm.space_map[x], fm.space_map[y]):
-                if (f2 @ fm.space_matrices[x]).entries == \
-                        (fm.space_matrices[y] @ f).entries:
+                if f2 @ fm.space_matrices[x] == fm.space_matrices[y] @ f:
                     cand = f2
                     break
             if cand is None:
@@ -250,8 +249,8 @@ def space_iso_lifting(fm: FibrationMorphism):
                         if fm.space_map[t2] != t:
                             continue
                         for f2 in space_isos(sp_s, s2, t2):
-                            if (fm.space_matrices[t2] @ f2).entries == \
-                                    (f @ fm.space_matrices[s2]).entries:
+                            if fm.space_matrices[t2] @ f2 == \
+                                    f @ fm.space_matrices[s2]:
                                 found.append((t2, f2))
                     if len(found) != 1:
                         return False, (s2, f, found)
@@ -497,7 +496,7 @@ def _align_space_matrices(src_fib, tgt_fib, space_map, raw_space_matrices,
 
     def auto_order(m):
         ident = IntMatrix.identity(m.rows)
-        return (m.entries != ident.entries, m.entries)
+        return (m != ident, m.entries)
 
     for x in sorted(src_fib.space.ids()):
         over = [p for p in src_fib.complex.ids() if src_fib.pi(p) == x]
@@ -518,7 +517,7 @@ def _align_space_matrices(src_fib, tgt_fib, space_map, raw_space_matrices,
                         continue
                     lhs = int_matrix @ src_fib.linear.maps[pid]
                     rhs = tgt_fib.linear.maps[q] @ mat
-                    if lhs.entries != rhs.entries:
+                    if lhs != rhs:
                         continue
                     found = (q, mat, u)
                     break

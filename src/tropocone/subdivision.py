@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 from .cone import (
     Poic,
+    cell_key,
+    chart_cone,
     dual_generators,
     faces,
     facets_from_rays,
-    poic_new,
     rational_preimage,
     strict_feasible,
 )
@@ -32,7 +33,6 @@ from .intlinalg import (
     Lattice,
     dot,
     frac_rank,
-    frac_solve,
     is_zero_vec,
     lattice_index,
     primitive,
@@ -87,14 +87,6 @@ def identity_subdivision(phi: PoicComplex) -> Subdivision:
 # ---------------------------------------------------------------------------
 # cell helpers (closed cells as tuples of generator vectors)
 
-def cell_key(gens):
-    out = set()
-    for g in gens:
-        if not is_zero_vec(g):
-            out.add(primitive(g))
-    return frozenset(out)
-
-
 def cell_witness(gens, rank):
     w = (0,) * rank
     for g in cell_key(gens):
@@ -102,15 +94,18 @@ def cell_witness(gens, rank):
     return w
 
 
-def closed_cone_contains(gens, point, rank):
+def closed_cone_contains(gens, points, rank):
+    """True iff every point lies in the closed cone generated by gens."""
+    if not points:
+        return True
     facets, ann = facets_from_rays(list(gens), rank)
-    return (all(dot(f, point) >= 0 for f in facets)
-            and all(dot(a, point) == 0 for a in ann))
+    return all(all(dot(f, x) >= 0 for f in facets)
+               and all(dot(a, x) == 0 for a in ann) for x in points)
 
 
 def closed_cone_equal(gens_a, gens_b, rank):
-    return (all(closed_cone_contains(gens_b, g, rank) for g in gens_a)
-            and all(closed_cone_contains(gens_a, g, rank) for g in gens_b))
+    return (closed_cone_contains(gens_b, gens_a, rank)
+            and closed_cone_contains(gens_a, gens_b, rank))
 
 
 def intersect_cells(gens_a, gens_b, rank):
@@ -122,6 +117,21 @@ def intersect_cells(gens_a, gens_b, rank):
         normals.append(a)
         normals.append(tuple(-x for x in a))
     return dual_generators(normals, rank)
+
+
+def fold_cells(systems, rank):
+    """Common refinement of closed-cell systems that each cover one cone:
+    the distinct intersections of one cell from every system, as sorted
+    generator tuples."""
+    current = [tuple(sorted(cell_key(c))) for c in systems[0]]
+    for nxt in systems[1:]:
+        merged = {}
+        for c1 in current:
+            for c2 in nxt:
+                key = cell_key(intersect_cells(c1, c2, rank))
+                merged.setdefault(key, tuple(sorted(key)))
+        current = list(merged.values())
+    return current
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +146,6 @@ def refine_assemble(phi: PoicComplex, cells_per_cone) -> Subdivision:
     is validated as a poic-complex.
     """
     pieces = {}   # piece id -> (cone, poic, embed matrix, ambient key)
-    per_cone = {}
     for s in phi.ids():
         sigma = phi.cones[s]
         seen = set()
@@ -155,42 +164,18 @@ def refine_assemble(phi: PoicComplex, cells_per_cone) -> Subdivision:
                 continue  # the cell belongs to a face of s, not to s
             kept.append(key)
         kept.sort(key=lambda k: (len(k), sorted(k)))
-        per_cone[s] = []
+        cuts = [(n, True) for n, strict in sigma.facets if strict]
         for i, key in enumerate(kept):
-            pid = f"{s}/{i}"
-            gens = sorted(key)
-            if gens:
-                basis = saturation(IntMatrix.from_rows(gens, sigma.rank))
-            else:
-                basis = IntMatrix.from_rows([], sigma.rank)
-            d = basis.rows
-            constraints = []
-            local = [tuple(frac_solve([tuple(basis.col(j))
-                                       for j in range(sigma.rank)], g))
-                     for g in gens]
-            local = [tuple(int(x) for x in g) for g in local]
-            lf, _ = facets_from_rays(local, d)
-            constraints.extend((f, False) for f in lf)
-            for n, strict in sigma.facets:
-                if not strict:
-                    continue
-                pn = tuple(dot(n, basis.row(j)) for j in range(d))
-                if not is_zero_vec(pn):
-                    constraints.append((pn, True))
-            poic = poic_new(d, constraints)
-            pieces[pid] = (s, poic, basis.transpose(), key)
-            per_cone[s].append(pid)
+            poic, embed = chart_cone(sorted(key), sigma.rank, cuts)
+            pieces[f"{s}/{i}"] = (s, poic, embed, key)
 
     # ambient keys of the faces of each piece, used for face detection
     face_keys = {}
     for pid, (s, poic, embed, key) in pieces.items():
         fk = {}
         for f in faces(poic):
-            amb = frozenset(
-                tuple(embed.apply(f.matrix.apply(g)))
-                for g in f.sub.closure_rays)
-            amb = frozenset(primitive(g) for g in amb if not is_zero_vec(g))
-            fk[amb] = f.dim
+            fk[cell_key(embed.apply(f.matrix.apply(g))
+                        for g in f.sub.closure_rays)] = f.dim
         face_keys[pid] = fk
 
     cones = {pid: data[1] for pid, data in pieces.items()}
@@ -206,10 +191,7 @@ def refine_assemble(phi: PoicComplex, cells_per_cone) -> Subdivision:
             if not (s1 == s2 or (s1, s2) in phi.order):
                 continue
             fmap = phi.facemap(s1, s2)
-            lifted = frozenset(primitive(tuple(fmap.apply(g)))
-                               for g in key1)
-            if not key1:
-                lifted = frozenset()
+            lifted = cell_key(fmap.apply(g) for g in key1)
             if lifted not in face_keys[p2]:
                 continue
             if face_keys[p2][lifted] != poic1.rank:
@@ -302,7 +284,10 @@ def arrangement_cells(sigma: Poic, walls):
 # validation
 
 @dataclass
-class SubdivisionReport:
+class Report:
+    """Outcome of an exact axiom check: one issue per violation, each
+    naming its axiom, a message and a witness."""
+
     issues: list = field(default_factory=list)
 
     @property
@@ -314,10 +299,10 @@ class SubdivisionReport:
                             "witness": witness})
 
 
-def validate_subdivision(sub: Subdivision) -> SubdivisionReport:
+def validate_subdivision(sub: Subdivision) -> Report:
     """Check the three subdivision axioms exactly; report violations with
     witnesses."""
-    report = SubdivisionReport()
+    report = Report()
     src, tgt = sub.source, sub.target
     for p in src.ids():
         if p not in sub.cone_map or p not in sub.matrices:
@@ -350,7 +335,7 @@ def validate_subdivision(sub: Subdivision) -> SubdivisionReport:
             continue
         lhs = tgt.facemap(sp, sq) @ sub.matrices[p]
         rhs = sub.matrices[q] @ src.facemap(p, q)
-        if lhs.entries != rhs.entries:
+        if lhs != rhs:
             report.add("functorial",
                        f"matrices do not commute along {p}<{q}", (p, q))
     if not report.ok:
@@ -439,25 +424,6 @@ def stellar(phi: PoicComplex, s, ray) -> Subdivision:
 # ---------------------------------------------------------------------------
 # the ord (barycentric) subdivision
 
-def _components(phi: PoicComplex):
-    parent = {p: p for p in phi.ids()}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (p, q) in phi.order:
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            parent[rp] = rq
-    comps = {}
-    for p in phi.ids():
-        comps.setdefault(find(p), []).append(p)
-    return list(comps.values())
-
-
 def ord_subdivision(phi: PoicComplex) -> Subdivision:
     """Barycentric-style subdivision via the chains-of-faces construction.
 
@@ -493,9 +459,8 @@ def ord_subdivision(phi: PoicComplex) -> Subdivision:
         fmap = phi.facemap(f_id, s_id)
         closed_f = phi.cones[f_id].closure()
         for f in faces(closed_f):
-            img = frozenset(primitive(tuple(fmap.apply(g)))
-                            for g in f.gens_key)
-            union((f_id, frozenset(f.gens_key)), (s_id, img))
+            union((f_id, frozenset(f.gens_key)),
+                  (s_id, cell_key(fmap.apply(g) for g in f.gens_key)))
 
     classes = {}
     for key in nodes:
@@ -532,12 +497,6 @@ def ord_subdivision(phi: PoicComplex) -> Subdivision:
                 if match is not None and match <= k2:
                     less.add((r1, r2))
                     break
-
-    comps = _components(phi)
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for p in comp:
-            comp_of[p] = i
 
     def chain_cells():
         cells_per_cone = {t: [] for t in phi.ids()}
@@ -590,25 +549,10 @@ def common_refinement(subs) -> Subdivision:
     cells_per_cone = {}
     for y in base.ids():
         rank = base.dim(y)
-        systems = []
-        for sub in subs:
-            cells = []
-            for p in sub.pieces_over(y):
-                m = sub.matrices[p]
-                cells.append(tuple(
-                    tuple(m.apply(g))
-                    for g in sub.source.cones[p].closure_rays))
-            systems.append(cells)
-        current = systems[0]
-        for nxt in systems[1:]:
-            merged = {}
-            for c1 in current:
-                for c2 in nxt:
-                    cell = intersect_cells(c1, c2, rank)
-                    merged.setdefault(cell_key(cell), tuple(sorted(
-                        cell_key(cell))))
-            current = list(merged.values())
-        cells_per_cone[y] = current
+        systems = [[tuple(tuple(sub.matrices[p].apply(g))
+                          for g in sub.source.cones[p].closure_rays)
+                    for p in sub.pieces_over(y)] for sub in subs]
+        cells_per_cone[y] = fold_cells(systems, rank)
     return refine_assemble(base, cells_per_cone)
 
 
@@ -661,7 +605,7 @@ def validate_complex_morphism(mor: ComplexMorphism):
             raise ComplexError(f"morphism breaks the order at {p}<{q}")
         lhs = mor.target.facemap(tp, tq) @ mor.matrices[p]
         rhs = mor.matrices[q] @ mor.source.facemap(p, q)
-        if lhs.entries != rhs.entries:
+        if lhs != rhs:
             raise ComplexError(f"morphism squares fail at {p}<{q}")
     return True
 
@@ -703,22 +647,13 @@ def is_weakly_proper(mor: ComplexMorphism):
         gens = mor.image_gens(s)
         if not gens:
             continue
-        basis = saturation(IntMatrix.from_rows(gens, target_cone.rank))
-        d = basis.rows
-        local = [tuple(int(x) for x in frac_solve(
-            [tuple(basis.col(j)) for j in range(target_cone.rank)], g))
-            for g in gens]
-        lf, _ = facets_from_rays(local, d)
-        constraints = [(f, False) for f in lf]
-        for n, strict in target_cone.facets:
-            pn = tuple(dot(n, basis.row(j)) for j in range(d))
-            if not is_zero_vec(pn):
-                constraints.append((pn, strict))
-        rel_closure = poic_new(d, constraints)
+        rel_closure, embed = chart_cone(gens, target_cone.rank,
+                                        target_cone.facets)
+        d = rel_closure.rank
         for f in faces(rel_closure):
             if f.dim >= d:
                 continue
-            tau_gens = [tuple(basis.transpose().apply(f.matrix.apply(g)))
+            tau_gens = [tuple(embed.apply(f.matrix.apply(g)))
                         for g in f.sub.closure_rays]
             codim = d - f.dim
             lifted = False
@@ -753,7 +688,7 @@ def pfine_refinement(mor: ComplexMorphism) -> Subdivision:
     same open image.  Built by per-cone hyperplane arrangements spanned by
     the facets of all source images."""
     tgt = mor.target
-    walls = {y: set() for y in tgt.ids()}
+    walls = {y: [] for y in tgt.ids()}
     for s in mor.source.ids():
         m = mor.matrices[s]
         if not _is_injective(m):
@@ -767,52 +702,26 @@ def pfine_refinement(mor: ComplexMorphism) -> Subdivision:
         local = [tuple(rho.apply(g)) for g in gens]
         lf, _ = facets_from_rays(local, basis.rows)
         _, ann = facets_from_rays(gens, tgt.dim(y))
-        for w in ann:
-            if not is_zero_vec(w):
-                walls[y].add(sign_normalized(w))
-        for f in lf:
-            w = tuple(dot(f, rho.col(j)) for j in range(rho.cols))
-            if not is_zero_vec(w):
-                walls[y].add(sign_normalized(w))
-    # propagate walls down (restrictions) and up (via retractions) until
-    # stable, so that the per-cone arrangements glue along face maps
-    for _ in range(8):
-        changed = False
-        for (f, y) in sorted(tgt.order):
-            fmap = tgt.facemap(f, y)
-            for w in sorted(walls[y]):
-                pw = tuple(dot(w, fmap.col(j)) for j in range(fmap.cols))
-                if not is_zero_vec(pw):
-                    pw = sign_normalized(pw)
-                    if pw not in walls[f]:
-                        walls[f].add(pw)
-                        changed = True
-            rho = _retraction(fmap)
-            for w in sorted(walls[f]):
-                ext = tuple(dot(w, rho.col(j)) for j in range(rho.cols))
-                if not is_zero_vec(ext):
-                    ext = sign_normalized(ext)
-                    if ext not in walls[y]:
-                        walls[y].add(ext)
-                        changed = True
-        if not changed:
-            break
-    cells_per_cone = {
-        y: arrangement_cells(tgt.cones[y], sorted(walls[y]))
-        for y in tgt.ids()}
-    return refine_assemble(tgt, cells_per_cone)
+        walls[y].extend(ann)
+        walls[y].extend(tuple(dot(f, rho.col(j)) for j in range(rho.cols))
+                        for f in lf)
+    return refine_by_walls(tgt, walls)
+
+
+_WALL_PASSES = 8
 
 
 def refine_by_walls(phi: PoicComplex, walls_per_cone) -> Subdivision:
     """Refine each cone by a hyperplane arrangement (walls in cone
     coordinates); walls are propagated down to faces and extended up to
-    cofaces so the per-cone arrangements glue."""
+    cofaces so the per-cone arrangements glue.  Raises SubdivisionError
+    when the propagation has not settled within its pass bound."""
     walls = {p: set() for p in phi.ids()}
     for p, ws in walls_per_cone.items():
         for w in ws:
             if not is_zero_vec(w):
                 walls[p].add(sign_normalized(w))
-    for _ in range(8):
+    for _ in range(_WALL_PASSES):
         changed = False
         for (f, y) in sorted(phi.order):
             fmap = phi.facemap(f, y)
@@ -833,6 +742,9 @@ def refine_by_walls(phi: PoicComplex, walls_per_cone) -> Subdivision:
                         changed = True
         if not changed:
             break
+    else:
+        raise SubdivisionError(
+            f"walls still change after {_WALL_PASSES} propagation passes")
     cells = {p: arrangement_cells(phi.cones[p], sorted(walls[p]))
              for p in phi.ids()}
     return refine_assemble(phi, cells)

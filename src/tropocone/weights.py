@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import LinearStructure, PoicComplex, star1
-from .parallel import parallel_map
 from .intlinalg import (
     IntMatrix,
     hermite_row_basis,
@@ -157,22 +156,17 @@ def _stacked_balancing_system(phi, lin, k, extra_rows=None):
     for s in lower:
         aux_offset[s] = ncols
         ncols += phi.dim(s)
-    def rows_for(s):
+    rows = []
+    for s in lower:
         lifts = {t: normal_vector_lift(phi, lin, s, t) for t in star1(phi, s)}
         xs = lin.maps[s]
-        out = []
         for i in range(lin.target_rank):
             row = [0] * ncols
             for t, lift in lifts.items():
                 row[col_of[t]] += lift[i]
             for j in range(phi.dim(s)):
                 row[aux_offset[s] + j] -= xs.entry(i, j)
-            out.append(row)
-        return out
-
-    rows = []
-    for chunk in parallel_map(rows_for, lower):
-        rows.extend(chunk)
+            rows.append(row)
     if extra_rows:
         for r in extra_rows:
             rows.append(list(r) + [0] * (ncols - len(classes)))

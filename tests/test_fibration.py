@@ -155,3 +155,16 @@ def test_equivariant_basis_needs_compatibility():
     asym = refine_by_walls(fib.complex, {"c1": [(1, -1, 0)]})
     with pytest.raises(NotCompatible):
         equivariant_basis(fib, 2, asym)
+
+
+def test_morphism_map_of_wrong_shape_is_reported():
+    """A 3x0 map has the same (empty) entries as the true 1x0 face map;
+    matrix equality must still tell them apart."""
+    origin = poic_new(0, [])
+    ray = poic_new(1, [((1,), False)])
+    phi = complex_new({"o": origin, "r": ray}, {("o", "r")},
+                      {("o", "r"): IntMatrix(1, 0, ())})
+    fib = fibration_from_complex(phi)
+    fib.morphism_map[("o", "r")] = IntMatrix(3, 0, ())
+    rep = validate_fibration(fib)
+    assert not rep.ok

@@ -10,6 +10,7 @@ from tropocone.complexes import single_cone_complex
 from tropocone.graphs import graph_new
 from tropocone.intlinalg import IntMatrix
 from tropocone.moduli import build_moduli
+from tropocone.stfib import spanning_tree_fibration
 from tropocone.subdivision import identity_subdivision, stellar
 from tropocone.weights import Weight
 
@@ -153,3 +154,65 @@ def test_cli_clutch():
     assert out.returncode == 0
     doc = json.loads(out.stdout)
     assert doc["weakly_proper"]
+
+
+def _write(path, doc):
+    path.write_text(io_json.dumps(doc))
+    return str(path)
+
+
+QUADRANT = single_cone_complex(
+    poic_new(2, [((1, 0), False), ((0, 1), False)]), "q")
+
+
+def _quadrant(tmp_path):
+    return _write(tmp_path / "q.json", io_json.complex_to_json(QUADRANT))
+
+
+def _quadrant_subdivision(tmp_path):
+    return _write(tmp_path / "sub.json", io_json.subdivision_to_json(
+        identity_subdivision(QUADRANT)))
+
+
+def _no_target_rank(tmp_path):
+    m = build_moduli(0, ["1", "2", "3", "4"])
+    doc = io_json.complex_to_json(m.complex, m.linear)
+    del doc["linear"]["target_rank"]
+    return ["weights", "--complex", _write(tmp_path / "c.json", doc),
+            "--k", "1"]
+
+
+def _manifest(tmp_path, doc):
+    return ["run", "--manifest", _write(tmp_path / "manifest.json", doc)]
+
+
+def _incompatible_subdivision(tmp_path):
+    st = spanning_tree_fibration(1, ["1", "2"])
+    sub = stellar(st.complex, "G1 x glue", (1, 2))
+    path = _write(tmp_path / "sub.json", io_json.subdivision_to_json(sub))
+    return ["equivariant", "--genus", "1", "--marks", "1,2",
+            "--subdivision", path]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (lambda t: _manifest(t, {"command": "weights", "params": {"k": 1}}), 2),
+    (lambda t: _manifest(t, [{"command": "weights"}]), 2),
+    (_no_target_rank, 2),
+    (lambda t: ["subdivide", "--complex", _quadrant(t),
+                "--stellar", "NOPE", "--ray", "1,1"], 2),
+    (lambda t: ["subdivide", "--complex", _quadrant(t), "--stellar", "q"],
+     2),
+    (lambda t: ["subdivide", "--complex", _quadrant(t),
+                "--stellar", "q", "--ray", "1,x"], 2),
+    (lambda t: ["equivariant", "--genus", "1", "--marks", "1,2",
+                "--subdivision", _quadrant_subdivision(t)], 2),
+    (_incompatible_subdivision, 1),
+    (lambda t: ["clutch", "--left", "0", "--right", "0:3,4,c"], 2),
+], ids=["manifest-no-inputs", "manifest-list", "linear-no-target-rank",
+        "stellar-unknown-cone", "stellar-no-ray", "stellar-bad-ray",
+        "equivariant-foreign-subdivision", "equivariant-incompatible",
+        "clutch-no-genus"])
+def test_cli_bad_input_exit_codes(tmp_path, argv, code):
+    out = run_cli(*argv(tmp_path))
+    assert out.returncode == code, out.stderr
+    assert "Traceback" not in out.stderr
