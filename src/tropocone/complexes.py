@@ -23,7 +23,7 @@ from .intlinalg import (
     IntMatrix,
     dot,
     primitive,
-    solve_integer,
+    solve_integer_columns,
     unimodular_inverse,
 )
 
@@ -194,16 +194,12 @@ def single_cone_complex(sigma: Poic, name="c0") -> PoicComplex:
             if ki == kj or not ki <= kj:
                 continue
             p, q = ids[ki], ids[kj]
-            # matrix: solve g.matrix @ m == f.matrix (columns)
-            cols = []
-            for c in range(f.matrix.cols):
-                col = tuple(f.matrix.col(c))
-                x = solve_integer(g.matrix, col)
-                if x is None:
-                    raise ComplexError("face embedding is not saturated")
-                cols.append(x)
+            # matrix: solve g.matrix @ m == f.matrix
+            fm = solve_integer_columns(g.matrix, f.matrix)
+            if fm is None:
+                raise ComplexError("face embedding is not saturated")
             order.add((p, q))
-            face_maps[(p, q)] = IntMatrix.from_cols(cols, g.matrix.cols)
+            face_maps[(p, q)] = fm
     return complex_new(cones, order, face_maps)
 
 
@@ -499,17 +495,12 @@ def conify(cells):
                         cone_gens[b]):
                     raise NotPolyhedralComplex(
                         f"cells {a} and {b} span the same cone")
-                cols = []
-                for c in range(embeds[a].cols):
-                    col = tuple(embeds[a].col(c))
-                    x = solve_integer(embeds[b], col)
-                    if x is None:
-                        raise NotPolyhedralComplex(
-                            f"lattice of {a} not saturated inside {b}")
-                    cols.append(x)
+                fm = solve_integer_columns(embeds[b], embeds[a])
+                if fm is None:
+                    raise NotPolyhedralComplex(
+                        f"lattice of {a} not saturated inside {b}")
                 order.add((a, b))
-                face_maps[(a, b)] = IntMatrix.from_cols(
-                    cols, embeds[b].cols)
+                face_maps[(a, b)] = fm
     try:
         phi = complex_new(cones, order, face_maps)
     except ComplexError as exc:

@@ -14,6 +14,7 @@ implied by the others, with strictness semantics).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .intlinalg import (
     IntMatrix,
@@ -49,17 +50,26 @@ class NotIntoCodomain(ConeError):
 # ---------------------------------------------------------------------------
 # exact double description
 
-def _prune_generators(gens, normals, rank):
+# bounded per-process memos: the cone conversions are exact and their
+# results are immutable tuples, so equal inputs may share one result.  The
+# public functions stay plain functions around the memoized helpers, so a
+# call-level tracer still sees every request.
+_DD_MEMO_SIZE = 4096
+_FACES_MEMO_SIZE = 1024
+
+
+def _prune_generators(gens, normals, rank, pointed=False):
     """Reduce a generating set of {x : n.x >= 0 for n in normals} to
-    ±(lineality basis) plus one representative per extreme ray."""
-    if rank == 0:
-        return []
-    lin = integer_kernel(IntMatrix.from_rows(list(normals), rank)) \
-        if normals else IntMatrix.identity(rank)
+    ±(lineality basis) plus one representative per extreme ray.
+
+    ``pointed`` states that the cone is known to contain no line, which
+    spares the kernel computation."""
+    lin = IntMatrix.from_rows([], rank) if pointed \
+        else integer_kernel(IntMatrix.from_rows(list(normals), rank))
     ldim = lin.rows
-    lin_rows = [lin.row(i) for i in range(ldim)]
     out = []
-    for row in lin_rows:
+    for i in range(ldim):
+        row = lin.row(i)
         out.append(primitive(row))
         out.append(primitive(tuple(-x for x in row)))
     seen_tight = set()
@@ -68,10 +78,9 @@ def _prune_generators(gens, normals, rank):
         if is_zero_vec(g):
             continue
         g = primitive(g)
-        if lin_rows and frac_solve(
-                [tuple(r[j] for r in lin_rows) for j in range(rank)], g) is not None:
-            continue  # inside the lineality space
         tight = tuple(i for i, n in enumerate(normals) if dot(n, g) == 0)
+        if len(tight) == len(normals):
+            continue  # inside the lineality space
         if frac_rank([normals[i] for i in tight] or [(0,) * rank]) \
                 == rank - ldim - 1:
             candidates.append((tight, g))
@@ -90,7 +99,13 @@ def dual_generators(normals, rank):
     Returns ±(basis of the lineality space) together with one primitive
     representative per extreme ray, sorted.
     """
-    normals = [primitive(n) for n in normals if not is_zero_vec(n)]
+    return _dual_generators(cell_key(normals), rank)
+
+
+@lru_cache(maxsize=_DD_MEMO_SIZE)
+def _dual_generators(normals, rank):
+    """Double description of ``dual_generators`` for a frozenset of
+    primitive nonzero normals."""
     if rank == 0:
         return ()
     gens = []
@@ -98,8 +113,11 @@ def dual_generators(normals, rank):
         e = tuple(1 if j == i else 0 for j in range(rank))
         gens.append(e)
         gens.append(tuple(-x for x in e))
+    if not normals:
+        return tuple(sorted(gens))
     inserted = []
-    for a in sorted(set(normals)):
+    pointed = False
+    for a in sorted(normals):
         pos = [g for g in gens if dot(a, g) > 0]
         zero = [g for g in gens if dot(a, g) == 0]
         neg = [g for g in gens if dot(a, g) < 0]
@@ -112,8 +130,13 @@ def dual_generators(normals, rank):
                 if not is_zero_vec(combo):
                     combos.append(primitive(combo))
         inserted.append(a)
-        gens = _prune_generators(pos + zero + combos, inserted, rank)
-    return tuple(_prune_generators(gens, inserted, rank))
+        gens = _prune_generators(pos + zero + combos, inserted, rank, pointed)
+        # a cone without a ± pair of generators is pointed, and stays
+        # pointed as constraints are added
+        if not pointed:
+            present = set(gens)
+            pointed = not any(tuple(-x for x in g) in present for g in gens)
+    return tuple(gens)
 
 
 def facets_from_rays(gens, rank):
@@ -174,23 +197,25 @@ def _implied(constraints, target, rank):
 
 def _minimal(constraints, rank):
     """Drop constraints implied by the others, one at a time, in a
-    deterministic scan order."""
+    deterministic scan order.
+
+    One pass suffices: a constraint not implied by some set is not implied
+    by any subset of it either, so a kept constraint stays kept."""
     minimal = list(constraints)
-    changed = True
-    while changed:
-        changed = False
-        for i, c in enumerate(minimal):
-            rest = minimal[:i] + minimal[i + 1:]
-            if _implied(rest, c, rank):
-                minimal = rest
-                changed = True
-                break
+    i = 0
+    while i < len(minimal):
+        rest = minimal[:i] + minimal[i + 1:]
+        if _implied(rest, minimal[i], rank):
+            minimal = rest
+        else:
+            i += 1
     return minimal
 
 
 def cell_key(gens):
     """The primitive nonzero generators of a closed cell, as a set: the
-    key under which cells and images of cones are compared."""
+    key under which cells and images of cones are compared, and sets of
+    normals are memoized."""
     return frozenset(primitive(g) for g in gens if not is_zero_vec(g))
 
 
@@ -339,13 +364,12 @@ class FaceEmbedding:
         return w
 
 
-_FACES_CACHE = {}
-
-
 def _closed_facet_normals(sigma: Poic):
-    """Normals that are facets of the closure (strictness ignored)."""
-    closed = [(n, False) for n, _ in sigma.facets]
-    return [n for n, _ in _minimal(closed, sigma.rank)]
+    """Normals that are facets of the closure (strictness ignored): those
+    whose tight closure rays span a hyperplane."""
+    return [n for n, _ in sigma.facets
+            if frac_rank([g for g in sigma.closure_rays if dot(n, g) == 0])
+            == sigma.rank - 1]
 
 
 def faces(sigma: Poic):
@@ -354,8 +378,11 @@ def faces(sigma: Poic):
     A face of the closure is present iff its relative interior satisfies
     every strict constraint of sigma.
     """
-    if sigma in _FACES_CACHE:
-        return _FACES_CACHE[sigma]
+    return _faces(sigma)
+
+
+@lru_cache(maxsize=_FACES_MEMO_SIZE)
+def _faces(sigma: Poic):
     facet_normals = _closed_facet_normals(sigma)
     rays = sigma.closure_rays
     seen = {}
@@ -391,9 +418,7 @@ def faces(sigma: Poic):
         out.append(FaceEmbedding(sub=sub, sup=sigma,
                                  matrix=basis.transpose(),
                                  gens_key=gens))
-    out = tuple(sorted(out, key=lambda f: (f.dim, f.gens_key)))
-    _FACES_CACHE[sigma] = out
-    return out
+    return tuple(sorted(out, key=lambda f: (f.dim, f.gens_key)))
 
 
 def poic_subset(a: Poic, b: Poic):
@@ -441,11 +466,12 @@ def _face_target(matrix, sigma, xi):
 
     Assumes injectivity was already established.
     """
+    facet_normals = _closed_facet_normals(xi)
     for f in faces(xi):
         if f.dim != sigma.rank:
             continue
         # face set = {x in xi : tight normals vanish}
-        tight_normals = [n for n in _closed_facet_normals(xi)
+        tight_normals = [n for n in facet_normals
                          if all(dot(n, g) == 0 for g in f.gens_key)]
 
         def in_face(point):

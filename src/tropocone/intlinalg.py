@@ -425,18 +425,32 @@ def solve_integer(mat: IntMatrix, b):
     """Integer solution x of mat @ x = b, or None when none exists."""
     if len(b) != mat.rows:
         raise ValueError("right-hand side length mismatch")
+    x = solve_integer_columns(mat, IntMatrix.from_cols([b], mat.rows))
+    return None if x is None else x.col(0)
+
+
+def solve_integer_columns(mat: IntMatrix, rhs: IntMatrix):
+    """Integer X with mat @ X == rhs, column by column from one Smith
+    normal form of ``mat``, or None when some column has no solution."""
+    if rhs.rows != mat.rows:
+        raise ValueError("right-hand side height mismatch")
+    if rhs.cols == 0:
+        return IntMatrix(mat.cols, 0, ())
     d, u, v = smith_normal_form(mat)
-    c = u.apply(tuple(int(x) for x in b))
-    y = [0] * mat.cols
-    for i in range(mat.rows):
-        di = d.entry(i, i) if i < min(mat.rows, mat.cols) else 0
-        if di != 0:
-            if c[i] % di != 0:
+    cols = []
+    for j in range(rhs.cols):
+        c = u.apply(rhs.col(j))
+        y = [0] * mat.cols
+        for i in range(mat.rows):
+            di = d.entry(i, i) if i < min(mat.rows, mat.cols) else 0
+            if di != 0:
+                if c[i] % di != 0:
+                    return None
+                y[i] = c[i] // di
+            elif c[i] != 0:
                 return None
-            y[i] = c[i] // di
-        elif c[i] != 0:
-            return None
-    return v.apply(tuple(y))
+        cols.append(v.apply(tuple(y)))
+    return IntMatrix.from_cols(cols, mat.cols)
 
 
 def unimodular_inverse(mat: IntMatrix) -> IntMatrix:

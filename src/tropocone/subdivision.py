@@ -39,7 +39,7 @@ from .intlinalg import (
     saturation,
     sign_normalized,
     smith_normal_form,
-    solve_integer,
+    solve_integer_columns,
     vadd,
 )
 from .weights import Weight
@@ -196,20 +196,12 @@ def refine_assemble(phi: PoicComplex, cells_per_cone) -> Subdivision:
                 continue
             if face_keys[p2][lifted] != poic1.rank:
                 continue
-            cols = []
-            ok = True
-            for c in range(emb1.cols):
-                col = tuple((fmap @ emb1).col(c))
-                x = solve_integer(emb2, col)
-                if x is None:
-                    ok = False
-                    break
-                cols.append(x)
-            if not ok:
+            fm = solve_integer_columns(emb2, fmap @ emb1)
+            if fm is None:
                 raise SubdivisionError(
                     f"piece lattice of {p1} not saturated inside {p2}")
             order.add((p1, p2))
-            face_maps[(p1, p2)] = IntMatrix.from_cols(cols, emb2.cols)
+            face_maps[(p1, p2)] = fm
 
     source = complex_new(cones, order, face_maps)
     return Subdivision(

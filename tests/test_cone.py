@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from tropocone import cone
 from tropocone.cone import (
+    ConeError,
     EmptyCone,
     NotFullDimensional,
     NotIntoCodomain,
@@ -21,8 +23,14 @@ from tropocone.intlinalg import (
     IntMatrix,
     Lattice,
     dot,
+    frac_rank,
+    frac_solve,
+    integer_kernel,
+    is_zero_vec,
     lattice_index,
+    primitive,
     quotient,
+    vadd,
 )
 
 
@@ -236,3 +244,228 @@ def test_rank_zero_poic():
     assert pt.dim == 0
     assert pt.contains(())
     assert len(faces(pt)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the memoized, incidence-driven kernel against the plain double description
+# it replaced: restart-scan minimality, a kernel SNF and a lineality solve at
+# every insertion, and closed facets found by dropping implied constraints
+
+def _reference_prune_generators(gens, normals, rank):
+    if rank == 0:
+        return []
+    lin = integer_kernel(IntMatrix.from_rows(list(normals), rank)) \
+        if normals else IntMatrix.identity(rank)
+    ldim = lin.rows
+    lin_rows = [lin.row(i) for i in range(ldim)]
+    out = []
+    for row in lin_rows:
+        out.append(primitive(row))
+        out.append(primitive(tuple(-x for x in row)))
+    seen_tight = set()
+    candidates = []
+    for g in gens:
+        if is_zero_vec(g):
+            continue
+        g = primitive(g)
+        if lin_rows and frac_solve(
+                [tuple(r[j] for r in lin_rows) for j in range(rank)], g) is not None:
+            continue
+        tight = tuple(i for i, n in enumerate(normals) if dot(n, g) == 0)
+        if frac_rank([normals[i] for i in tight] or [(0,) * rank]) \
+                == rank - ldim - 1:
+            candidates.append((tight, g))
+    candidates.sort(key=lambda t: (t[0], t[1]))
+    for tight, g in candidates:
+        if tight not in seen_tight:
+            seen_tight.add(tight)
+            out.append(g)
+    return sorted(set(out))
+
+
+def _reference_dual_generators(normals, rank):
+    normals = [primitive(n) for n in normals if not is_zero_vec(n)]
+    if rank == 0:
+        return ()
+    gens = []
+    for i in range(rank):
+        e = tuple(1 if j == i else 0 for j in range(rank))
+        gens.append(e)
+        gens.append(tuple(-x for x in e))
+    inserted = []
+    for a in sorted(set(normals)):
+        pos = [g for g in gens if dot(a, g) > 0]
+        zero = [g for g in gens if dot(a, g) == 0]
+        neg = [g for g in gens if dot(a, g) < 0]
+        combos = []
+        for p in pos:
+            ap = dot(a, p)
+            for m in neg:
+                am = dot(a, m)
+                combo = tuple(ap * x - am * y for x, y in zip(m, p))
+                if not is_zero_vec(combo):
+                    combos.append(primitive(combo))
+        inserted.append(a)
+        gens = _reference_prune_generators(pos + zero + combos, inserted, rank)
+    return tuple(_reference_prune_generators(gens, inserted, rank))
+
+
+def _reference_strict_feasible(constraints, rank):
+    normals = [c[0] for c in constraints if not is_zero_vec(c[0])]
+    for n, s in constraints:
+        if is_zero_vec(n) and s:
+            return None
+    gens = _reference_dual_generators(normals, rank)
+    witness = (0,) * rank
+    for g in gens:
+        witness = vadd(witness, g)
+    for n, s in constraints:
+        if not s or is_zero_vec(n):
+            continue
+        if not any(dot(n, g) > 0 for g in gens):
+            return None
+    return witness
+
+
+def _reference_minimal(constraints, rank):
+    minimal = list(constraints)
+    changed = True
+    while changed:
+        changed = False
+        for i, c in enumerate(minimal):
+            rest = minimal[:i] + minimal[i + 1:]
+            normal, strict = c
+            negation = (tuple(-x for x in normal), not strict)
+            if _reference_strict_feasible(rest + [negation], rank) is None:
+                minimal = rest
+                changed = True
+                break
+    return minimal
+
+
+def _reference_closed_facet_normals(sigma):
+    closed = [(n, False) for n, _ in sigma.facets]
+    return [n for n, _ in _reference_minimal(closed, sigma.rank)]
+
+
+def _reference_poic_new(rank, facets):
+    """(facets, closure_rays) of the parent poic_new, or the exception
+    class it raises."""
+    cleaned = {}
+    for normal, strict in facets:
+        if is_zero_vec(normal):
+            if strict:
+                return EmptyCone
+            continue
+        normal = primitive(normal)
+        cleaned[normal] = bool(strict) or cleaned.get(normal, False)
+    constraints = sorted(cleaned.items())
+    if _reference_strict_feasible(constraints, rank) is None:
+        return EmptyCone
+    gens = _reference_dual_generators([n for n, _ in constraints], rank)
+    if frac_rank(list(gens) or [(0,) * rank]) != rank and rank > 0:
+        return NotFullDimensional
+    minimal = _reference_minimal(constraints, rank)
+    return (tuple(minimal),
+            _reference_dual_generators([n for n, _ in minimal], rank))
+
+
+def _random_normal(rng, rank, bound=3):
+    return tuple(rng.randint(-bound, bound) for _ in range(rank))
+
+
+def _lineality_until_last(rng, rank):
+    """Normals whose cone keeps a line through every insertion but the
+    last: all but the largest normal annihilate a direction v, and the
+    largest (inserted last) does not."""
+    while True:
+        v = _random_normal(rng, rank)
+        if not is_zero_vec(v):
+            break
+    vv = dot(v, v)
+    normals = []
+    for _ in range(rng.randint(1, rank + 2)):
+        n = _random_normal(rng, rank)
+        n = tuple(vv * x - dot(n, v) * y for x, y in zip(n, v))
+        if not is_zero_vec(n):
+            normals.append(primitive(n))
+    top = max((abs(x) for n in normals for x in n), default=0) + 1
+    while True:
+        last = (top,) + _random_normal(rng, rank - 1)
+        if dot(last, v) != 0:
+            return normals + [last]
+
+
+def _normal_sets(seed=2024, count=200):
+    """Seeded normal sets in ranks 1-4: arbitrary ones, pointed ones with
+    an interior point, and ones whose lineality vanishes only at the last
+    insertion."""
+    rng = random.Random(seed)
+    for i in range(count):
+        rank = 1 + i % 4
+        kind = i % 3
+        if kind == 0:
+            normals = [_random_normal(rng, rank)
+                       for _ in range(rng.randint(0, rank + 3))]
+        elif kind == 1:
+            point = tuple(rng.randint(1, 4) for _ in range(rank))
+            normals = [n for n in (_random_normal(rng, rank)
+                                   for _ in range(rng.randint(1, rank + 4)))
+                       if dot(n, point) > 0]
+        else:
+            normals = _lineality_until_last(rng, rank)
+        yield rank, normals
+
+
+def test_dual_generators_matches_reference():
+    lineality_cases = 0
+    for rank, normals in _normal_sets():
+        assert dual_generators(normals, rank) == \
+            _reference_dual_generators(normals, rank), (rank, normals)
+        distinct = sorted({primitive(n) for n in normals
+                           if not is_zero_vec(n)})
+        if (len(distinct) >= 2 and integer_kernel(IntMatrix.from_rows(
+                distinct[:-1], rank)).rows > 0 and integer_kernel(
+                IntMatrix.from_rows(distinct, rank)).rows == 0):
+            lineality_cases += 1
+    assert lineality_cases >= 50
+
+
+def test_dual_generators_ignores_duplicates_scaling_and_order():
+    rng = random.Random(7)
+    for rank, normals in _normal_sets(seed=99, count=120):
+        base = dual_generators(normals, rank)
+        variant = []
+        for n in normals:
+            k = rng.randint(1, 3)
+            variant.append(tuple(k * x for x in n))
+        variant += [n for n in normals if rng.random() < 0.5]
+        variant += [(0,) * rank]
+        rng.shuffle(variant)
+        assert dual_generators(variant, rank) == base
+        assert _reference_dual_generators(variant, rank) == base
+
+
+def test_poic_new_and_closed_facets_match_reference():
+    rng = random.Random(31)
+    built = 0
+    for rank, normals in _normal_sets(seed=5):
+        facets = [(n, rng.random() < 0.4) for n in normals]
+        expected = _reference_poic_new(rank, facets)
+        try:
+            sigma = poic_new(rank, facets)
+        except ConeError as exc:
+            assert type(exc) is expected, (rank, facets)
+            continue
+        assert (sigma.facets, sigma.closure_rays) == expected, (rank, facets)
+        assert cone._minimal(list(sigma.facets), rank) == \
+            _reference_minimal(list(sigma.facets), rank)
+        assert cone._closed_facet_normals(sigma) == \
+            _reference_closed_facet_normals(sigma)
+        built += 1
+    assert built >= 100
+
+
+def test_cone_memos_are_bounded():
+    for memo in (cone._dual_generators, cone._faces):
+        assert memo.cache_info().maxsize is not None

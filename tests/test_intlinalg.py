@@ -18,6 +18,7 @@ from tropocone.intlinalg import (
     saturation,
     smith_normal_form,
     solve_integer,
+    solve_integer_columns,
     unimodular_inverse,
 )
 
@@ -140,6 +141,26 @@ def test_solve_integer_examples():
     assert x is not None and a.apply(x) == (1, 1)
     # direct substitution oracle
     assert a.apply((-1, 1)) == (1, 1)
+
+
+def test_solve_integer_columns_matches_solve_integer():
+    rng = random.Random(17)
+    for _ in range(60):
+        r, c, k = rng.randint(1, 4), rng.randint(0, 3), rng.randint(0, 3)
+        a = IntMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)], c)
+        rhs = IntMatrix.from_cols(
+            [a.apply(tuple(rng.randint(-2, 2) for _ in range(c)))
+             if rng.random() < 0.7
+             else tuple(rng.randint(-3, 3) for _ in range(r))
+             for _ in range(k)], r)
+        cols = [solve_integer(a, rhs.col(j)) for j in range(k)]
+        x = solve_integer_columns(a, rhs)
+        if any(col is None for col in cols):
+            assert x is None
+        else:
+            assert x == IntMatrix.from_cols(cols, c)
+            assert a @ x == rhs
 
 
 def test_primitive():
