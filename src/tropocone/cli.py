@@ -15,7 +15,7 @@ from . import io_json
 from .complexes import ComplexError
 from .cone import ConeError
 from .fibration import FibrationError, equivariant_basis, validate_fibration
-from .graphs import GraphError, enumerate_category
+from .graphs import BadMarks, GraphError, enumerate_category
 from .io_json import SchemaError
 from .moduli import ModuliError, build_moduli
 from .spaces import SpaceError
@@ -382,7 +382,7 @@ def main(argv=None):
         result = COMMANDS[args.command](args)
         _write_out(result, getattr(args, "out", None))
         return 0
-    except SchemaError as exc:
+    except (SchemaError, BadMarks) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except VALIDATION_ERRORS as exc:

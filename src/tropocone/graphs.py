@@ -11,7 +11,9 @@ sizes arising here (at most a few dozen flags).
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class GraphError(ValueError):
@@ -36,6 +38,11 @@ class LoopContraction(GraphError):
 
 class UnstableParameters(GraphError):
     pass
+
+
+class BadMarks(GraphError):
+    """A negative genus, a repeated mark, or a mark named like a gluing
+    label; an input error rather than a failed construction."""
 
 
 @dataclass(frozen=True)
@@ -389,6 +396,24 @@ def gluing_labels(g):
     return out
 
 
+def check_marks(g, labels):
+    """The marks as a sorted tuple of strings, after checking that the
+    genus is nonnegative, that no mark repeats and, for g > 0, that no
+    mark is named like a gluing label gi or gi*."""
+    if g < 0:
+        raise BadMarks(f"genus {g} is negative")
+    labels = tuple(sorted(str(x) for x in labels))
+    for lab, nxt in zip(labels, labels[1:]):
+        if lab == nxt:
+            raise BadMarks(f"mark {lab!r} is repeated")
+    if g > 0:
+        for lab in labels:
+            if re.fullmatch(r"g[0-9]+\*?", lab):
+                raise BadMarks(f"mark {lab!r} is named like a gluing label "
+                               f"(reserved at genus {g})")
+    return labels
+
+
 def st_join(t: DiscreteGraph, g: int) -> DiscreteGraph:
     """Join the gi- and gi*-legs of an (A ⊔ g-set)-marked tree into new
     edges, producing a genus-g graph marked by the remaining labels."""
@@ -418,19 +443,31 @@ class GraphCategory:
     def ids(self):
         return sorted(self.classes)
 
+    @cached_property
+    def _ids_by_encoding(self):
+        return {rep.encoding(): cid for cid, rep in self.classes.items()}
+
+    def locate(self, g: DiscreteGraph):
+        """(class id, canonical relabeling of g onto its representative),
+        or (None, relabeling) when g lies in another category.
+
+        A representative is its own canonical form, with the identity
+        relabeling, so it is looked up without canonicalising again.
+        """
+        cid = self._ids_by_encoding.get(g.encoding())
+        if cid is not None:
+            return cid, tuple(range(g.nflags))
+        canon, phi, _ = canonical_form(g)
+        return self._ids_by_encoding.get(canon.encoding()), phi
+
     def class_of(self, g: DiscreteGraph):
-        canon, _, _ = canonical_form(g)
-        enc = canon.encoding()
-        for cid, rep in self.classes.items():
-            if rep.encoding() == enc:
-                return cid
-        return None
+        return self.locate(g)[0]
 
 
 def enumerate_category(g, labels) -> GraphCategory:
     """All isomorphism classes of stable (>= 3-valent) genus-g A-marked
     graphs: trivalent ones first, then saturation by edge contraction."""
-    labels = tuple(sorted(str(x) for x in labels))
+    labels = check_marks(g, labels)
     if 2 * g + len(labels) - 2 <= 0:
         raise UnstableParameters(f"2g + #A - 2 must be positive")
     full = sorted(labels + tuple(gluing_labels(g)))
@@ -472,39 +509,41 @@ def enumerate_category(g, labels) -> GraphCategory:
                          automorphisms=autos, maximal=tuple(maximal))
 
 
-def contractions_between(cat: GraphCategory, small_id, big_id):
-    """All contraction morphisms big -> small, as edge maps.
+def contractions_from(cat: GraphCategory, big_id):
+    """All contraction morphisms out of one class, bucketed by target.
 
-    Each morphism is returned as a dict: edge of the small representative
-    -> surviving edge of the big representative.
+    Returns {small id: [edge map, ...]}; each edge map is a dict from the
+    edges of the small representative to the surviving edges of the big
+    one.  Every forest of the big representative is contracted and
+    canonicalised once; its morphisms are the compositions with the
+    target's automorphisms.  Within a bucket the maps come in forest
+    order (itertools.combinations), then automorphism order, without
+    repeats.
     """
     big = cat.classes[big_id]
-    small = cat.classes[small_id]
-    small_enc = small.encoding()
-    out = []
+    edges = big.edges()
+    out = {}
     seen = set()
-    n_drop = len(big.edges()) - len(small.edges())
-    if n_drop < 0:
-        return []
-    for combo in itertools.combinations(big.edges(), n_drop):
-        if not is_forest(big, combo):
-            continue
-        quotient, edge_map = contract_set(big, combo)
-        canon, phi, _ = canonical_form(quotient)
-        if canon.encoding() != small_enc:
-            continue
-        # edge bijection: small edge -> quotient edge -> big edge
-        inv_edge = {}
-        for ge, qe in edge_map.items():
-            a, b = phi[qe[0]], phi[qe[1]]
-            inv_edge[(min(a, b), max(a, b))] = ge
-        for auto in cat.automorphisms[small_id]:
-            mapping = {}
-            for (a, b) in small.edges():
-                ia, ib = auto[a], auto[b]
-                mapping[(a, b)] = inv_edge[(min(ia, ib), max(ia, ib))]
-            key = tuple(sorted(mapping.items()))
-            if key not in seen:
-                seen.add(key)
-                out.append(mapping)
+    for size in range(len(edges) + 1):
+        for combo in itertools.combinations(edges, size):
+            if not is_forest(big, combo):
+                continue
+            quotient, edge_map = contract_set(big, combo)
+            small_id, phi = cat.locate(quotient)
+            # edge bijection: small edge -> quotient edge -> big edge
+            inv_edge = {}
+            for ge, qe in edge_map.items():
+                a, b = phi[qe[0]], phi[qe[1]]
+                inv_edge[(min(a, b), max(a, b))] = ge
+            maps = out.setdefault(small_id, [])
+            small_edges = cat.classes[small_id].edges()
+            for auto in cat.automorphisms[small_id]:
+                mapping = {}
+                for (a, b) in small_edges:
+                    ia, ib = auto[a], auto[b]
+                    mapping[(a, b)] = inv_edge[(min(ia, ib), max(ia, ib))]
+                key = (small_id, tuple(sorted(mapping.items())))
+                if key not in seen:
+                    seen.add(key)
+                    maps.append(mapping)
     return out

@@ -19,7 +19,7 @@ from .graphs import (
     DiscreteGraph,
     GraphCategory,
     circuits,
-    contractions_between,
+    contractions_from,
     enumerate_category,
 )
 from .intlinalg import (
@@ -189,11 +189,10 @@ def build_moduli(g, labels):
         order = set()
         fmaps = {}
         for big_id in cat.ids():
+            out_of_big = contractions_from(cat, big_id)
             for small_id in cat.ids():
-                if small_id == big_id:
-                    continue
-                mors = contractions_between(cat, small_id, big_id)
-                if not mors:
+                mors = out_of_big.get(small_id)
+                if small_id == big_id or not mors:
                     continue
                 if len(mors) != 1:
                     raise ModuliError(
@@ -211,9 +210,10 @@ def build_moduli(g, labels):
                              distance=data)
     homs = {}
     for y in cat.ids():
+        out_of_y = contractions_from(cat, y)
         for x in cat.ids():
             mats = []
-            for mapping in contractions_between(cat, x, y):
+            for mapping in out_of_y.get(x, ()):
                 mats.append(_contraction_matrix(
                     cat.classes[x], cat.classes[y], mapping))
             if x == y:

@@ -26,7 +26,7 @@ from .fibration import (
 from .graphs import (
     DiscreteGraph,
     UnstableParameters,
-    canonical_form,
+    check_marks,
     gluing_labels,
     graph_new,
 )
@@ -116,7 +116,7 @@ def spanning_tree_fibration(g, labels) -> STFibration:
     """The linear poic-fibration st_{g,A} over the moduli of genus-g
     A-marked graphs, with source pure of dimension 3g + #A - 3."""
     from .graphs import st_join
-    labels = tuple(sorted(str(x) for x in labels))
+    labels = check_marks(g, labels)
     if 2 * g + len(labels) - 2 <= 0:
         raise UnstableParameters("unstable parameters for the fibration")
     full = tuple(sorted(labels + tuple(gluing_labels(g))))
@@ -136,14 +136,15 @@ def spanning_tree_fibration(g, labels) -> STFibration:
         maps[pid] = IntMatrix.from_rows(rows, base.cols + g)
     linear = LinearStructure(target_rank=dist.rank, maps=maps)
 
-    target = build_moduli(g, labels)
     if g == 0:
+        # the gluing set is empty, so the trees are the target
         from .spaces import space_from_complex
-        space = space_from_complex(target.complex)
-        target_cat = target.category
+        target = trees
+        space = space_from_complex(trees.complex)
     else:
+        target = build_moduli(g, labels)
         space = target.space
-        target_cat = target.category
+    target_cat = target.category
 
     object_map = {}
     transforms = {}
@@ -151,8 +152,7 @@ def spanning_tree_fibration(g, labels) -> STFibration:
     for pid, (t_id, _) in pairs.items():
         tree_rep = trees.category.classes[t_id]
         image = st_join(tree_rep, g) if g > 0 else tree_rep
-        canon, phi, _ = canonical_form(image)
-        cls = target_cat.class_of(canon)
+        cls, phi = target_cat.locate(image)
         if cls is None:
             raise FibrationError("st image not found in the target")
         object_map[pid] = cls
@@ -453,8 +453,7 @@ def forget_leg(g: DiscreteGraph, label):
 
 def _class_and_matrix(cat, graph, eta):
     """Canonicalize and compose the edge matrix with the relabeling."""
-    canon, phi, _ = canonical_form(graph)
-    cls = cat.class_of(canon)
+    cls, phi = cat.locate(graph)
     if cls is None:
         raise FibrationMorphismError("image class missing from category")
     rep = cat.classes[cls]
@@ -532,7 +531,7 @@ def _align_space_matrices(src_fib, tgt_fib, space_map, raw_space_matrices,
 
 def forgetful(g, labels, mark) -> FibrationMorphism:
     """The weakly proper morphism of fibrations st_{g,A} -> st_{g,A\\a}."""
-    labels = tuple(sorted(str(x) for x in labels))
+    labels = check_marks(g, labels)
     mark = str(mark)
     if mark not in labels:
         raise FibrationMorphismError(f"{mark} is not a mark")
@@ -687,8 +686,7 @@ class ClutchingMorphism:
 
 def _clutch_edge_matrix(gL, gR, joined, index_map, cat, extraL, extraR):
     """Edge matrix sigma_L x R^gL x sigma_R x R^gR -> sigma_{joined-rep}."""
-    canon, phi, _ = canonical_form(joined)
-    cls = cat.class_of(canon)
+    cls, phi = cat.locate(joined)
     if cls is None:
         raise FibrationMorphismError("clutched class missing from category")
     rep = cat.classes[cls]
@@ -741,11 +739,11 @@ def clutching(g, labels_a, h, labels_b) -> ClutchingMorphism:
                                       target.moduli_category, 0, 0)
         space_map[xid] = cls
         space_matrices[xid] = em
+    # the right side's gluing labels g1.. become g(g+1).. in the target
+    shift = dict(zip(gluing_labels(h), gluing_labels(g + h)[2 * g:]))
     int_matrix = distance_clutch_matrix(
         left.distance,
-        distance_structure([lab if not lab.startswith("g")
-                            else f"g{int(lab.rstrip('*')[1:]) + g}"
-                            + ("*" if lab.endswith("*") else "")
+        distance_structure([shift.get(lab, lab)
                             for lab in right.distance.labels]),
         target.distance, c)
     space_matrices2, cone_map, matrices, twists = _align_space_matrices(

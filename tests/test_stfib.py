@@ -207,6 +207,15 @@ def test_clutching_m03_to_m04():
     assert not failures
 
 
+def test_clutching_keeps_marks_starting_with_g():
+    # only the right side's gluing labels are renamed, not every label
+    # that starts with "g"
+    cm = clutching(0, ["1", "2", "c"], 0, ["3", "goat", "c"])
+    mor = cm.complex_morphism()
+    validate_complex_morphism(mor)
+    assert cm.target.labels == ("1", "2", "3", "goat")
+
+
 def test_clutching_bad_labels():
     with pytest.raises(BadLabelIntersection):
         clutching(0, ["1", "2", "3"], 0, ["4", "5", "6"])
