@@ -142,19 +142,6 @@ def subdivision_from_json(doc):
         raise SchemaError(f"bad subdivision document: {exc}") from exc
 
 
-def morphism_to_json(mor: ComplexMorphism):
-    doc = {
-        "source": complex_to_json(mor.source),
-        "target": complex_to_json(mor.target),
-        "cone_map": dict(sorted(mor.cone_map.items())),
-        "matrices": {p: matrix_to_json(m)
-                     for p, m in sorted(mor.matrices.items())},
-    }
-    if mor.int_matrix is not None:
-        doc["int_matrix"] = matrix_to_json(mor.int_matrix)
-    return doc
-
-
 def morphism_from_json(doc):
     try:
         source, _ = complex_from_json(doc["source"])

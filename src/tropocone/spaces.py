@@ -49,6 +49,11 @@ def is_space_iso(space: PoicSpace, x, y, mat: IntMatrix):
 
 
 def space_isos(space: PoicSpace, x, y):
+    if x == y:
+        # each m in hom(x, x) is a face-embedding onto a face of full
+        # dimension, so onto x; the powers of m stay in the finite,
+        # composition-closed hom(x, x), so m^-1 = m^(k-1) is there too
+        return list(space.hom(x, x))
     return [m for m in space.hom(x, y) if is_space_iso(space, x, y, m)]
 
 

@@ -29,6 +29,7 @@ from .graphs import (
     check_marks,
     gluing_labels,
     graph_new,
+    st_join,
 )
 from .intlinalg import IntMatrix, block_diag, solve_integer
 from .moduli import (
@@ -83,13 +84,29 @@ class STFibration:
         return self.fibration.space
 
 
-def _st_edge_matrix(tree_rep: DiscreteGraph, g: int,
-                    target_rep: DiscreteGraph, phi):
-    """Matrix sigma_T x R^g -> sigma_{st(T)-rep} through the canonical
-    relabeling phi of st(T)."""
+def _rep_edges(cat, graph, error, message):
+    """Locate graph in cat.  Returns its class id and, for each edge of the
+    class representative, the edge of graph it comes from under the
+    canonical relabeling; raises error(message) if the class is missing."""
+    cls, phi = cat.locate(graph)
+    if cls is None:
+        raise error(message)
     inv_phi = [0] * len(phi)
     for x, y in enumerate(phi):
         inv_phi[y] = x
+    edges = []
+    for (a, b) in cat.classes[cls].edges():
+        ra, rb = inv_phi[a], inv_phi[b]
+        edges.append((min(ra, rb), max(ra, rb)))
+    return cls, edges
+
+
+def _st_edge_matrix(tree_rep: DiscreteGraph, g: int, cat):
+    """Class of st(T) in cat and the matrix sigma_T x R^g ->
+    sigma_{st(T)-rep}."""
+    image = st_join(tree_rep, g) if g > 0 else tree_rep
+    cls, raw_edges = _rep_edges(cat, image, FibrationError,
+                                "st image not found in the target")
     tree_edges = {e: i for i, e in enumerate(tree_rep.edges())}
     marking = tree_rep.marking_dict()
     glue_pair = {}
@@ -98,9 +115,7 @@ def _st_edge_matrix(tree_rep: DiscreteGraph, g: int,
         glue_pair[(min(fa, fb), max(fa, fb))] = i - 1
     ncols = len(tree_edges) + g
     rows = []
-    for (a, b) in target_rep.edges():
-        ra, rb = inv_phi[a], inv_phi[b]
-        raw = (min(ra, rb), max(ra, rb))
+    for raw in raw_edges:
         row = [0] * ncols
         if raw in tree_edges:
             row[tree_edges[raw]] = 1
@@ -109,13 +124,12 @@ def _st_edge_matrix(tree_rep: DiscreteGraph, g: int,
         else:
             raise FibrationError(f"edge {raw} unaccounted in st image")
         rows.append(row)
-    return IntMatrix.from_rows(rows, ncols)
+    return cls, IntMatrix.from_rows(rows, ncols)
 
 
 def spanning_tree_fibration(g, labels) -> STFibration:
     """The linear poic-fibration st_{g,A} over the moduli of genus-g
     A-marked graphs, with source pure of dimension 3g + #A - 3."""
-    from .graphs import st_join
     labels = check_marks(g, labels)
     if 2 * g + len(labels) - 2 <= 0:
         raise UnstableParameters("unstable parameters for the fibration")
@@ -150,14 +164,8 @@ def spanning_tree_fibration(g, labels) -> STFibration:
     transforms = {}
     tree_of_cone = {}
     for pid, (t_id, _) in pairs.items():
-        tree_rep = trees.category.classes[t_id]
-        image = st_join(tree_rep, g) if g > 0 else tree_rep
-        cls, phi = target_cat.locate(image)
-        if cls is None:
-            raise FibrationError("st image not found in the target")
-        object_map[pid] = cls
-        transforms[pid] = _st_edge_matrix(
-            tree_rep, g, target_cat.classes[cls], phi)
+        object_map[pid], transforms[pid] = _st_edge_matrix(
+            trees.category.classes[t_id], g, target_cat)
         tree_of_cone[pid] = t_id
     morphism_map = {}
     from .intlinalg import unimodular_inverse
@@ -182,8 +190,10 @@ def spanning_tree_fibration(g, labels) -> STFibration:
 
 @dataclass(frozen=True)
 class FibrationMorphism:
-    source: STFibration
-    target: STFibration
+    """A morphism of poic-fibrations.  Source and target are anything with
+    a .fibration: an STFibration, or a ProductFibration for clutching."""
+    source: object
+    target: object
     cone_map: dict
     matrices: dict
     int_matrix: IntMatrix
@@ -193,7 +203,8 @@ class FibrationMorphism:
 
     def complex_morphism(self) -> ComplexMorphism:
         return ComplexMorphism(
-            source=self.source.complex, target=self.target.complex,
+            source=self.source.fibration.complex,
+            target=self.target.fibration.complex,
             cone_map=dict(self.cone_map), matrices=dict(self.matrices),
             int_matrix=self.int_matrix)
 
@@ -201,20 +212,19 @@ class FibrationMorphism:
 def validate_fibration_morphism(fm: FibrationMorphism):
     mor = fm.complex_morphism()
     validate_complex_morphism(mor)
-    src, tgt = fm.source, fm.target
+    src, tgt = fm.source.fibration, fm.target.fibration
     for p in src.complex.ids():
-        lhs = fm.int_matrix @ src.fibration.linear.maps[p]
-        rhs = tgt.fibration.linear.maps[fm.cone_map[p]] @ fm.matrices[p]
+        lhs = fm.int_matrix @ src.linear.maps[p]
+        rhs = tgt.linear.maps[fm.cone_map[p]] @ fm.matrices[p]
         if lhs != rhs:
             raise FibrationMorphismError(f"linear square fails at {p}")
-        x = src.fibration.pi(p)
-        if tgt.fibration.pi(fm.cone_map[p]) != fm.space_map[x]:
+        x = src.pi(p)
+        if tgt.pi(fm.cone_map[p]) != fm.space_map[x]:
             raise FibrationMorphismError(f"fibration square fails at {p}")
-        lhs = tgt.fibration.transforms[fm.cone_map[p]] @ fm.matrices[p]
-        rhs = fm.space_matrices[x] @ src.fibration.transforms[p]
+        lhs = tgt.transforms[fm.cone_map[p]] @ fm.matrices[p]
+        rhs = fm.space_matrices[x] @ src.transforms[p]
         if fm.twists is not None and p in fm.twists:
-            rhs = fm.twists[p] @ fm.space_matrices[x] \
-                @ src.fibration.transforms[p]
+            rhs = fm.twists[p] @ rhs
         if lhs != rhs:
             raise FibrationMorphismError(
                 f"space transform square fails at {p}")
@@ -237,7 +247,7 @@ def space_iso_lifting(fm: FibrationMorphism):
     """The lifting property of isomorphisms demanded of (weakly) proper
     morphisms of fibrations; returns (flag, witness)."""
     from .spaces import space_isos
-    sp_s, sp_t = fm.source.space, fm.target.space
+    sp_s, sp_t = fm.source.fibration.space, fm.target.fibration.space
     for s in sp_t.ids():
         for t in sp_t.ids():
             for f in space_isos(sp_t, s, t):
@@ -272,11 +282,13 @@ def free_section(pres):
 
 
 def _basis_level(small: DistanceData, p_free: IntMatrix,
-                 big: DistanceData) -> IntMatrix:
+                 basis: IntMatrix) -> IntMatrix:
+    """The lattice map in basis coordinates: each row of the source basis
+    (free coordinates) through p_free, solved in the basis of small."""
+    small_t = small.basis.transpose()
     cols = []
-    for i in range(big.basis.rows):
-        u = p_free.apply(big.basis.row(i))
-        x = solve_integer(small.basis.transpose(), u)
+    for i in range(basis.rows):
+        x = solve_integer(small_t, p_free.apply(basis.row(i)))
         if x is None:
             raise FibrationMorphismError(
                 "distance lattice does not map into the target lattice")
@@ -296,7 +308,7 @@ def distance_forget_matrix(big: DistanceData, small: DistanceData,
     raw = IntMatrix.from_rows(rows, len(big.pairs))
     p_free = small.free_projection.projection @ raw \
         @ free_section(big.free_projection)
-    return _basis_level(small, p_free, big)
+    return _basis_level(small, p_free, big.basis)
 
 
 def distance_clutch_matrix(data_a: DistanceData, data_b: DistanceData,
@@ -323,22 +335,8 @@ def distance_clutch_matrix(data_a: DistanceData, data_b: DistanceData,
     sec = block_diag(free_section(data_a.free_projection),
                      free_section(data_b.free_projection))
     p_free = data_c.free_projection.projection @ raw @ sec
-    cols = []
-    for i in range(data_a.basis.rows):
-        u = p_free.apply(tuple(data_a.basis.row(i))
-                         + (0,) * len(data_b.pairs))
-        x = solve_integer(data_c.basis.transpose(), u)
-        if x is None:
-            raise FibrationMorphismError("clutching lattice map fails")
-        cols.append(x)
-    for i in range(data_b.basis.rows):
-        u = p_free.apply((0,) * len(data_a.pairs)
-                         + tuple(data_b.basis.row(i)))
-        x = solve_integer(data_c.basis.transpose(), u)
-        if x is None:
-            raise FibrationMorphismError("clutching lattice map fails")
-        cols.append(x)
-    return IntMatrix.from_cols(cols, data_c.rank)
+    return _basis_level(data_c, p_free,
+                        block_diag(data_a.basis, data_b.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +349,22 @@ def forget_leg(g: DiscreteGraph, label):
     to edge lengths of the result and glue_edge_hit is (other_leg_label,
     dropped_edge_index) in the leg case, None otherwise.
     """
-    marking = g.marking_dict()
-    la = marking[label]
+    la = g.marking_dict()[label]
     va = g.root[la]
     others = [x for x in range(g.nflags)
               if g.root[x] == va and x not in (va, la)]
     edges = g.edges()
-    eidx = {e: i for i, e in enumerate(edges)}
-    if len(others) > 2:
-        removed = {la}
-        surgery = ("keep", None)
-    else:
+    root, inv = list(g.root), list(g.inv)
+
+    def edge(f):
+        return (min(f, g.inv[f]), max(f, g.inv[f]))
+
+    removed = {la}
+    # old edge -> the pair of old flags that carries its image, or None
+    # when the edge is dropped; every other edge keeps its flags
+    image = {}
+    glue_hit = None
+    if len(others) <= 2:
         if len(others) != 2:
             raise UnstableAfterForgetting(
                 "vertex would become too low-valent")
@@ -371,102 +374,43 @@ def forget_leg(g: DiscreteGraph, label):
             raise UnstableAfterForgetting(
                 "forgetting the mark destabilizes the graph")
         if not leg1 and not leg2:
+            # merge the two edges at va into one
+            ha, hb = g.inv[f1], g.inv[f2]
             removed = {la, f1, f2, va}
-            e1 = (min(f1, g.inv[f1]), max(f1, g.inv[f1]))
-            e2 = (min(f2, g.inv[f2]), max(f2, g.inv[f2]))
-            surgery = ("merge", (e1, e2, (g.inv[f1], g.inv[f2])))
+            inv[ha], inv[hb] = hb, ha
+            image = {edge(f1): (ha, hb), edge(f2): (ha, hb)}
         else:
-            leg_flag = f1 if leg1 else f2
-            edge_flag = f2 if leg1 else f1
+            # drop the edge at va and move the other leg across it
+            leg_flag, edge_flag = (f1, f2) if leg1 else (f2, f1)
             removed = {la, edge_flag, g.inv[edge_flag], va}
-            dropped = (min(edge_flag, g.inv[edge_flag]),
-                       max(edge_flag, g.inv[edge_flag]))
-            surgery = ("drop", (leg_flag, dropped,
-                                g.root[g.inv[edge_flag]]))
-    new_index = {}
-    k = 0
-    for x in range(g.nflags):
-        if x not in removed:
-            new_index[x] = k
-            k += 1
-    root = [0] * k
-    inv = [0] * k
-    for x in range(g.nflags):
-        if x in removed:
-            continue
-        rx, ix = g.root[x], g.inv[x]
-        if surgery[0] == "merge":
-            _, (_, _, (ha, hb)) = surgery
-            if x == ha:
-                ix = hb
-            elif x == hb:
-                ix = ha
-        if surgery[0] == "drop":
-            _, (leg_flag, _, new_root) = surgery
-            if x == leg_flag:
-                rx = new_root
-        root[new_index[x]] = new_index[rx]
-        inv[new_index[x]] = new_index[ix]
-    new_marking = {lab: new_index[f] for lab, f in g.marking if lab != label}
-    out = graph_new(k, root, inv, new_marking)
-    out_edges = out.edges()
-    out_idx = {e: i for i, e in enumerate(out_edges)}
-
-    def new_edge(e):
-        a, b = new_index[e[0]], new_index[e[1]]
-        return (min(a, b), max(a, b))
-
-    rows = []
-    glue_hit = None
-    if surgery[0] == "keep":
-        for e in out_edges:
-            row = [0] * len(edges)
-            src = next(ee for ee in edges if new_edge(ee) == e)
-            row[eidx[src]] = 1
-            rows.append(row)
-    elif surgery[0] == "merge":
-        _, (e1, e2, (ha, hb)) = surgery
-        merged = (min(new_index[ha], new_index[hb]),
-                  max(new_index[ha], new_index[hb]))
-        for e in out_edges:
-            row = [0] * len(edges)
-            if e == merged:
-                row[eidx[e1]] = 1
-                row[eidx[e2]] = 1
-            else:
-                src = next(ee for ee in edges
-                           if ee not in (e1, e2) and new_edge(ee) == e)
-                row[eidx[src]] = 1
-            rows.append(row)
-    else:
-        _, (leg_flag, dropped, _) = surgery
-        for e in out_edges:
-            row = [0] * len(edges)
-            src = next(ee for ee in edges
-                       if ee != dropped and new_edge(ee) == e)
-            row[eidx[src]] = 1
-            rows.append(row)
-        glue_hit = (g.label_of(leg_flag), eidx[dropped])
-    eta = IntMatrix.from_rows(rows, len(edges))
+            root[leg_flag] = g.root[g.inv[edge_flag]]
+            image = {edge(edge_flag): None}
+            glue_hit = (g.label_of(leg_flag), edges.index(edge(edge_flag)))
+    kept = [x for x in range(g.nflags) if x not in removed]
+    new_index = {x: i for i, x in enumerate(kept)}
+    out = graph_new(len(kept), [new_index[root[x]] for x in kept],
+                    [new_index[inv[x]] for x in kept],
+                    {lab: new_index[f] for lab, f in g.marking
+                     if lab != label})
+    new_edge = {}
+    for e in edges:
+        flags = image.get(e, e)
+        if flags is not None:
+            a, b = new_index[flags[0]], new_index[flags[1]]
+            new_edge[e] = (min(a, b), max(a, b))
+    eta = IntMatrix.from_rows(
+        [[1 if new_edge.get(e) == f else 0 for e in edges]
+         for f in out.edges()], len(edges))
     return out, eta, glue_hit
 
 
 def _class_and_matrix(cat, graph, eta):
     """Canonicalize and compose the edge matrix with the relabeling."""
-    cls, phi = cat.locate(graph)
-    if cls is None:
-        raise FibrationMorphismError("image class missing from category")
-    rep = cat.classes[cls]
-    inv_phi = [0] * len(phi)
-    for x, y in enumerate(phi):
-        inv_phi[y] = x
-    rows = []
+    cls, raw_edges = _rep_edges(cat, graph, FibrationMorphismError,
+                                "image class missing from category")
     graph_idx = {e: i for i, e in enumerate(graph.edges())}
-    for (a, b) in rep.edges():
-        ra, rb = inv_phi[a], inv_phi[b]
-        raw = (min(ra, rb), max(ra, rb))
-        rows.append(tuple(eta.row(graph_idx[raw])))
-    return cls, IntMatrix.from_rows(rows, eta.cols)
+    return cls, IntMatrix.from_rows(
+        [eta.row(graph_idx[e]) for e in raw_edges], eta.cols)
 
 
 def _align_space_matrices(src_fib, tgt_fib, space_map, raw_space_matrices,
@@ -481,7 +425,7 @@ def _align_space_matrices(src_fib, tgt_fib, space_map, raw_space_matrices,
     accepting the cone geometrically, the one compatible with the
     distance structures (the linear square) is selected.
 
-    Returns (space_matrices, cone_map, matrices, twists).
+    Returns (cone_map, matrices, twists).
     """
     from .cone import NotIntoCodomain, check_morphism
     from .intlinalg import unimodular_inverse
@@ -526,7 +470,7 @@ def _align_space_matrices(src_fib, tgt_fib, space_map, raw_space_matrices,
                 raise FibrationMorphismError(
                     f"no chart of the target fibration accepts cone {pid}")
             cone_map[pid], matrices[pid], twists[pid] = found
-    return dict(raw_space_matrices), cone_map, matrices, twists
+    return cone_map, matrices, twists
 
 
 def forgetful(g, labels, mark) -> FibrationMorphism:
@@ -542,17 +486,14 @@ def forgetful(g, labels, mark) -> FibrationMorphism:
     src = spanning_tree_fibration(g, labels)
     tgt = spanning_tree_fibration(g, rest)
     space_map = {}
-    raw_space_matrices = {}
+    space_matrices = {}
     for x in src.space.ids():
-        rep = src.moduli_category.classes[x]
-        ft_graph, eta, _ = forget_leg(rep, mark)
-        cls, eta_canon = _class_and_matrix(tgt.moduli_category, ft_graph, eta)
-        space_map[x] = cls
-        raw_space_matrices[x] = eta_canon
+        ft_graph, eta, _ = forget_leg(src.moduli_category.classes[x], mark)
+        space_map[x], space_matrices[x] = _class_and_matrix(
+            tgt.moduli_category, ft_graph, eta)
     int_matrix = distance_forget_matrix(src.distance, tgt.distance, mark)
-    space_matrices, cone_map, matrices, twists = _align_space_matrices(
-        src.fibration, tgt.fibration, space_map, raw_space_matrices,
-        int_matrix)
+    cone_map, matrices, twists = _align_space_matrices(
+        src.fibration, tgt.fibration, space_map, space_matrices, int_matrix)
     fm = FibrationMorphism(source=src, target=tgt, cone_map=cone_map,
                            matrices=matrices, int_matrix=int_matrix,
                            space_map=space_map,
@@ -606,18 +547,6 @@ def clutch_graphs(g1: DiscreteGraph, g2: DiscreteGraph,
     return graph_new(k, root, inv, marking), new_index
 
 
-def _relabel_gluing(t: DiscreteGraph, offset):
-    marking = {}
-    for lab, f in t.marking:
-        if lab.startswith("g") and lab[1:].rstrip("*").isdigit():
-            i = int(lab.rstrip("*")[1:])
-            star = "*" if lab.endswith("*") else ""
-            marking[f"g{i + offset}{star}"] = f
-        else:
-            marking[lab] = f
-    return graph_new(t.nflags, t.root, t.inv, marking)
-
-
 @dataclass(frozen=True)
 class ProductFibration:
     fibration: Fibration
@@ -665,57 +594,30 @@ def product_fibration(left: STFibration, right: STFibration):
                             pairs=pairs, space_pairs=space_pairs)
 
 
-@dataclass(frozen=True)
-class ClutchingMorphism:
-    source: ProductFibration
-    target: STFibration
-    cone_map: dict
-    matrices: dict
-    int_matrix: IntMatrix
-    space_map: dict
-    space_matrices: dict
-    twists: dict = None
-
-    def complex_morphism(self) -> ComplexMorphism:
-        return ComplexMorphism(
-            source=self.source.fibration.complex,
-            target=self.target.complex,
-            cone_map=dict(self.cone_map), matrices=dict(self.matrices),
-            int_matrix=self.int_matrix)
-
-
-def _clutch_edge_matrix(gL, gR, joined, index_map, cat, extraL, extraR):
-    """Edge matrix sigma_L x R^gL x sigma_R x R^gR -> sigma_{joined-rep}."""
-    cls, phi = cat.locate(joined)
-    if cls is None:
-        raise FibrationMorphismError("clutched class missing from category")
-    rep = cat.classes[cls]
-    inv_phi = [0] * len(phi)
-    for x, y in enumerate(phi):
-        inv_phi[y] = x
+def _clutch_edge_matrix(gL, gR, joined, index_map, cat):
+    """Class of the joined graph in cat and the edge matrix
+    sigma_L x sigma_R -> sigma_{joined-rep}."""
+    cls, raw_edges = _rep_edges(cat, joined, FibrationMorphismError,
+                                "clutched class missing from category")
     eL = {e: i for i, e in enumerate(gL.edges())}
     eR = {e: i for i, e in enumerate(gR.edges())}
-    ncols = len(eL) + extraL + len(eR) + extraR
-    offR = len(eL) + extraL
     back = {v: k for k, v in index_map.items()}
     rows = []
-    for (a, b) in rep.edges():
-        ra, rb = inv_phi[a], inv_phi[b]
-        row = [0] * ncols
-        (sa, xa) = back[ra]
-        (sb, xb) = back[rb]
+    for (ra, rb) in raw_edges:
+        row = [0] * (len(eL) + len(eR))
+        (sa, xa), (sb, xb) = back[ra], back[rb]
         if sa != sb:
             raise FibrationMorphismError("edge straddles the clutch")
         key = (min(xa, xb), max(xa, xb))
         if sa == "a":
             row[eL[key]] = 1
         else:
-            row[offR + eR[key]] = 1
+            row[len(eL) + eR[key]] = 1
         rows.append(row)
-    return cls, IntMatrix.from_rows(rows, ncols)
+    return cls, IntMatrix.from_rows(rows, len(eL) + len(eR))
 
 
-def clutching(g, labels_a, h, labels_b) -> ClutchingMorphism:
+def clutching(g, labels_a, h, labels_b) -> FibrationMorphism:
     """The proper morphism st_{g,A} x st_{h,B} -> st_{g+h, A Δ B} joining
     two graphs at the shared leg label."""
     labels_a = tuple(sorted(str(x) for x in labels_a))
@@ -735,10 +637,8 @@ def clutching(g, labels_a, h, labels_b) -> ClutchingMorphism:
         g1 = left.moduli_category.classes[x1]
         g2 = right.moduli_category.classes[x2]
         joined, index_map = clutch_graphs(g1, g2, c)
-        cls, em = _clutch_edge_matrix(g1, g2, joined, index_map,
-                                      target.moduli_category, 0, 0)
-        space_map[xid] = cls
-        space_matrices[xid] = em
+        space_map[xid], space_matrices[xid] = _clutch_edge_matrix(
+            g1, g2, joined, index_map, target.moduli_category)
     # the right side's gluing labels g1.. become g(g+1).. in the target
     shift = dict(zip(gluing_labels(h), gluing_labels(g + h)[2 * g:]))
     int_matrix = distance_clutch_matrix(
@@ -746,13 +646,14 @@ def clutching(g, labels_a, h, labels_b) -> ClutchingMorphism:
         distance_structure([shift.get(lab, lab)
                             for lab in right.distance.labels]),
         target.distance, c)
-    space_matrices2, cone_map, matrices, twists = _align_space_matrices(
+    cone_map, matrices, twists = _align_space_matrices(
         prod.fibration, target.fibration, space_map, space_matrices,
         int_matrix)
-    cm = ClutchingMorphism(source=prod, target=target, cone_map=cone_map,
+    cm = FibrationMorphism(source=prod, target=target, cone_map=cone_map,
                            matrices=matrices, int_matrix=int_matrix,
                            space_map=space_map,
-                           space_matrices=space_matrices2, twists=twists)
+                           space_matrices=space_matrices, twists=twists)
+    validate_fibration_morphism(cm)
     return cm
 
 

@@ -212,11 +212,14 @@ def _incompatible_subdivision(tmp_path):
     (lambda t: ["build-moduli", "--genus", "-1", "--marks", "a,b,c"], 2),
     (lambda t: ["st-fibration", "--genus", "1", "--marks", "g1,b"], 2),
     (lambda t: ["clutch", "--left", "1:g1*,c", "--right", "0:3,4,c"], 2),
+    (lambda t: ["clutch", "--left", "0:1,2,3,c", "--right", "0:4,5,c"], 1),
+    (lambda t: ["clutch", "--left", "1:1,c", "--right", "0:3,4,c"], 1),
 ], ids=["manifest-no-inputs", "manifest-list", "linear-no-target-rank",
         "stellar-unknown-cone", "stellar-no-ray", "stellar-bad-ray",
         "equivariant-foreign-subdivision", "equivariant-incompatible",
         "clutch-no-genus", "duplicate-mark", "negative-genus",
-        "gluing-label-mark", "clutch-gluing-label-mark"])
+        "gluing-label-mark", "clutch-gluing-label-mark",
+        "clutch-unequal-sides", "clutch-genus-one-side"])
 def test_cli_bad_input_exit_codes(tmp_path, argv, code):
     out = run_cli(*argv(tmp_path))
     assert out.returncode == code, out.stderr

@@ -1,23 +1,33 @@
 import pytest
 
 from tropocone.fibration import (
+    FibrationError,
     composed_linear,
     equivariant_basis,
     is_pi_compatible,
     validate_fibration,
 )
-from tropocone.graphs import canonical_form, graph_new
-from tropocone.intlinalg import IntMatrix
+from tropocone.graphs import canonical_form, graph_new, st_join
+from tropocone.intlinalg import IntMatrix, solve_integer
+from tropocone.spaces import is_space_iso, space_isos
 from tropocone.stfib import (
     BadLabelIntersection,
+    FibrationMorphismError,
     UnstableAfterForgetting,
+    _class_and_matrix,
+    _clutch_edge_matrix,
+    _st_edge_matrix,
     clutch_graphs,
     clutching,
+    distance_forget_matrix,
     fibration_pushforward,
     forget_leg,
     forgetful,
+    free_section,
+    product_fibration,
     space_iso_lifting,
     spanning_tree_fibration,
+    validate_fibration_morphism,
 )
 from tropocone.subdivision import (
     identity_subdivision,
@@ -275,3 +285,263 @@ def test_fibration_pushforward_clutching_trivial_subdivisions():
                                 Weight(0, {sid: 1}), 0)
     origin = next(p for p in tgt.complex.ids() if tgt.complex.dim(p) == 0)
     assert out.values == {origin: 1}
+
+
+def test_clutching_validates_and_lifts_isomorphisms():
+    cm = clutching(0, ["1", "2", "c"], 0, ["3", "4", "c"])
+    assert validate_fibration_morphism(cm)
+    assert space_iso_lifting(cm) == (True, None)
+
+
+def test_space_isos_of_one_object_match_the_per_matrix_test():
+    from tropocone.moduli import build_moduli
+    prod = product_fibration(spanning_tree_fibration(1, ["1", "c"]),
+                             spanning_tree_fibration(0, ["2", "3", "c"]))
+    spaces = [build_moduli(1, ["1"]).space, build_moduli(1, ["1", "2"]).space,
+              build_moduli(2, []).space, prod.fibration.space]
+    for space in spaces:
+        for x in space.ids():
+            assert space_isos(space, x, x) == [
+                m for m in space.hom(x, x) if is_space_iso(space, x, x, m)]
+
+
+# Reference copies of the relabeling and lattice steps as they were written
+# out per caller, before they shared _rep_edges, one forget_leg row builder
+# and one _basis_level.
+
+def _reference_st_edge_matrix(tree_rep, g, target_rep, phi):
+    inv_phi = [0] * len(phi)
+    for x, y in enumerate(phi):
+        inv_phi[y] = x
+    tree_edges = {e: i for i, e in enumerate(tree_rep.edges())}
+    marking = tree_rep.marking_dict()
+    glue_pair = {}
+    for i in range(1, g + 1):
+        fa, fb = marking[f"g{i}"], marking[f"g{i}*"]
+        glue_pair[(min(fa, fb), max(fa, fb))] = i - 1
+    ncols = len(tree_edges) + g
+    rows = []
+    for (a, b) in target_rep.edges():
+        ra, rb = inv_phi[a], inv_phi[b]
+        raw = (min(ra, rb), max(ra, rb))
+        row = [0] * ncols
+        if raw in tree_edges:
+            row[tree_edges[raw]] = 1
+        elif raw in glue_pair:
+            row[len(tree_edges) + glue_pair[raw]] = 1
+        else:
+            raise FibrationError(f"edge {raw} unaccounted in st image")
+        rows.append(row)
+    return IntMatrix.from_rows(rows, ncols)
+
+
+def _reference_class_and_matrix(cat, graph, eta):
+    cls, phi = cat.locate(graph)
+    if cls is None:
+        raise FibrationMorphismError("image class missing from category")
+    rep = cat.classes[cls]
+    inv_phi = [0] * len(phi)
+    for x, y in enumerate(phi):
+        inv_phi[y] = x
+    rows = []
+    graph_idx = {e: i for i, e in enumerate(graph.edges())}
+    for (a, b) in rep.edges():
+        ra, rb = inv_phi[a], inv_phi[b]
+        raw = (min(ra, rb), max(ra, rb))
+        rows.append(tuple(eta.row(graph_idx[raw])))
+    return cls, IntMatrix.from_rows(rows, eta.cols)
+
+
+def _reference_clutch_edge_matrix(gL, gR, joined, index_map, cat,
+                                  extraL, extraR):
+    cls, phi = cat.locate(joined)
+    if cls is None:
+        raise FibrationMorphismError("clutched class missing from category")
+    rep = cat.classes[cls]
+    inv_phi = [0] * len(phi)
+    for x, y in enumerate(phi):
+        inv_phi[y] = x
+    eL = {e: i for i, e in enumerate(gL.edges())}
+    eR = {e: i for i, e in enumerate(gR.edges())}
+    ncols = len(eL) + extraL + len(eR) + extraR
+    offR = len(eL) + extraL
+    back = {v: k for k, v in index_map.items()}
+    rows = []
+    for (a, b) in rep.edges():
+        ra, rb = inv_phi[a], inv_phi[b]
+        row = [0] * ncols
+        (sa, xa) = back[ra]
+        (sb, xb) = back[rb]
+        if sa != sb:
+            raise FibrationMorphismError("edge straddles the clutch")
+        key = (min(xa, xb), max(xa, xb))
+        if sa == "a":
+            row[eL[key]] = 1
+        else:
+            row[offR + eR[key]] = 1
+        rows.append(row)
+    return cls, IntMatrix.from_rows(rows, ncols)
+
+
+def _reference_forget_leg(g, label):
+    marking = g.marking_dict()
+    la = marking[label]
+    va = g.root[la]
+    others = [x for x in range(g.nflags)
+              if g.root[x] == va and x not in (va, la)]
+    edges = g.edges()
+    eidx = {e: i for i, e in enumerate(edges)}
+    if len(others) > 2:
+        removed = {la}
+        surgery = ("keep", None)
+    else:
+        if len(others) != 2:
+            raise UnstableAfterForgetting(
+                "vertex would become too low-valent")
+        f1, f2 = sorted(others)
+        leg1, leg2 = g.inv[f1] == f1, g.inv[f2] == f2
+        if leg1 and leg2:
+            raise UnstableAfterForgetting(
+                "forgetting the mark destabilizes the graph")
+        if not leg1 and not leg2:
+            removed = {la, f1, f2, va}
+            e1 = (min(f1, g.inv[f1]), max(f1, g.inv[f1]))
+            e2 = (min(f2, g.inv[f2]), max(f2, g.inv[f2]))
+            surgery = ("merge", (e1, e2, (g.inv[f1], g.inv[f2])))
+        else:
+            leg_flag = f1 if leg1 else f2
+            edge_flag = f2 if leg1 else f1
+            removed = {la, edge_flag, g.inv[edge_flag], va}
+            dropped = (min(edge_flag, g.inv[edge_flag]),
+                       max(edge_flag, g.inv[edge_flag]))
+            surgery = ("drop", (leg_flag, dropped,
+                                g.root[g.inv[edge_flag]]))
+    new_index = {}
+    k = 0
+    for x in range(g.nflags):
+        if x not in removed:
+            new_index[x] = k
+            k += 1
+    root = [0] * k
+    inv = [0] * k
+    for x in range(g.nflags):
+        if x in removed:
+            continue
+        rx, ix = g.root[x], g.inv[x]
+        if surgery[0] == "merge":
+            _, (_, _, (ha, hb)) = surgery
+            if x == ha:
+                ix = hb
+            elif x == hb:
+                ix = ha
+        if surgery[0] == "drop":
+            _, (leg_flag, _, new_root) = surgery
+            if x == leg_flag:
+                rx = new_root
+        root[new_index[x]] = new_index[rx]
+        inv[new_index[x]] = new_index[ix]
+    new_marking = {lab: new_index[f] for lab, f in g.marking if lab != label}
+    out = graph_new(k, root, inv, new_marking)
+    out_edges = out.edges()
+
+    def new_edge(e):
+        a, b = new_index[e[0]], new_index[e[1]]
+        return (min(a, b), max(a, b))
+
+    rows = []
+    glue_hit = None
+    if surgery[0] == "keep":
+        for e in out_edges:
+            row = [0] * len(edges)
+            src = next(ee for ee in edges if new_edge(ee) == e)
+            row[eidx[src]] = 1
+            rows.append(row)
+    elif surgery[0] == "merge":
+        _, (e1, e2, (ha, hb)) = surgery
+        merged = (min(new_index[ha], new_index[hb]),
+                  max(new_index[ha], new_index[hb]))
+        for e in out_edges:
+            row = [0] * len(edges)
+            if e == merged:
+                row[eidx[e1]] = 1
+                row[eidx[e2]] = 1
+            else:
+                src = next(ee for ee in edges
+                           if ee not in (e1, e2) and new_edge(ee) == e)
+                row[eidx[src]] = 1
+            rows.append(row)
+    else:
+        _, (leg_flag, dropped, _) = surgery
+        for e in out_edges:
+            row = [0] * len(edges)
+            src = next(ee for ee in edges
+                       if ee != dropped and new_edge(ee) == e)
+            row[eidx[src]] = 1
+            rows.append(row)
+        glue_hit = (g.label_of(leg_flag), eidx[dropped])
+    eta = IntMatrix.from_rows(rows, len(edges))
+    return out, eta, glue_hit
+
+
+def _reference_distance_forget_matrix(big, small, label):
+    rows = []
+    big_index = {p: i for i, p in enumerate(big.pairs)}
+    for p in small.pairs:
+        row = [0] * len(big.pairs)
+        row[big_index[p]] = 1
+        rows.append(row)
+    raw = IntMatrix.from_rows(rows, len(big.pairs))
+    p_free = small.free_projection.projection @ raw \
+        @ free_section(big.free_projection)
+    cols = []
+    for i in range(big.basis.rows):
+        u = p_free.apply(big.basis.row(i))
+        x = solve_integer(small.basis.transpose(), u)
+        if x is None:
+            raise FibrationMorphismError(
+                "distance lattice does not map into the target lattice")
+        cols.append(x)
+    return IntMatrix.from_cols(cols, small.rank)
+
+
+@pytest.mark.parametrize("g, labels", [
+    (0, ["1", "2", "3", "4", "5"]), (1, ["a", "b"]), (2, [])])
+def test_relabeling_and_forget_match_reference(g, labels):
+    st = spanning_tree_fibration(g, labels)
+    cat = st.moduli_category
+    for t_id in st.trees.category.ids():
+        tree_rep = st.trees.category.classes[t_id]
+        cls, phi = cat.locate(st_join(tree_rep, g) if g else tree_rep)
+        assert _st_edge_matrix(tree_rep, g, cat) == (
+            cls, _reference_st_edge_matrix(tree_rep, g, cat.classes[cls],
+                                           phi))
+    for mark in labels:
+        small = spanning_tree_fibration(
+            g, [lab for lab in labels if lab != mark])
+        assert distance_forget_matrix(st.distance, small.distance, mark) \
+            == _reference_distance_forget_matrix(st.distance,
+                                                 small.distance, mark)
+        for x in cat.ids():
+            out, eta, hit = forget_leg(cat.classes[x], mark)
+            ref_out, ref_eta, ref_hit = _reference_forget_leg(
+                cat.classes[x], mark)
+            assert (out, eta, hit) == (ref_out, ref_eta, ref_hit)
+            assert _class_and_matrix(small.moduli_category, out, eta) == \
+                _reference_class_and_matrix(small.moduli_category, out, eta)
+
+
+@pytest.mark.parametrize("labels_a, labels_b", [
+    (["1", "2", "c"], ["3", "4", "c"]),
+    (["1", "2", "3", "c"], ["4", "5", "c"])])
+def test_clutch_edge_matrix_matches_reference(labels_a, labels_b):
+    left = spanning_tree_fibration(0, labels_a).moduli_category
+    right = spanning_tree_fibration(0, labels_b).moduli_category
+    delta = sorted((set(labels_a) | set(labels_b)) - {"c"})
+    cat = spanning_tree_fibration(0, delta).moduli_category
+    for x1 in left.ids():
+        for x2 in right.ids():
+            g1, g2 = left.classes[x1], right.classes[x2]
+            joined, index_map = clutch_graphs(g1, g2, "c")
+            assert _clutch_edge_matrix(g1, g2, joined, index_map, cat) == \
+                _reference_clutch_edge_matrix(g1, g2, joined, index_map,
+                                              cat, 0, 0)
