@@ -52,6 +52,12 @@ def _read_json(path):
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
+def _nonnegative(text):
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return int(text)
+
+
 def _write_out(doc, path):
     text = io_json.dumps(doc)
     if path:
@@ -316,7 +322,7 @@ def build_parser():
 
     p = sub.add_parser("weights", help="Minkowski-weight lattice")
     p.add_argument("--complex", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_nonnegative, required=True)
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="check the subdivision axioms")
@@ -352,7 +358,7 @@ def build_parser():
     p = sub.add_parser("equivariant", help="equivariant weight lattice")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--marks", default="")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_nonnegative)
     p.add_argument("--subdivision")
     p.add_argument("--out")
 

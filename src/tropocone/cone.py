@@ -145,25 +145,20 @@ def facets_from_rays(gens, rank):
     Returns (facet_normals, span_annihilator_rows): the cone equals
     {x : n.x >= 0 for facets} ∩ {x : a.x = 0 for annihilator rows}.
     """
-    gens = [primitive(g) for g in gens if not is_zero_vec(g)]
-    if rank == 0:
-        return (), ()
-    if not gens:
-        ann = IntMatrix.identity(rank)
-        return (), tuple(ann.row(i) for i in range(rank))
+    return _facets_from_rays(
+        tuple(primitive(g) for g in gens if not is_zero_vec(g)), rank)
+
+
+@lru_cache(maxsize=_DD_MEMO_SIZE)
+def _facets_from_rays(gens, rank):
+    """``facets_from_rays`` for an ordered tuple of primitive nonzero
+    generators: the annihilator basis depends on their order."""
     ann_mat = integer_kernel(IntMatrix.from_rows(gens, rank))
     ann = tuple(ann_mat.row(i) for i in range(ann_mat.rows))
-    dual = dual_generators(gens, rank)  # {a : g.a >= 0 for all g}
-    # dual generators inside the annihilator span are the lineality of the
-    # dual cone: they encode equalities, reported separately
-    facets = []
-    for a in dual:
-        if ann:
-            cols = [tuple(r[j] for r in ann) for j in range(rank)]
-            if frac_solve(cols, a) is not None:
-                continue
-        facets.append(a)
-    return tuple(sorted(set(facets))), ann
+    # dual generators in ker G = span(ann) are equalities, reported as ann
+    facets = {a for a in dual_generators(gens, rank)  # {a : g.a >= 0}
+              if not all(dot(g, a) == 0 for g in gens)}
+    return tuple(sorted(facets)), ann
 
 
 def strict_feasible(constraints, rank):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 
@@ -246,6 +247,12 @@ def _add_col(m, dst, src, c):
         r[dst] += c * r[src]
 
 
+# bounded memo of small SNFs (frozen results, shared safely); (rows + cols)^2
+# bounds the cells of the key and of D, U, V, so the memo is bounded in bytes
+_SNF_MEMO_SIZE = 4096
+_SNF_MEMO_CELLS = 256
+
+
 def smith_normal_form(mat: IntMatrix):
     """Smith normal form with transforms: U @ mat @ V == D.
 
@@ -253,6 +260,13 @@ def smith_normal_form(mat: IntMatrix):
     Pivot choice is by minimal absolute value, which keeps coefficient
     growth tame at the matrix sizes used here.
     """
+    if (mat.rows + mat.cols) ** 2 <= _SNF_MEMO_CELLS:
+        return _smith_normal_form(mat)
+    return _smith_normal_form.__wrapped__(mat)
+
+
+@lru_cache(maxsize=_SNF_MEMO_SIZE)
+def _smith_normal_form(mat: IntMatrix):
     r, c = mat.rows, mat.cols
     a = mat.to_rows()
     u = IntMatrix.identity(r).to_rows()

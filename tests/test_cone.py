@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tropocone import cone
+from tropocone import cone, intlinalg
 from tropocone.cone import (
     ConeError,
     EmptyCone,
@@ -30,6 +30,7 @@ from tropocone.intlinalg import (
     lattice_index,
     primitive,
     quotient,
+    smith_normal_form,
     vadd,
 )
 
@@ -466,6 +467,77 @@ def test_poic_new_and_closed_facets_match_reference():
     assert built >= 100
 
 
+def _reference_facets_from_rays(gens, rank):
+    """The H-description with a rational solve per dual generator against
+    the annihilator columns, as before the memo."""
+    gens = [primitive(g) for g in gens if not is_zero_vec(g)]
+    if rank == 0:
+        return (), ()
+    if not gens:
+        ann = IntMatrix.identity(rank)
+        return (), tuple(ann.row(i) for i in range(rank))
+    ann_mat = integer_kernel(IntMatrix.from_rows(gens, rank))
+    ann = tuple(ann_mat.row(i) for i in range(ann_mat.rows))
+    facets = []
+    for a in _reference_dual_generators(gens, rank):
+        if ann:
+            cols = [tuple(r[j] for r in ann) for j in range(rank)]
+            if frac_solve(cols, a) is not None:
+                continue
+        facets.append(a)
+    return tuple(sorted(set(facets))), ann
+
+
+def _ray_sets(seed=17, count=160):
+    """Seeded generator sets in ranks 1-4: arbitrary ones (mostly full
+    dimensional) and ones inside a random proper subspace, so that the
+    annihilator is nonempty (all zero when the subspace is 0)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        rank = 1 + i % 4
+        if i % 2 == 0:
+            gens = [_random_normal(rng, rank)
+                    for _ in range(rng.randint(0, rank + 3))]
+        else:
+            basis = [_random_normal(rng, rank)
+                     for _ in range(rng.randint(0, rank - 1))]
+            gens = [tuple(sum(rng.randint(-2, 2) * b[j] for b in basis)
+                          for j in range(rank))
+                    for _ in range(rng.randint(1, rank + 2))]
+        yield rank, gens
+
+
+def test_facets_from_rays_matches_reference():
+    rng = random.Random(3)
+    with_ann = 0
+    cases = [(0, []), (0, [()])] + list(_ray_sets())
+    for rank, gens in cases:
+        variant = [tuple(rng.randint(1, 3) * x for x in g) for g in gens]
+        variant += [g for g in gens if rng.random() < 0.5]
+        variant += [(0,) * rank]
+        rng.shuffle(variant)
+        for rays in (gens, variant):
+            expected = _reference_facets_from_rays(rays, rank)
+            assert facets_from_rays(rays, rank) == expected, (rank, rays)
+            assert facets_from_rays(list(rays), rank) == expected
+        with_ann += bool(expected[1])
+    assert with_ann >= 60
+
+
 def test_cone_memos_are_bounded():
-    for memo in (cone._dual_generators, cone._faces):
+    for memo in (cone._dual_generators, cone._faces, cone._facets_from_rays,
+                 intlinalg._smith_normal_form):
         assert memo.cache_info().maxsize is not None
+    memo = intlinalg._smith_normal_form
+    side = int(intlinalg._SNF_MEMO_CELLS ** 0.5) // 2
+    at_cap = IntMatrix.from_rows([[i * side + j + 1 for j in range(side)]
+                                  for i in range(side)])
+    before = memo.cache_info()
+    smith_normal_form(at_cap)
+    after = memo.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
+    # one column more is over the cap: plain elimination, memo untouched
+    over = IntMatrix.from_rows([[i * side + j + 1 for j in range(side + 1)]
+                                for i in range(side)])
+    assert smith_normal_form(over) == memo.__wrapped__(over)
+    assert memo.cache_info() == after

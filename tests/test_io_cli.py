@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from tropocone import io_json
+from tropocone import cli, io_json
 from tropocone.cone import poic_new
 from tropocone.complexes import single_cone_complex
 from tropocone.graphs import graph_new
@@ -214,13 +214,28 @@ def _incompatible_subdivision(tmp_path):
     (lambda t: ["clutch", "--left", "1:g1*,c", "--right", "0:3,4,c"], 2),
     (lambda t: ["clutch", "--left", "0:1,2,3,c", "--right", "0:4,5,c"], 1),
     (lambda t: ["clutch", "--left", "1:1,c", "--right", "0:3,4,c"], 1),
+    (lambda t: ["weights", "--complex", _quadrant(t), "--k", "-1"], 2),
+    (lambda t: ["equivariant", "--genus", "1", "--marks", "1,2",
+                "--k", "-1"], 2),
 ], ids=["manifest-no-inputs", "manifest-list", "linear-no-target-rank",
         "stellar-unknown-cone", "stellar-no-ray", "stellar-bad-ray",
         "equivariant-foreign-subdivision", "equivariant-incompatible",
         "clutch-no-genus", "duplicate-mark", "negative-genus",
         "gluing-label-mark", "clutch-gluing-label-mark",
-        "clutch-unequal-sides", "clutch-genus-one-side"])
+        "clutch-unequal-sides", "clutch-genus-one-side",
+        "weights-negative-k", "equivariant-negative-k"])
 def test_cli_bad_input_exit_codes(tmp_path, argv, code):
     out = run_cli(*argv(tmp_path))
     assert out.returncode == code, out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["weights", "--complex", "c.json", "--k", "-1"],
+    ["equivariant", "--genus", "1", "--marks", "1,2", "--k", "-1"],
+])
+def test_negative_k_error_names_the_option(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "argument --k: -1 is negative" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from tropocone.cone import poic_new
@@ -10,6 +12,7 @@ from tropocone.complexes import (
     single_cone_complex,
 )
 from tropocone.intlinalg import IntMatrix
+from tropocone.moduli import build_moduli
 from tropocone.weights import (
     BadCodimension,
     Weight,
@@ -243,3 +246,38 @@ def test_product_of_irreducibles_is_irreducible():
     gen = lat.basis[0]
     assert gen.values == cross.values \
         or gen.values == cross.scaled(-1).values
+
+
+def _keel_betti(n):
+    """Even Betti numbers b_0, b_2, ... of M̄_0,n from Keel's recursion
+    (Trans. AMS 330, 1992) for the Poincaré polynomials, P_3 = 1 and
+    P_{m+1} = (1 + q) P_m + q/2 sum_{j=2}^{m-2} C(m, j) P_{j+1} P_{m-j+1}."""
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    polys = {3: [1]}
+    for m in range(3, n):
+        total = mul([1, 1], polys[m])
+        twice = [0] * len(total)   # the sum is symmetric in j <-> m - j
+        for j in range(2, m - 1):
+            for i, c in enumerate(mul(polys[j + 1], polys[m - j + 1])):
+                twice[i + 1] += comb(m, j) * c
+        assert all(c % 2 == 0 for c in twice)
+        polys[m + 1] = [a + b // 2 for a, b in zip(total, twice)]
+    return polys[n]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_minkowski_ranks_of_m0n_are_keel_betti_numbers(n):
+    """MW_k(M_0,n) is the Chow group A^{n-3-k}(M̄_0,n) (Fulton-Sturmfels,
+    Gibney-Maclagan), so its rank is the Betti number b_{2(n-3-k)}."""
+    m = build_moduli(0, [str(i) for i in range(1, n + 1)])
+    betti = _keel_betti(n)
+    assert sum(betti) == {5: 7, 6: 34}[n]   # Euler characteristic
+    ranks = [minkowski_basis(m.complex, m.linear, k).rank
+             for k in range(n - 2)]
+    assert ranks == [betti[n - 3 - k] for k in range(n - 2)]
