@@ -8,48 +8,41 @@ Exit codes: 0 verified/computed, 1 validation failure, 2 input error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 
 from . import io_json
-from .complexes import ComplexError
-from .cone import ConeError
-from .fibration import FibrationError, equivariant_basis, validate_fibration
-from .graphs import BadMarks, GraphError, enumerate_category
 from .io_json import SchemaError
-from .moduli import ModuliError, build_moduli
-from .spaces import SpaceError
-from .stfib import (
-    FibrationMorphismError,
-    clutching,
-    forgetful,
-    space_iso_lifting,
-    spanning_tree_fibration,
-)
-from .subdivision import (
-    Cycle,
-    SubdivisionError,
-    cycle_equal,
-    identity_subdivision,
-    is_weakly_proper,
-    ord_subdivision,
-    pushforward,
-    stellar,
-    validate_subdivision,
-)
-from .weights import WeightError, is_balanced_at, minkowski_basis
 
-VALIDATION_ERRORS = (ComplexError, ConeError, GraphError, ModuliError,
-                     SubdivisionError, WeightError, FibrationError,
-                     FibrationMorphismError, SpaceError)
+# Every command writes through io_json; each imports the other modules it
+# runs, so a cold start loads only those.  The exit-code mapping names
+# exception classes by module and looks up only modules already imported:
+# no other class can have been raised.  Input errors come first (BadMarks
+# is a GraphError).
+INPUT_ERRORS = (("io_json", "SchemaError"), ("graphs", "BadMarks"))
+VALIDATION_ERRORS = (("complexes", "ComplexError"), ("cone", "ConeError"),
+                     ("graphs", "GraphError"), ("moduli", "ModuliError"),
+                     ("subdivision", "SubdivisionError"),
+                     ("weights", "WeightError"),
+                     ("fibration", "FibrationError"),
+                     ("stfib", "FibrationMorphismError"),
+                     ("spaces", "SpaceError"))
+
+
+def _loaded(pairs):
+    return tuple(getattr(sys.modules[f"{__package__}.{m}"], c)
+                 for m, c in pairs if f"{__package__}.{m}" in sys.modules)
+
+
+def _read(path):
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_json(path):
-    try:
-        with open(path) as fh:
-            return io_json.loads(fh.read())
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    return io_json.loads(_read(path).decode())
 
 
 def _nonnegative(text):
@@ -61,8 +54,11 @@ def _nonnegative(text):
 def _write_out(doc, path):
     text = io_json.dumps(doc)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -81,16 +77,15 @@ def _genus_marks(text):
 
 
 def _digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+    import hashlib
+    return hashlib.sha256(_read(path)).hexdigest()
 
 
 # ---------------------------------------------------------------------------
 # commands (each returns a JSON-able result document)
 
 def cmd_enumerate(args):
+    from .graphs import enumerate_category
     cat = enumerate_category(args.genus, _marks(args.marks))
     classes = []
     for cid in cat.ids():
@@ -108,6 +103,7 @@ def cmd_enumerate(args):
 
 
 def cmd_build_moduli(args):
+    from .moduli import build_moduli
     m = build_moduli(args.genus, _marks(args.marks))
     if args.genus == 0:
         return io_json.complex_to_json(m.complex, m.linear)
@@ -120,6 +116,7 @@ def cmd_build_moduli(args):
 
 
 def cmd_weights(args):
+    from .weights import is_balanced_at, minkowski_basis
     phi, lin = io_json.complex_from_json(_read_json(args.complex))
     if lin is None:
         raise SchemaError("complex document carries no linear structure")
@@ -139,6 +136,7 @@ def cmd_weights(args):
 
 
 def cmd_verify(args):
+    from .subdivision import validate_subdivision
     sub = io_json.subdivision_from_json(_read_json(args.subdivision))
     report = validate_subdivision(sub)
     axioms = {"functorial": [], "partition": [], "face-lifting": [],
@@ -152,6 +150,8 @@ def cmd_verify(args):
 
 
 def cmd_subdivide(args):
+    from .subdivision import (SubdivisionError, identity_subdivision,
+                              ord_subdivision, stellar, validate_subdivision)
     phi, _ = io_json.complex_from_json(_read_json(args.complex))
     if args.ord:
         sub = ord_subdivision(phi)
@@ -176,6 +176,8 @@ def cmd_subdivide(args):
 
 
 def cmd_pushforward(args):
+    from .subdivision import (SubdivisionError, is_weakly_proper,
+                              pfine_refinement, pushforward)
     mor = io_json.morphism_from_json(_read_json(args.morphism))
     omega = io_json.weight_from_json(_read_json(args.weight))
     flag, witness = is_weakly_proper(mor)
@@ -184,7 +186,6 @@ def cmd_pushforward(args):
     if args.subdivision:
         sub = io_json.subdivision_from_json(_read_json(args.subdivision))
     else:
-        from .subdivision import pfine_refinement
         sub = pfine_refinement(mor)
     out = pushforward(mor, sub, omega, omega.dim)
     return {"weight": io_json.weight_to_json(out),
@@ -192,6 +193,7 @@ def cmd_pushforward(args):
 
 
 def cmd_cycle_eq(args):
+    from .subdivision import Cycle, cycle_equal
     s1 = io_json.subdivision_from_json(_read_json(args.sub1))
     s2 = io_json.subdivision_from_json(_read_json(args.sub2))
     w1 = io_json.weight_from_json(_read_json(args.w1))
@@ -202,6 +204,8 @@ def cmd_cycle_eq(args):
 
 
 def cmd_st_fibration(args):
+    from .fibration import validate_fibration
+    from .stfib import spanning_tree_fibration
     st = spanning_tree_fibration(args.genus, _marks(args.marks))
     report = validate_fibration(st.fibration)
     n = st.complex.max_dim()
@@ -212,6 +216,10 @@ def cmd_st_fibration(args):
 
 
 def cmd_equivariant(args):
+    from .fibration import (compatibility_generators, equivariant_basis,
+                            piece_bijection)
+    from .stfib import spanning_tree_fibration
+    from .subdivision import identity_subdivision
     st = spanning_tree_fibration(args.genus, _marks(args.marks))
     k = args.k if args.k is not None else st.complex.max_dim()
     if args.subdivision:
@@ -222,7 +230,6 @@ def cmd_equivariant(args):
     else:
         sub = identity_subdivision(st.complex)
     lat = equivariant_basis(st.fibration, k, sub)
-    from .fibration import compatibility_generators, piece_bijection
     perms = []
     for (p, q, f) in compatibility_generators(st.fibration):
         mapping = piece_bijection(st.fibration, sub, p, q, f)
@@ -235,6 +242,8 @@ def cmd_equivariant(args):
 
 
 def cmd_clutch(args):
+    from .stfib import clutching
+    from .subdivision import is_weakly_proper
     cm = clutching(*_genus_marks(args.left), *_genus_marks(args.right))
     mor = cm.complex_morphism()
     flag, witness = is_weakly_proper(mor)
@@ -245,6 +254,8 @@ def cmd_clutch(args):
 
 
 def cmd_forget(args):
+    from .stfib import forgetful, space_iso_lifting
+    from .subdivision import is_weakly_proper
     fm = forgetful(args.genus, _marks(args.marks), args.mark)
     mor = fm.complex_morphism()
     flag, witness = is_weakly_proper(mor)
@@ -281,6 +292,12 @@ def cmd_run(args):
         raise SchemaError(f"unknown manifest command {command!r}")
     if not (isinstance(params, dict) and isinstance(inputs, dict)):
         raise SchemaError("manifest params and inputs are JSON objects")
+    if "out" in params or "out" in inputs:
+        raise SchemaError("a manifest names its report file with 'output', "
+                          "not with an 'out' param or input")
+    if not all(isinstance(path, str) for path in inputs.values()):
+        raise SchemaError("manifest inputs are file paths")
+    digests = {name: _digest(path) for name, path in sorted(inputs.items())}
     # params and inputs are the command's options, checked by its parser
     argv = [command]
     for key, value in {**params, **inputs}.items():
@@ -293,12 +310,10 @@ def cmd_run(args):
         "command": command,
         "params": params,
         "seed": manifest.get("seed", 0),
-        "digests": {name: _digest(path) for name, path in sorted(
-            inputs.items())},
+        "digests": digests,
         "result": result,
     }
-    out = manifest.get("output")
-    _write_out(report, out)
+    _write_out(report, manifest.get("output"))
     return None
 
 
@@ -388,10 +403,12 @@ def main(argv=None):
         result = COMMANDS[args.command](args)
         _write_out(result, getattr(args, "out", None))
         return 0
-    except (SchemaError, BadMarks) as exc:
+    # an except clause is evaluated when an exception reaches it, so these
+    # see the modules the command imported; anything else propagates
+    except _loaded(INPUT_ERRORS) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except VALIDATION_ERRORS as exc:
+    except _loaded(VALIDATION_ERRORS) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
 

@@ -8,13 +8,16 @@ survive round trips; parsing accepts both numbers and strings.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 from .complexes import LinearStructure, PoicComplex, complex_new
 from .cone import Poic, poic_new
-from .graphs import DiscreteGraph, graph_new
 from .intlinalg import IntMatrix
-from .subdivision import ComplexMorphism, Subdivision
-from .weights import Weight
+
+if TYPE_CHECKING:  # the readers import these when they run
+    from .graphs import DiscreteGraph
+    from .subdivision import Subdivision
+    from .weights import Weight
 
 
 class SchemaError(ValueError):
@@ -112,6 +115,7 @@ def weight_to_json(w: Weight):
 
 
 def weight_from_json(doc):
+    from .weights import Weight
     try:
         return Weight(int(doc["dim"]),
                       {k: _int_in(v) for k, v in doc["values"].items()})
@@ -130,6 +134,7 @@ def subdivision_to_json(sub: Subdivision):
 
 
 def subdivision_from_json(doc):
+    from .subdivision import Subdivision
     try:
         source, _ = complex_from_json(doc["source"])
         target, _ = complex_from_json(doc["target"])
@@ -143,6 +148,7 @@ def subdivision_from_json(doc):
 
 
 def morphism_from_json(doc):
+    from .subdivision import ComplexMorphism
     try:
         source, _ = complex_from_json(doc["source"])
         target, _ = complex_from_json(doc["target"])
@@ -165,6 +171,7 @@ def graph_to_json(g: DiscreteGraph):
 
 
 def graph_from_json(doc):
+    from .graphs import graph_new
     try:
         return graph_new(int(doc["flags"]), doc["root"], doc["involution"],
                          doc.get("marking", {}))

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -186,6 +187,50 @@ def _manifest(tmp_path, doc):
     return ["run", "--manifest", _write(tmp_path / "manifest.json", doc)]
 
 
+def _zeroed_face_map(tmp_path):
+    m = build_moduli(0, ["1", "2", "3", "4", "5"])
+    doc = io_json.complex_to_json(m.complex, m.linear)
+    fmap = next(v for _, v in sorted(doc["face_maps"].items())
+                if v["entries"])
+    fmap["entries"] = ["0"] * len(fmap["entries"])
+    return ["weights", "--complex", _write(tmp_path / "c.json", doc),
+            "--k", "2"]
+
+
+def _enumerate_manifest(tmp_path, **fields):
+    return _manifest(tmp_path, {
+        "command": "enumerate", "params": {"genus": 0, "marks": "1,2,3"},
+        **fields})
+
+
+def _unreadable_input(tmp_path):
+    return _manifest(tmp_path, {"command": "build-moduli",
+                                "params": {"genus": 0},
+                                "inputs": {"marks": "a,b,c"}})
+
+
+def _unwritable_out(tmp_path):
+    return ["enumerate", "--genus", "0", "--marks", "1,2,3",
+            "--out", str(tmp_path / "missing" / "x.json")]
+
+
+def _unwritable_output(tmp_path):
+    return _enumerate_manifest(
+        tmp_path, output=str(tmp_path / "missing" / "report.json"))
+
+
+def _input_not_a_path(tmp_path):
+    return _manifest(tmp_path, {"command": "weights",
+                                "inputs": {"complex": _quadrant(tmp_path),
+                                           "k": 2}})
+
+
+def _out_param(tmp_path):
+    return _enumerate_manifest(
+        tmp_path, params={"genus": 0, "marks": "1,2,3",
+                          "out": str(tmp_path / "report.json")})
+
+
 def _incompatible_subdivision(tmp_path):
     st = spanning_tree_fibration(1, ["1", "2"])
     sub = stellar(st.complex, "G1 x glue", (1, 2))
@@ -217,13 +262,22 @@ def _incompatible_subdivision(tmp_path):
     (lambda t: ["weights", "--complex", _quadrant(t), "--k", "-1"], 2),
     (lambda t: ["equivariant", "--genus", "1", "--marks", "1,2",
                 "--k", "-1"], 2),
+    (_unreadable_input, 2),
+    (_unwritable_out, 2),
+    (_unwritable_output, 2),
+    (_out_param, 2),
+    (_input_not_a_path, 2),
+    (_zeroed_face_map, 1),
 ], ids=["manifest-no-inputs", "manifest-list", "linear-no-target-rank",
         "stellar-unknown-cone", "stellar-no-ray", "stellar-bad-ray",
         "equivariant-foreign-subdivision", "equivariant-incompatible",
         "clutch-no-genus", "duplicate-mark", "negative-genus",
         "gluing-label-mark", "clutch-gluing-label-mark",
         "clutch-unequal-sides", "clutch-genus-one-side",
-        "weights-negative-k", "equivariant-negative-k"])
+        "weights-negative-k", "equivariant-negative-k",
+        "manifest-unreadable-input", "out-unwritable",
+        "manifest-output-unwritable", "manifest-out-param",
+        "manifest-input-not-a-path", "weights-not-face-embedding"])
 def test_cli_bad_input_exit_codes(tmp_path, argv, code):
     out = run_cli(*argv(tmp_path))
     assert out.returncode == code, out.stderr
@@ -239,3 +293,26 @@ def test_negative_k_error_names_the_option(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "argument --k: -1 is negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (_unreadable_input, 2, "input error: cannot read a,b,c"),
+    (_unwritable_out, 2, "input error: cannot write {t}/missing/x.json"),
+    (_unwritable_output, 2,
+     "input error: cannot write {t}/missing/report.json"),
+    (_out_param, 2, "'output'"),
+    (_input_not_a_path, 2, "input error: manifest inputs are file paths"),
+    (lambda t: _enumerate_manifest(
+        t, inputs={"out": str(t / "report.json")}), 2, "'output'"),
+    (_zeroed_face_map, 1,
+     r"validation failure: map for \S+<\S+ is not a face-embedding"),
+], ids=["manifest-unreadable-input", "out-unwritable",
+        "manifest-output-unwritable", "manifest-out-param",
+        "manifest-input-not-a-path", "manifest-out-input",
+        "weights-not-face-embedding"])
+def test_cli_errors_name_their_cause(tmp_path, argv, code, message, capsys):
+    """``message`` is a pattern; {t} stands for the temporary directory."""
+    assert cli.main(argv(tmp_path)) == code
+    pattern = message.format(t=re.escape(str(tmp_path)))
+    assert re.search(pattern, capsys.readouterr().err)
+    assert not (tmp_path / "report.json").exists()
