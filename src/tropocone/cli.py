@@ -42,7 +42,11 @@ def _read(path):
 
 
 def _read_json(path):
-    return io_json.loads(_read(path).decode())
+    try:
+        text = _read(path).decode()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot decode {path} as UTF-8") from exc
+    return io_json.loads(text)
 
 
 def _nonnegative(text):

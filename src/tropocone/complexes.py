@@ -7,12 +7,12 @@ presentations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cone import (
     Poic,
-    cell_key,
     chart_cone,
     check_morphism,
     faces,
@@ -106,15 +106,6 @@ class PoicComplex:
         return True
 
 
-def _image_face_key(matrix, sub: Poic, sup: Poic):
-    """The gens_key of the face of sup equal to matrix(sub)."""
-    key = cell_key(matrix.apply(g) for g in sub.closure_rays)
-    for f in faces(sup):
-        if f.dim == sub.rank and frozenset(f.gens_key) == key:
-            return f.gens_key
-    return None
-
-
 def complex_new(cones, order, face_maps) -> PoicComplex:
     """Validated poic-complex from cones, a strict order, and face maps.
 
@@ -144,8 +135,7 @@ def complex_new(cones, order, face_maps) -> PoicComplex:
         mor = check_morphism(m, cones[p], cones[q])
         if not mor.face_embedding:
             raise NotFaceEmbedding(f"map for {p}<{q} is not a face-embedding")
-        image_key[(p, q)] = frozenset(
-            _image_face_key(m, cones[p], cones[q]))
+        image_key[(p, q)] = mor.face.gens_key
     # functoriality: face maps compose
     for (p, q) in sorted(order):
         for (qq, r) in sorted(order):
@@ -158,22 +148,18 @@ def complex_new(cones, order, face_maps) -> PoicComplex:
     # axiom 2: every face of every cone realized exactly once
     for q in sorted(cones):
         sigma = cones[q]
-        wanted = {frozenset(f.gens_key): f.dim for f in faces(sigma)}
-        realized = {frozenset(sigma.closure_rays)}
+        realized = {sigma.closure_rays}
         for p in sorted(pp for (pp, qq) in order if qq == q):
             key = image_key[(p, q)]
             if key in realized:
                 raise DuplicateFace(
                     f"face {sorted(key)} of {q} realized more than once")
             realized.add(key)
-        for key in wanted:
-            if key not in realized:
+        for f in faces(sigma):
+            if f.gens_key not in realized:
                 raise MissingFace(
-                    f"face {sorted(key)} of cone {q} has no source object")
-        for key in realized:
-            if key not in wanted:
-                raise NotFaceEmbedding(
-                    f"map into {q} does not land on a face")
+                    f"face {sorted(f.gens_key)} of cone {q} has no source "
+                    f"object")
     return PoicComplex(cones=cones, order=order, face_maps=face_maps)
 
 
@@ -416,21 +402,13 @@ class PolyhedralCell:
 
 
 def _cell_cone_gens(cell: PolyhedralCell):
-    gens = []
-    den = 1
-    for v in cell.vertices:
-        fr = [Fraction(x) for x in v]
-        for f in fr:
-            den = den * f.denominator // __import__("math").gcd(
-                den, f.denominator)
-    for v in cell.vertices:
-        fr = [Fraction(x) * den for x in v]
-        gens.append(tuple(int(f) for f in fr) + (den,))
+    den = math.lcm(*(Fraction(x).denominator
+                     for v in cell.vertices for x in v))
+    gens = [tuple(int(Fraction(x) * den) for x in v) + (den,)
+            for v in cell.vertices]
     for r in cell.rays:
         fr = [Fraction(x) for x in r]
-        d = 1
-        for f in fr:
-            d = d * f.denominator // __import__("math").gcd(d, f.denominator)
+        d = math.lcm(*(f.denominator for f in fr))
         gens.append(tuple(int(f * d) for f in fr) + (0,))
     return [primitive(g) for g in gens]
 

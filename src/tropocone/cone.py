@@ -420,10 +420,7 @@ def poic_subset(a: Poic, b: Poic):
     """Exact test a ⊆ b for poics in the same coordinates."""
     if a.rank != b.rank:
         raise ConeError("rank mismatch in subset test")
-    for f in faces(a):
-        if not b.contains(f.ambient_interior_point()):
-            return False
-    return True
+    return _image_in_cone(IntMatrix.identity(a.rank), a, b) is None
 
 
 def poic_equal_sets(a: Poic, b: Poic):
@@ -440,6 +437,7 @@ class PoicMorphism:
     codomain: Poic
     injective: bool
     face_embedding: bool
+    face: FaceEmbedding    # the face of codomain equal to the image, or None
 
 
 def _image_in_cone(matrix, sigma, xi):
@@ -456,43 +454,35 @@ def _image_in_cone(matrix, sigma, xi):
     return None
 
 
-def _face_target(matrix, sigma, xi):
+def _carrier(point, xi: Poic):
+    """The gens_key of the smallest face of xi's closure containing
+    ``point``: the closure rays tight on every normal vanishing there."""
+    tight = [n for n, _ in xi.facets if dot(n, point) == 0]
+    return tuple(g for g in xi.closure_rays
+                 if all(dot(n, g) == 0 for n in tight))
+
+
+def image_face(matrix, sigma, xi):
     """The face of xi equal to matrix(sigma), or None.
 
-    Assumes injectivity was already established.
+    Assumes matrix(sigma) ⊆ xi and that matrix is injective.  Then
+    matrix(sigma) lies in the carrier f of the image of an interior point
+    of sigma, and equals f iff f has sigma's dimension, every ray of f has
+    a preimage in the closure of sigma (equal closures), and f has as many
+    present faces as sigma (each present face of sigma maps onto a
+    distinct present face of f).
     """
-    facet_normals = _closed_facet_normals(xi)
-    for f in faces(xi):
-        if f.dim != sigma.rank:
-            continue
-        # face set = {x in xi : tight normals vanish}
-        tight_normals = [n for n in facet_normals
-                         if all(dot(n, g) == 0 for g in f.gens_key)]
-
-        def in_face(point):
-            if any(dot(a, point) != 0 for a in tight_normals):
-                return False
-            return xi.contains(point)
-
-        # matrix(sigma) ⊆ face: every sigma face witness lands in the face set
-        ok = True
-        for sf in faces(sigma):
-            if not in_face(matrix.apply(sf.ambient_interior_point())):
-                ok = False
-                break
-        if not ok:
-            continue
-        # face ⊆ matrix(sigma): pull each face witness back into sigma
-        rows = [tuple(matrix.row(i)) for i in range(matrix.rows)]
-        for ff in faces(f.sub):
-            w = f.matrix.apply(ff.ambient_interior_point())
-            pre = frac_solve(rows, w)
-            if pre is None or not sigma.contains(pre):
-                ok = False
-                break
-        if ok:
-            return f
-    return None
+    key = _carrier(matrix.apply(sigma.interior_point()), xi)
+    f = next((f for f in faces(xi) if f.gens_key == key), None)
+    if f is None or f.dim != sigma.rank:
+        return None
+    for g in key:
+        pre = rational_preimage(matrix, g)
+        if pre is None or any(dot(n, pre) < 0 for n in sigma.normals()):
+            return None
+    if len(faces(f.sub)) != len(faces(sigma)):
+        return None
+    return f
 
 
 def check_morphism(matrix: IntMatrix, sigma: Poic, xi: Poic) -> PoicMorphism:
@@ -505,21 +495,16 @@ def check_morphism(matrix: IntMatrix, sigma: Poic, xi: Poic) -> PoicMorphism:
         raise NotIntoCodomain(f"point {bad} maps outside the codomain")
     injective = frac_rank([matrix.col(j) for j in range(matrix.cols)]) \
         == sigma.rank
-    face_embedding = False
-    if injective:
-        f = _face_target(matrix, sigma, xi)
-        if f is not None:
-            if sigma.rank == 0:
-                face_embedding = True
-            else:
-                sup_lat = Lattice(xi.rank, f.matrix.transpose())
-                sub_lat = Lattice(
-                    xi.rank,
-                    IntMatrix.from_rows(
-                        [matrix.col(j) for j in range(matrix.cols)], xi.rank))
-                face_embedding = lattice_index(sup_lat, sub_lat) == 1
+    face = image_face(matrix, sigma, xi) if injective else None
+    face_embedding = face is not None
+    if face_embedding and sigma.rank > 0:
+        sub_lat = Lattice(xi.rank, IntMatrix.from_rows(
+            [matrix.col(j) for j in range(matrix.cols)], xi.rank))
+        face_embedding = lattice_index(
+            Lattice(xi.rank, face.matrix.transpose()), sub_lat) == 1
     return PoicMorphism(matrix=matrix, domain=sigma, codomain=xi,
-                        injective=injective, face_embedding=face_embedding)
+                        injective=injective, face_embedding=face_embedding,
+                        face=face)
 
 
 def rational_preimage(matrix: IntMatrix, point):

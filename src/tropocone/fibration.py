@@ -12,7 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cone import cell_key, dual_generators, faces, facets_from_rays
+from .cone import (
+    NotIntoCodomain,
+    cell_key,
+    check_morphism,
+    dual_generators,
+    faces,
+    facets_from_rays,
+    image_face,
+)
 from .complexes import LinearStructure, PoicComplex
 from .intlinalg import IntMatrix, unimodular_inverse
 from .spaces import PoicSpace, iso_class_reps, space_isos
@@ -99,22 +107,16 @@ def validate_fibration(fib: Fibration) -> Report:
             report.add("interior-iso", f"transform at {p} is not square", p)
             continue
         try:
-            inv = unimodular_inverse(eta)
+            unimodular_inverse(eta)
         except ValueError:
             report.add("interior-iso",
                        f"transform at {p} is not unimodular", p)
             continue
-        a, b = sigma.relint(), target.relint()
-        ok = True
-        for f in faces(a):
-            w = f.ambient_interior_point()
-            if not b.contains(eta.apply(w)):
-                ok = False
-        for f in faces(b):
-            w = f.ambient_interior_point()
-            if not a.contains(inv.apply(w)):
-                ok = False
-        if not ok:
+        try:
+            face = check_morphism(eta, sigma.relint(), target.relint()).face
+        except NotIntoCodomain:
+            face = None
+        if face is None or face.dim != target.rank:
             report.add("interior-iso",
                        f"transform at {p} does not identify interiors", p)
     # axiom 3: lifting of space morphisms, unique up to isomorphism (the
@@ -234,16 +236,12 @@ def _apply_cells(matrix, cells):
 def _absent_closure_faces(phi: PoicComplex, s):
     """Closure faces of Phi(s) not realized by cones of the complex."""
     sigma = phi.cones[s]
-    realized = {frozenset(sigma.closure_rays)}
+    realized = {sigma.closure_rays}
     for f in phi.below(s):
-        m = phi.facemap(f, s)
-        realized.add(cell_key(m.apply(g) for g in phi.cones[f].closure_rays))
-    out = []
-    for f in faces(sigma.closure()):
-        key = frozenset(f.gens_key)
-        if key not in realized:
-            out.append(tuple(sorted(key)))
-    return out
+        face = image_face(phi.facemap(f, s), phi.cones[f], sigma)
+        realized.add(face.gens_key)
+    return [tuple(sorted(f.gens_key)) for f in faces(sigma.closure())
+            if f.gens_key not in realized]
 
 
 def compatible_refinement(fib: Fibration, sub: Subdivision) -> Subdivision:

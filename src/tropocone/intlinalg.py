@@ -469,18 +469,11 @@ def solve_integer_columns(mat: IntMatrix, rhs: IntMatrix):
 
 def unimodular_inverse(mat: IntMatrix) -> IntMatrix:
     """Inverse of a unimodular integer matrix (exact, integer)."""
-    if mat.rows != mat.cols:
-        raise ValueError("inverse of a non-square matrix")
-    n = mat.rows
-    cols = []
-    rows = mat.to_rows()
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        x = frac_solve(rows, e)
-        if x is None or any(f.denominator != 1 for f in x):
-            raise ValueError("matrix is not unimodular")
-        cols.append(tuple(int(f) for f in x))
-    return IntMatrix.from_cols(cols, n)
+    inv = solve_integer_columns(mat, IntMatrix.identity(mat.rows)) \
+        if mat.rows == mat.cols else None
+    if inv is None:
+        raise ValueError("matrix is not unimodular")
+    return inv
 
 
 def saturation(generators: IntMatrix) -> IntMatrix:

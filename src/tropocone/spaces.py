@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cone import cell_key, check_morphism, faces
+from .cone import check_morphism, faces
 from .complexes import PoicComplex
 from .intlinalg import IntMatrix
 
@@ -92,13 +92,17 @@ def space_new(objects, homs) -> PoicSpace:
     for x in space.ids():
         if IntMatrix.identity(space.dim(x)) not in space.hom(x, x):
             raise SpaceError(f"identity missing in hom({x},{x})")
-    # face-embedding check and composition closure
+    # face-embedding check, keeping the face of y each morphism realizes
+    realizations = {}
     for (x, y), mats in sorted(cleaned.items()):
         for m in mats:
             mor = check_morphism(m, objects[x], objects[y])
             if not mor.face_embedding:
                 raise SpaceError(
                     f"a morphism {x} -> {y} is not a face-embedding")
+            realizations.setdefault((y, mor.face.gens_key), []).append(
+                (x, m))
+    # composition closure
     for (x, y) in sorted(cleaned):
         for (y2, z) in sorted(cleaned):
             if y2 != y:
@@ -111,18 +115,11 @@ def space_new(objects, homs) -> PoicSpace:
                             f"({x} -> {y} -> {z})")
     # axiom 2: each face of each object realized, uniquely up to iso
     for y in space.ids():
-        sigma = objects[y]
-        realizations = {}
-        for x in space.ids():
-            for m in space.hom(x, y):
-                img = cell_key(m.apply(g) for g in objects[x].closure_rays)
-                realizations.setdefault(img, []).append((x, m))
-        for f in faces(sigma):
-            key = frozenset(f.gens_key)
-            if key not in realizations:
+        for f in faces(objects[y]):
+            reals = realizations.get((y, f.gens_key))
+            if reals is None:
                 raise SpaceError(
-                    f"face {sorted(key)} of {y} is not realized")
-            reals = realizations[key]
+                    f"face {sorted(f.gens_key)} of {y} is not realized")
             (x0, m0) = reals[0]
             for (x1, m1) in reals[1:]:
                 if not any(

@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 
 from .cone import (
     Poic,
+    _carrier,
     cell_key,
     chart_cone,
+    check_morphism,
     dual_generators,
     faces,
     facets_from_rays,
@@ -576,21 +578,14 @@ class ComplexMorphism:
 
 
 def validate_complex_morphism(mor: ComplexMorphism):
-    from .cone import check_morphism
     for p in mor.source.ids():
-        tgt = mor.target.cones[mor.cone_map[p]]
-        check_morphism(mor.matrices[p], mor.source.cones[p], tgt)
+        src, tgt = mor.source.cones[p], mor.target.cones[mor.cone_map[p]]
+        m = mor.matrices[p]
+        check_morphism(m, src, tgt)
         # non-degeneracy: the image does not lie in a proper face
-        gens = mor.image_gens(p)
-        for f in faces(tgt):
-            if f.dim >= tgt.rank:
-                continue
-            tight = [n for n, _ in tgt.closure().facets
-                     if all(dot(n, g) == 0 for g in f.gens_key)]
-            if tight and all(all(dot(n, g) == 0 for n in tight)
-                             for g in gens):
-                raise ComplexError(
-                    f"image of {p} lies in a proper face of its target")
+        if _carrier(m.apply(src.interior_point()), tgt) != tgt.closure_rays:
+            raise ComplexError(
+                f"image of {p} lies in a proper face of its target")
     for (p, q) in mor.source.order:
         tp, tq = mor.cone_map[p], mor.cone_map[q]
         if not (tp == tq or (tp, tq) in mor.target.order):

@@ -18,6 +18,7 @@ from tropocone.complexes import (
     validate_linear,
 )
 from tropocone.intlinalg import IntMatrix
+from tropocone.spaces import space_new
 
 
 def quadrant():
@@ -51,6 +52,28 @@ def test_missing_face():
     fmaps = {k: v for k, v in phi.face_maps.items() if origin not in k}
     with pytest.raises(MissingFace):
         complex_new(cones, order, fmaps)
+
+
+SHEAR = IntMatrix.from_rows([[1, 1], [0, 1], [0, 0]])
+
+
+def shear_cones():
+    """R^2 and R^2 x R>=0: SHEAR maps the first onto the face z = 0 of the
+    second, and the images of its rays are not the face's rays."""
+    return {"a": poic_new(2, []), "b": poic_new(3, [((0, 0, 1), False)])}
+
+
+def test_face_map_into_cone_with_lineality():
+    phi = complex_new(shear_cones(), {("a", "b")}, {("a", "b"): SHEAR})
+    assert phi.ids() == ["a", "b"]
+    space = space_new(shear_cones(), {
+        ("a", "a"): (IntMatrix.identity(2),),
+        ("b", "b"): (IntMatrix.identity(3),),
+        ("a", "b"): (SHEAR,)})
+    assert space.ids() == ["a", "b"]
+    # without the plane, the face z = 0 of the slab is realized by nothing
+    with pytest.raises(MissingFace):
+        complex_new({"b": shear_cones()["b"]}, set(), {})
 
 
 def test_half_open_complex():

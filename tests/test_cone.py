@@ -9,10 +9,12 @@ from tropocone.cone import (
     NotFullDimensional,
     NotIntoCodomain,
     Poic,
+    chart_cone,
     check_morphism,
     dual_generators,
     faces,
     facets_from_rays,
+    image_face,
     poic_equal_sets,
     poic_new,
     poic_subset,
@@ -232,6 +234,22 @@ def test_poic_subset():
     assert poic_subset(half_open_quadrant(), quadrant())
     assert not poic_subset(quadrant(), half_open_quadrant())
     assert poic_equal_sets(quadrant(), quadrant())
+    # with lineality: the closure of the line is not in the ray
+    line, ray = poic_new(1, []), poic_new(1, [((1,), False)])
+    assert not poic_subset(line, ray)
+    assert poic_subset(ray, line)
+    half_plane = poic_new(2, [((0, 1), False)])
+    assert poic_subset(quadrant(), half_plane)
+    assert not poic_subset(half_plane, quadrant())
+
+
+def test_ray_is_not_a_face_of_the_line():
+    line, ray = poic_new(1, []), poic_new(1, [((1,), False)])
+    m = check_morphism(IntMatrix.identity(1), ray, line)
+    assert m.injective and not m.face_embedding and m.face is None
+    assert check_morphism(IntMatrix.identity(1), line, line).face_embedding
+    with pytest.raises(NotIntoCodomain):
+        check_morphism(IntMatrix.identity(1), line, ray)
 
 
 def test_strict_feasible_witness():
@@ -541,3 +559,130 @@ def test_cone_memos_are_bounded():
                                 for i in range(side)])
     assert smith_normal_form(over) == memo.__wrapped__(over)
     assert memo.cache_info() == after
+
+
+# ---------------------------------------------------------------------------
+# image_face against the faces x faces preimage search it replaced, and, on
+# targets with lineality, against closure equality plus face counts
+
+def _reference_face_target(matrix, sigma, xi):
+    facet_normals = cone._closed_facet_normals(xi)
+    for f in faces(xi):
+        if f.dim != sigma.rank:
+            continue
+        tight_normals = [n for n in facet_normals
+                         if all(dot(n, g) == 0 for g in f.gens_key)]
+
+        def in_face(point):
+            if any(dot(a, point) != 0 for a in tight_normals):
+                return False
+            return xi.contains(point)
+
+        ok = all(in_face(matrix.apply(sf.ambient_interior_point()))
+                 for sf in faces(sigma))
+        if not ok:
+            continue
+        rows = [tuple(matrix.row(i)) for i in range(matrix.rows)]
+        for ff in faces(f.sub):
+            pre = frac_solve(rows, f.matrix.apply(ff.ambient_interior_point()))
+            if pre is None or not sigma.contains(pre):
+                ok = False
+                break
+        if ok:
+            return f
+    return None
+
+
+def _in_closed_cone(points, gens, rank):
+    facets, ann = facets_from_rays(list(gens), rank)
+    return all(all(dot(n, x) >= 0 for n in facets)
+               and all(dot(a, x) == 0 for a in ann) for x in points)
+
+
+def _oracle_image_face(matrix, sigma, xi):
+    """The faces of xi whose closure is the closure of matrix(sigma) and
+    which have as many present faces as sigma."""
+    image = [matrix.apply(g) for g in sigma.closure_rays]
+    return [f for f in faces(xi)
+            if _in_closed_cone(image, f.gens_key, xi.rank)
+            and _in_closed_cone(f.gens_key, image, xi.rank)
+            and len(faces(f.sub)) == len(faces(sigma))]
+
+
+def _unimodular(rng, n, steps=6):
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-1, 1])
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return IntMatrix.from_rows(rows, n)
+
+
+def _face_morphisms(seed, count):
+    """Injective morphisms into seeded poics, tagged by whether the closure
+    of the domain maps onto the closure of a face: each face re-coordinated
+    by a random unimodular matrix and given random extra strictness (True),
+    and cones spanned by random nonnegative combinations of the face's
+    rays (False)."""
+    rng = random.Random(seed)
+    for rank, normals in _normal_sets(seed=seed, count=count):
+        try:
+            xi = poic_new(rank, [(n, rng.random() < 0.3) for n in normals])
+        except ConeError:
+            continue
+        for f in faces(xi):
+            u = _unimodular(rng, f.dim)
+            try:
+                sigma = poic_new(f.dim, [
+                    (tuple(dot(n, u.col(j)) for j in range(f.dim)),
+                     s or rng.random() < 0.3) for n, s in f.sub.facets])
+            except ConeError:
+                sigma = None
+            if sigma is not None:
+                yield True, f.matrix @ u, sigma, xi
+            rays = f.sub.closure_rays
+            gens = [vadd(g, rng.choice(rays)) if rng.random() < 0.5 else g
+                    for g in rays if rng.random() < 0.8]
+            try:
+                sigma, embed = chart_cone(gens, f.dim, [
+                    (n, s or rng.random() < 0.3) for n, s in f.sub.facets])
+            except ConeError:
+                continue
+            yield False, f.matrix @ embed, sigma, xi
+
+
+def test_image_face_matches_reference_and_oracle():
+    seen = {}
+    for onto, matrix, sigma, xi in _face_morphisms(seed=7, count=120):
+        try:
+            mor = check_morphism(matrix, sigma, xi)
+        except NotIntoCodomain:
+            # chart_cone drops a strict normal that vanishes on the chart
+            assert not onto
+            continue
+        assert mor.injective
+        face = image_face(matrix, sigma, xi)
+        assert mor.face == face
+        assert [face] == (_oracle_image_face(matrix, sigma, xi) or [None]), \
+            (matrix, sigma, xi)
+        if onto and xi.pointed():
+            assert face == _reference_face_target(matrix, sigma, xi), \
+                (matrix, sigma, xi)
+        kind = (onto, xi.pointed(), face is not None)
+        seen[kind] = seen.get(kind, 0) + 1
+    assert len(seen) == 8 and min(seen.values()) >= 15, seen
+
+
+def test_narrower_cone_with_a_boundary_witness_is_not_a_face():
+    """The closure of sigma is a proper subcone of the face of xi it maps
+    into; the preimage of the face's one interior witness still lies on
+    the boundary of sigma, which the old per-face witness test accepted."""
+    xi = poic_new(3, [((-3, 1, -2), False), ((0, 2, 1), True),
+                      ((0, 3, -1), False)])
+    sigma = poic_new(2, [((0, -1), False), ((5, 4), False),
+                         ((15, 11), True)])
+    matrix = IntMatrix.from_rows([[-5, -4], [3, 2], [9, 7]])
+    assert _reference_face_target(matrix, sigma, xi) is not None
+    mor = check_morphism(matrix, sigma, xi)
+    assert mor.injective and mor.face is None and not mor.face_embedding
+    assert _oracle_image_face(matrix, sigma, xi) == []

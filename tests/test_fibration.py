@@ -168,3 +168,16 @@ def test_morphism_map_of_wrong_shape_is_reported():
     fib.morphism_map[("o", "r")] = IntMatrix(3, 0, ())
     rep = validate_fibration(fib)
     assert not rep.ok
+
+
+def test_transform_onto_a_proper_subcone_is_not_an_interior_iso():
+    """eta is unimodular and fixes (1, 1), so it sends the interior witness
+    of the open quadrant into the quadrant both ways, but it maps (0, 1)
+    to (-1, 0)."""
+    quadrant = poic_new(2, [((1, 0), True), ((0, 1), True)])
+    fib = fibration_from_complex(complex_new({"c": quadrant}, set(), {}))
+    fib.transforms["c"] = IntMatrix.from_rows([[2, -1], [1, 0]])
+    rep = validate_fibration(fib)
+    assert [i["axiom"] for i in rep.issues] == ["interior-iso"]
+    fib.transforms["c"] = IntMatrix.from_rows([[0, 1], [1, 0]])
+    assert validate_fibration(fib).ok

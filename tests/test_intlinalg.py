@@ -199,6 +199,46 @@ def test_unimodular_inverse():
     assert (m @ inv).entries == IntMatrix.identity(2).entries
 
 
+def _reference_unimodular_inverse(mat):
+    """The column-by-column rational solve that unimodular_inverse used
+    before it solved all columns from one Smith normal form."""
+    if mat.rows != mat.cols:
+        raise ValueError("inverse of a non-square matrix")
+    n = mat.rows
+    cols = []
+    for j in range(n):
+        e = tuple(1 if i == j else 0 for i in range(n))
+        x = frac_solve(mat.to_rows(), e)
+        if x is None or any(f.denominator != 1 for f in x):
+            raise ValueError("matrix is not unimodular")
+        cols.append(tuple(int(f) for f in x))
+    return IntMatrix.from_cols(cols, n)
+
+
+def _random_unimodular(rng, n, steps=12):
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        if rng.random() < 0.3:
+            rows[i], rows[j] = rows[j], [-x for x in rows[i]]
+    return IntMatrix.from_rows(rows)
+
+
+def test_unimodular_inverse_matches_reference():
+    rng = random.Random(31)
+    for k in range(25):
+        m = _random_unimodular(rng, 2 + k % 5)
+        assert unimodular_inverse(m) == _reference_unimodular_inverse(m)
+    for bad in (IntMatrix.from_rows([[2, 1], [1, 2]]),     # det 3
+                IntMatrix.from_rows([[1, 2], [2, 4]]),     # singular
+                IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]),
+                IntMatrix.from_rows([[1, 0], [0, 1], [0, 0]])):
+        with pytest.raises(ValueError, match="matrix is not unimodular"):
+            unimodular_inverse(bad)
+
+
 def test_hermite_row_basis():
     m = IntMatrix.from_rows([[2, 0], [0, 3], [2, 3]])
     h = hermite_row_basis(m)

@@ -7,7 +7,7 @@ import pytest
 
 from tropocone import cli, io_json
 from tropocone.cone import poic_new
-from tropocone.complexes import single_cone_complex
+from tropocone.complexes import complex_new, single_cone_complex
 from tropocone.graphs import graph_new
 from tropocone.intlinalg import IntMatrix
 from tropocone.moduli import build_moduli
@@ -231,6 +231,23 @@ def _out_param(tmp_path):
                           "out": str(tmp_path / "report.json")})
 
 
+def _non_utf8_input(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    return ["weights", "--complex", str(path), "--k", "1"]
+
+
+def _shear_ord(tmp_path):
+    """subdivide --ord on a complex whose face map R^2 -> R^2 x R>=0 is a
+    shear onto the face z = 0: a valid complex with lineality."""
+    phi = complex_new(
+        {"a": poic_new(2, []), "b": poic_new(3, [((0, 0, 1), False)])},
+        {("a", "b")},
+        {("a", "b"): IntMatrix.from_rows([[1, 1], [0, 1], [0, 0]])})
+    path = _write(tmp_path / "shear.json", io_json.complex_to_json(phi))
+    return ["subdivide", "--complex", path, "--ord"]
+
+
 def _incompatible_subdivision(tmp_path):
     st = spanning_tree_fibration(1, ["1", "2"])
     sub = stellar(st.complex, "G1 x glue", (1, 2))
@@ -268,6 +285,8 @@ def _incompatible_subdivision(tmp_path):
     (_out_param, 2),
     (_input_not_a_path, 2),
     (_zeroed_face_map, 1),
+    (_non_utf8_input, 2),
+    (_shear_ord, 1),
 ], ids=["manifest-no-inputs", "manifest-list", "linear-no-target-rank",
         "stellar-unknown-cone", "stellar-no-ray", "stellar-bad-ray",
         "equivariant-foreign-subdivision", "equivariant-incompatible",
@@ -277,7 +296,8 @@ def _incompatible_subdivision(tmp_path):
         "weights-negative-k", "equivariant-negative-k",
         "manifest-unreadable-input", "out-unwritable",
         "manifest-output-unwritable", "manifest-out-param",
-        "manifest-input-not-a-path", "weights-not-face-embedding"])
+        "manifest-input-not-a-path", "weights-not-face-embedding",
+        "non-utf8-input", "shear-ord"])
 def test_cli_bad_input_exit_codes(tmp_path, argv, code):
     out = run_cli(*argv(tmp_path))
     assert out.returncode == code, out.stderr
@@ -306,10 +326,13 @@ def test_negative_k_error_names_the_option(argv, capsys):
         t, inputs={"out": str(t / "report.json")}), 2, "'output'"),
     (_zeroed_face_map, 1,
      r"validation failure: map for \S+<\S+ is not a face-embedding"),
+    (_non_utf8_input, 2, "input error: cannot decode {t}/bad.json as UTF-8"),
+    (_shear_ord, 1,
+     "validation failure: ord subdivision needs pointed closures"),
 ], ids=["manifest-unreadable-input", "out-unwritable",
         "manifest-output-unwritable", "manifest-out-param",
         "manifest-input-not-a-path", "manifest-out-input",
-        "weights-not-face-embedding"])
+        "weights-not-face-embedding", "non-utf8-input", "shear-ord"])
 def test_cli_errors_name_their_cause(tmp_path, argv, code, message, capsys):
     """``message`` is a pattern; {t} stands for the temporary directory."""
     assert cli.main(argv(tmp_path)) == code

@@ -2,6 +2,7 @@ import pytest
 
 from tropocone.cone import poic_new
 from tropocone.complexes import (
+    ComplexError,
     LinearStructure,
     complex_new,
     relint_complex,
@@ -226,6 +227,23 @@ def test_weakly_proper_projection_vacuous():
     validate_complex_morphism(mor)
     flag, _ = is_weakly_proper(mor)
     assert flag
+
+
+@pytest.mark.parametrize("row, ok", [
+    ((0, 1), True),    # onto the open half plane
+    ((1, 0), False),   # into the line y = 0, its proper face
+])
+def test_complex_morphism_image_must_meet_the_interior(row, ok):
+    """The ray into the closed half plane y >= 0, a target with lineality."""
+    src = relint_complex(poic_new(1, [((1,), True)]), "r")
+    tgt = single_cone_complex(poic_new(2, [((0, 1), False)]), "H")
+    mor = ComplexMorphism(source=src, target=tgt, cone_map={"r": "H"},
+                          matrices={"r": IntMatrix.from_cols([row])})
+    if ok:
+        assert validate_complex_morphism(mor)
+    else:
+        with pytest.raises(ComplexError, match="proper face"):
+            validate_complex_morphism(mor)
 
 
 def test_weakly_proper_fails_for_offaxis_ray():
