@@ -58,37 +58,40 @@ _DD_MEMO_SIZE = 4096
 _FACES_MEMO_SIZE = 1024
 
 
+def _maximal(sets):
+    """Flags of the bitmasks that no other of ``sets`` strictly contains."""
+    return [not any(w != z and w & z == z for w in sets) for z in sets]
+
+
 def _prune_generators(gens, normals, rank, pointed=False):
     """Reduce a generating set of {x : n.x >= 0 for n in normals} to
     ±(lineality basis) plus one representative per extreme ray.
 
-    ``pointed`` states that the cone is known to contain no line, which
-    spares the kernel computation."""
-    lin = IntMatrix.from_rows([], rank) if pointed \
-        else integer_kernel(IntMatrix.from_rows(list(normals), rank))
-    ldim = lin.rows
+    A generator's tight set (the normals vanishing on it) names the
+    smallest face containing it, and distinct faces have distinct tight
+    sets.  The extreme rays modulo the lineality space are the minimal
+    faces beyond it, each with a generator; so a tight set is kept iff no
+    other generator's tight set strictly contains it, and is represented
+    by its least primitive generator.  ``pointed`` states that the cone is
+    known to contain no line, which spares the kernel computation."""
     out = []
-    for i in range(ldim):
-        row = lin.row(i)
-        out.append(primitive(row))
-        out.append(primitive(tuple(-x for x in row)))
-    seen_tight = set()
-    candidates = []
+    if not pointed:
+        lin = integer_kernel(IntMatrix.from_rows(list(normals), rank))
+        for i in range(lin.rows):
+            row = lin.row(i)
+            out.append(primitive(row))
+            out.append(primitive(tuple(-x for x in row)))
+    full = (1 << len(normals)) - 1
+    least = {}
     for g in gens:
         if is_zero_vec(g):
             continue
         g = primitive(g)
-        tight = tuple(i for i, n in enumerate(normals) if dot(n, g) == 0)
-        if len(tight) == len(normals):
-            continue  # inside the lineality space
-        if frac_rank([normals[i] for i in tight] or [(0,) * rank]) \
-                == rank - ldim - 1:
-            candidates.append((tight, g))
-    candidates.sort(key=lambda t: (t[0], t[1]))
-    for tight, g in candidates:
-        if tight not in seen_tight:
-            seen_tight.add(tight)
-            out.append(g)
+        tight = sum(1 << i for i, n in enumerate(normals) if dot(n, g) == 0)
+        if tight != full and (tight not in least or g < least[tight]):
+            least[tight] = g  # tight == full: inside the lineality space
+    out.extend(g for g, top in zip(least.values(), _maximal(list(least)))
+               if top)
     # dedupe and sort for determinism
     return sorted(set(out))
 
@@ -183,28 +186,30 @@ def strict_feasible(constraints, rank):
     return witness
 
 
-def _implied(constraints, target, rank):
-    """True iff ``target`` is implied by ``constraints`` (with strictness)."""
-    normal, strict = target
-    negation = (tuple(-x for x in normal), not strict)
-    return strict_feasible(list(constraints) + [negation], rank) is None
+def _zero_sets(normals, rays):
+    """Per normal, the bitmask of the rays on which it vanishes."""
+    return [sum(1 << j for j, g in enumerate(rays) if dot(n, g) == 0)
+            for n in normals]
 
 
-def _minimal(constraints, rank):
-    """Drop constraints implied by the others, one at a time, in a
-    deterministic scan order.
+def _minimal(constraints, rays):
+    """Drop the constraints implied by the others, one at a time in the
+    given order, for a nonempty full-dimensional poic with closure rays
+    ``rays``.
 
-    One pass suffices: a constraint not implied by some set is not implied
-    by any subset of it either, so a kept constraint stays kept."""
-    minimal = list(constraints)
-    i = 0
-    while i < len(minimal):
-        rest = minimal[:i] + minimal[i + 1:]
-        if _implied(rest, minimal[i], rank):
-            minimal = rest
-        else:
-            i += 1
-    return minimal
+    A normal vanishing on a maximal set of rays is a facet of the closure
+    and is kept; every other normal cuts a smaller face F of the closure.
+    Such a closed normal is implied by the facets.  Such a strict normal
+    is implied iff some strict normal still in the list is zero on all of
+    F, as the points of F it removes are then removed already."""
+    zeros = _zero_sets([n for n, _ in constraints], rays)
+    kept = _maximal(zeros)
+    for i, ((_, strict), z) in enumerate(zip(constraints, zeros)):
+        if not kept[i]:
+            kept[i] = strict and not any(
+                (kept[j] or j > i) and constraints[j][1]
+                and w & z == z for j, w in enumerate(zeros))
+    return [c for c, k in zip(constraints, kept) if k]
 
 
 def cell_key(gens):
@@ -297,7 +302,7 @@ def poic_new(lattice_rank, facets):
     if frac_rank(list(gens) or [(0,) * rank]) != rank and rank > 0:
         raise NotFullDimensional(
             "closure span is a proper subspace; re-coordinate first")
-    minimal = _minimal(constraints, rank)
+    minimal = _minimal(constraints, gens)
     gens = dual_generators([n for n, _ in minimal], rank)
     return Poic(rank=rank, facets=tuple(minimal), closure_rays=tuple(gens))
 
@@ -315,9 +320,9 @@ def chart_cone(gens, rank, ambient):
     facets, _ = facets_from_rays(local, d)
     constraints = [(f, False) for f in facets]
     for n, strict in ambient:
-        pn = tuple(dot(n, basis.row(j)) for j in range(d))
-        if not is_zero_vec(pn):
-            constraints.append((pn, strict))
+        # a zero pullback stays: poic_new drops 0 >= 0 and rejects 0 > 0
+        constraints.append((tuple(dot(n, basis.row(j)) for j in range(d)),
+                            strict))
     return poic_new(d, constraints), basis.transpose()
 
 
@@ -361,10 +366,10 @@ class FaceEmbedding:
 
 def _closed_facet_normals(sigma: Poic):
     """Normals that are facets of the closure (strictness ignored): those
-    whose tight closure rays span a hyperplane."""
-    return [n for n, _ in sigma.facets
-            if frac_rank([g for g in sigma.closure_rays if dot(n, g) == 0])
-            == sigma.rank - 1]
+    vanishing on a maximal set of closure rays."""
+    normals = sigma.normals()
+    return [n for n, top in zip(
+        normals, _maximal(_zero_sets(normals, sigma.closure_rays))) if top]
 
 
 def faces(sigma: Poic):

@@ -1,8 +1,9 @@
 """Exact integer linear algebra: Smith/Hermite normal forms, lattices,
 quotient presentations, and integer solvability.
 
-Everything runs over arbitrary-precision Python integers; the few rational
-helpers use fractions.Fraction.  No floating point anywhere.
+Everything runs over arbitrary-precision Python integers; the rational
+rank and solve eliminate fraction-free and return fractions.Fraction
+values.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 
 class ZeroVector(ValueError):
@@ -26,7 +28,7 @@ class NotSublattice(ValueError):
 # vectors
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vadd(u, v):
@@ -38,23 +40,16 @@ def vscale(c, u):
 
 
 def is_zero_vec(u):
-    return all(a == 0 for a in u)
-
-
-def gcd_vector(v):
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
-    return g
+    return not any(u)
 
 
 def primitive(v):
     """Divide an integer vector by the gcd of its entries, sign preserved."""
-    v = tuple(int(a) for a in v)
-    g = gcd_vector(v)
+    v = tuple(map(int, v))
+    g = gcd(*v)
     if g == 0:
         raise ZeroVector("primitive() of the zero vector")
-    return tuple(a // g for a in v)
+    return v if g == 1 else tuple(a // g for a in v)
 
 
 def sign_normalized(v):
@@ -167,30 +162,49 @@ def block_diag(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# rational elimination helpers
+# rational elimination helpers, fraction-free: rows are scaled to integers
+# and every row operation is divided by the gcd of the new row
+
+def _integer_rows(rows):
+    """Integer rows spanning the same lines as int/Fraction ``rows``: each
+    row times the lcm of its denominators."""
+    out = []
+    for r in rows:
+        d = lcm(*(x.denominator for x in r))
+        out.append([x.numerator * (d // x.denominator) for x in r])
+    return out
+
+
+def _eliminate(m, ncols, full):
+    """Integer row echelon form of ``m`` in place, over its first ``ncols``
+    columns; ``full`` also clears the entries above each pivot.  Returns
+    the pivot columns."""
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        p = m[rank]
+        a = p[col]
+        for i in range(0 if full else rank + 1, len(m)):
+            b = m[i][col]
+            if b and i != rank:
+                row = [a * x - b * y for x, y in zip(m[i], p)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+        rank += 1
+        if rank == len(m):
+            break
+    return pivots
+
 
 def frac_rank(rows):
     """Rank over the rationals of a list of integer/Fraction row vectors."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    col = 0
-    while rank < len(m) and col < ncols:
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        col += 1
-    return rank
+    m = _integer_rows(rows)
+    return len(_eliminate(m, len(m[0]) if m else 0, full=False))
 
 
 def frac_solve(a_rows, b):
@@ -198,31 +212,16 @@ def frac_solve(a_rows, b):
 
     Free variables are set to zero.
     """
-    m = [[Fraction(x) for x in r] + [Fraction(bi)]
-         for r, bi in zip(a_rows, b)]
-    nrows = len(m)
+    if len(b) != len(a_rows):
+        raise ValueError("right-hand side length does not match the rows")
     ncols = len(a_rows[0]) if a_rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, nrows):
-        if m[i][ncols] != 0:
-            return None
+    m = _integer_rows([tuple(r) + (bi,) for r, bi in zip(a_rows, b)])
+    pivots = _eliminate(m, ncols, full=True)
+    if any(r[ncols] for r in m[len(pivots):]):
+        return None
     x = [Fraction(0)] * ncols
     for r, col in enumerate(pivots):
-        x[col] = m[r][ncols]
+        x[col] = Fraction(m[r][ncols], m[r][col])
     return tuple(x)
 
 

@@ -258,6 +258,18 @@ def test_strict_feasible_witness():
     assert strict_feasible([((1, 0), True), ((-1, 0), False)], 2) is None
 
 
+def test_chart_cone_keeps_a_strict_normal_vanishing_on_the_chart():
+    """Both generators lie on the hyperplane of the strict ambient normal,
+    whose pullback to the chart is zero: 0 > 0 leaves no point, while the
+    closed 0 >= 0 cuts nothing."""
+    gens = [(-2, -6, -6), (1, -2, 0)]
+    with pytest.raises(EmptyCone):
+        chart_cone(gens, 3, [((-6, -3, 5), True)])
+    sigma, embed = chart_cone(gens, 3, [((-6, -3, 5), False)])
+    assert sigma.rank == 2 and len(sigma.facets) == 2
+    assert check_morphism(embed, sigma, poic_new(3, [((-6, -3, 5), False)]))
+
+
 def test_rank_zero_poic():
     pt = poic_new(0, [])
     assert pt.dim == 0
@@ -465,11 +477,11 @@ def test_dual_generators_ignores_duplicates_scaling_and_order():
         assert _reference_dual_generators(variant, rank) == base
 
 
-def test_poic_new_and_closed_facets_match_reference():
+def _check_poic_new_against_reference(strict_share):
     rng = random.Random(31)
     built = 0
     for rank, normals in _normal_sets(seed=5):
-        facets = [(n, rng.random() < 0.4) for n in normals]
+        facets = [(n, rng.random() < strict_share) for n in normals]
         expected = _reference_poic_new(rank, facets)
         try:
             sigma = poic_new(rank, facets)
@@ -477,12 +489,32 @@ def test_poic_new_and_closed_facets_match_reference():
             assert type(exc) is expected, (rank, facets)
             continue
         assert (sigma.facets, sigma.closure_rays) == expected, (rank, facets)
-        assert cone._minimal(list(sigma.facets), rank) == \
+        assert cone._minimal(list(sigma.facets), sigma.closure_rays) == \
             _reference_minimal(list(sigma.facets), rank)
         assert cone._closed_facet_normals(sigma) == \
             _reference_closed_facet_normals(sigma)
         built += 1
     assert built >= 100
+
+
+def test_poic_new_and_closed_facets_match_reference():
+    _check_poic_new_against_reference(0.4)
+
+
+def test_poic_new_with_every_constraint_strict_matches_reference():
+    _check_poic_new_against_reference(1.0)
+
+
+def test_minimality_scan_order_keeps_the_later_strict_normal():
+    """Each of x+y > 0 and x+2y > 0 is implied by the other on the closed
+    quadrant (both vanish only at the origin); the scan drops the first
+    and keeps the second, as the restart scan did."""
+    facets = [((1, 0), False), ((0, 1), False), ((1, 1), True),
+              ((1, 2), True)]
+    sigma = poic_new(2, facets)
+    assert ((1, 2), True) in sigma.facets
+    assert ((1, 1), True) not in sigma.facets
+    assert (sigma.facets, sigma.closure_rays) == _reference_poic_new(2, facets)
 
 
 def _reference_facets_from_rays(gens, rank):
@@ -654,12 +686,7 @@ def _face_morphisms(seed, count):
 def test_image_face_matches_reference_and_oracle():
     seen = {}
     for onto, matrix, sigma, xi in _face_morphisms(seed=7, count=120):
-        try:
-            mor = check_morphism(matrix, sigma, xi)
-        except NotIntoCodomain:
-            # chart_cone drops a strict normal that vanishes on the chart
-            assert not onto
-            continue
+        mor = check_morphism(matrix, sigma, xi)
         assert mor.injective
         face = image_face(matrix, sigma, xi)
         assert mor.face == face

@@ -1,5 +1,8 @@
-"""Property tests of the Smith normal form and the integer kernel against
-sympy's independent implementation, on small random integer matrices."""
+"""Property tests of the Smith normal form, the integer kernel and the
+rational rank and solve against sympy's independent implementation, on
+small random integer (and rational) matrices."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +18,8 @@ from tropocone import intlinalg  # noqa: E402
 from tropocone.intlinalg import (  # noqa: E402
     IntMatrix,
     det,
+    frac_rank,
+    frac_solve,
     integer_kernel,
     smith_normal_form,
 )
@@ -86,3 +91,94 @@ def test_snf_of_equal_matrices_is_equal_however_built(data):
     fresh = intlinalg._smith_normal_form.__wrapped__(by_rows)
     assert smith_normal_form(by_rows) == fresh
     assert smith_normal_form(by_cols) == fresh
+
+
+def _sympy_matrix(rows, cols):
+    return sympy.Matrix(len(rows), cols, [x for r in rows for x in r])
+
+
+def _reference_frac_solve(a_rows, b):
+    """Gauss-Jordan elimination over Fraction entries, as before the
+    fraction-free elimination."""
+    m = [[Fraction(x) for x in r] + [Fraction(bi)]
+         for r, bi in zip(a_rows, b)]
+    nrows = len(m)
+    ncols = len(a_rows[0]) if a_rows else 0
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, nrows) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        pv = m[rank][col]
+        m[rank] = [x / pv for x in m[rank]]
+        for i in range(nrows):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        pivots.append(col)
+        rank += 1
+    for i in range(rank, nrows):
+        if m[i][ncols] != 0:
+            return None
+    x = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        x[col] = m[r][ncols]
+    return tuple(x)
+
+
+@st.composite
+def systems(draw, rational=False):
+    """(rows, cols, b), with b often in the column span of the rows."""
+    rows, cols = draw(matrices())
+    if rational:
+        dens = st.integers(1, 6)
+        rows = [[Fraction(x, draw(dens)) for x in r] for r in rows]
+    if draw(st.booleans()):
+        x = [draw(st.integers(-5, 5)) for _ in range(cols)]
+        b = tuple(sum(a * y for a, y in zip(r, x)) for r in rows)
+    else:
+        b = tuple(draw(st.integers(-20, 20)) for _ in rows)
+    return rows, cols, b
+
+
+@PROPERTY
+@given(matrices())
+def test_frac_rank_agrees_with_sympy(data):
+    rows, cols = data
+    assert frac_rank(rows) == (_sympy_matrix(rows, cols).rank() if rows
+                               else 0)
+
+
+@PROPERTY
+@given(systems())
+def test_frac_solve_is_exact_with_free_variables_zero(data):
+    rows, cols, b = data
+    x = frac_solve(rows, b)
+    a = _sympy_matrix(rows, cols)
+    ab = a.row_join(sympy.Matrix(len(rows), 1, list(b)))
+    assert (x is None) == (ab.rank() > a.rank())
+    if x is not None:
+        # without rows the column count is unknown: the solution is ()
+        assert len(x) == (cols if rows else 0)
+        assert all(type(v) is Fraction for v in x)
+        assert tuple(sum(p * q for p, q in zip(r, x)) for r in rows) == b
+        pivots = a.rref()[1]
+        assert all(x[j] == 0 for j in range(len(x)) if j not in pivots)
+
+
+@PROPERTY
+@given(st.one_of(systems(), systems(rational=True)))
+def test_frac_solve_matches_fraction_reference(data):
+    rows, _, b = data
+    assert frac_solve(rows, b) == _reference_frac_solve(rows, b)
+    assert frac_rank(rows) == frac_rank(
+        [[Fraction(x) for x in r] for r in rows])
+
+
+def test_frac_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        frac_solve([(1, 0), (0, 1)], (1,))
+    with pytest.raises(ValueError):
+        frac_solve([(1, 0)], (1, 2))
