@@ -14,6 +14,7 @@ implied by the others, with strictness semantics).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .intlinalg import (
@@ -315,15 +316,15 @@ def chart_cone(gens, rank, ambient):
     basis = saturation(IntMatrix.from_rows(gens, rank)) if gens \
         else IntMatrix.from_rows([], rank)
     d = basis.rows
-    cols = [tuple(basis.col(j)) for j in range(rank)]
-    local = [tuple(int(x) for x in frac_solve(cols, g)) for g in gens]
+    embed = basis.transpose()
+    local = [tuple(int(x) for x in rational_preimage(embed, g)) for g in gens]
     facets, _ = facets_from_rays(local, d)
     constraints = [(f, False) for f in facets]
     for n, strict in ambient:
         # a zero pullback stays: poic_new drops 0 >= 0 and rejects 0 > 0
         constraints.append((tuple(dot(n, basis.row(j)) for j in range(d)),
                             strict))
-    return poic_new(d, constraints), basis.transpose()
+    return poic_new(d, constraints), embed
 
 
 def product(sigma: Poic, xi: Poic) -> Poic:
@@ -514,5 +515,9 @@ def check_morphism(matrix: IntMatrix, sigma: Poic, xi: Poic) -> PoicMorphism:
 
 def rational_preimage(matrix: IntMatrix, point):
     """One rational preimage of ``point`` under ``matrix`` or None."""
+    if len(point) != matrix.rows:
+        raise ValueError("point length does not match the rows")
+    if not matrix.rows:
+        return (Fraction(0),) * matrix.cols
     rows = [tuple(matrix.row(i)) for i in range(matrix.rows)]
     return frac_solve(rows, point)

@@ -3,9 +3,9 @@ categories of stable marked graphs.
 
 A discrete graph is a flag set with a root map and an involution; legs are
 the 1-orbits of the involution on non-vertex flags, edges the 2-orbits.
-Canonical labeling works by color refinement followed by exhaustive
-enumeration of color-respecting bijections, which is plenty at the graph
-sizes arising here (at most a few dozen flags).
+Canonical labeling refines colors, then finds the least encoding over all
+color-respecting bijections by branch and bound: vertex labelings first,
+then half-flags position by position, pruned by the best encoding so far.
 """
 
 from __future__ import annotations
@@ -250,29 +250,26 @@ def circuits(g: DiscreteGraph):
 # canonical form
 
 def _refine_colors(g: DiscreteGraph):
+    n = g.nflags
     verts = set(g.root)
-    color = {}
-    for x in range(g.nflags):
-        if x in verts:
-            color[x] = ("v",)
-        elif g.inv[x] == x:
-            color[x] = ("l", g.label_of(x))
-        else:
-            color[x] = ("e",)
-    for _ in range(g.nflags + 1):
-        ranked = {c: i for i, c in enumerate(sorted(set(color.values())))}
-        base = {x: ranked[color[x]] for x in range(g.nflags)}
-        nxt = {}
-        for x in range(g.nflags):
-            around = tuple(sorted(base[y] for y in range(g.nflags)
-                                  if g.root[y] == x)) if x in verts else ()
-            nxt[x] = (base[x], base[g.root[x]], base[g.inv[x]], around)
-        if len(set(nxt.values())) == len(set(color.values())):
-            color = nxt
-            break
+    label = {f: lab for lab, f in g.marking}
+    around = {v: [] for v in verts}
+    for x in range(n):
+        around[g.root[x]].append(x)
+    color = [("v",) if x in verts else ("l", label[x]) if g.inv[x] == x
+             else ("e",) for x in range(n)]
+    for _ in range(n + 1):
+        ranked = {c: i for i, c in enumerate(sorted(set(color)))}
+        base = [ranked[c] for c in color]
+        nxt = [(base[x], base[g.root[x]], base[g.inv[x]],
+                tuple(sorted(base[y] for y in around[x])) if x in verts
+                else ()) for x in range(n)]
+        stable = len(set(nxt)) == len(ranked)
         color = nxt
-    ranked = {c: i for i, c in enumerate(sorted(set(color.values())))}
-    return {x: ranked[color[x]] for x in range(g.nflags)}
+        if stable:
+            break
+    ranked = {c: i for i, c in enumerate(sorted(set(color)))}
+    return [ranked[c] for c in color]
 
 
 def _relabel(g: DiscreteGraph, phi):
@@ -292,44 +289,87 @@ def canonical_form(g: DiscreteGraph):
     Returns (canonical graph, relabeling flag map, automorphisms); two
     marked graphs are isomorphic iff their canonical encodings coincide,
     and the automorphisms are flag permutations of the canonical graph.
+    The encoding is the least over all color-respecting labelings, the
+    relabeling the least labeling reaching it.
     """
+    n = g.nflags
     color = _refine_colors(g)
     cells = {}
-    for x in range(g.nflags):
+    for x in range(n):
         cells.setdefault(color[x], []).append(x)
-    ordered_cells = [cells[c] for c in sorted(cells)]
-    offsets = []
-    k = 0
-    for cell in ordered_cells:
-        offsets.append(k)
+    phi = [0] * n
+    vcells, others, k = [], [], 0
+    for c in sorted(cells):   # half-flag cells, then legs, then vertices
+        cell = cells[c]
+        phi[cell[0]] = k
+        (vcells if g.root[cell[0]] == cell[0] else others).append((k, cell))
         k += len(cell)
-    best = None
-    labelings = []
+    if len(cells) == n:
+        return DiscreteGraph(*_relabel(g, phi)), tuple(phi), [tuple(range(n))]
+    # A vertex labeling fixes the least root tuple: each half-flag cell
+    # sorted by vertex label.  Keep the vertex labelings that tie for it.
+    best, ties = None, []
     for perms in itertools.product(
-            *[itertools.permutations(cell) for cell in ordered_cells]):
-        phi = [0] * g.nflags
-        for cell_perm, off in zip(perms, offsets):
-            for i, x in enumerate(cell_perm):
-                phi[x] = off + i
-        enc = _relabel(g, phi)
-        labelings.append((enc, tuple(phi)))
-        if best is None or enc < best:
-            best = enc
-    phi_min = min(p for enc, p in labelings if enc == best)
-    inv_min = [0] * g.nflags
-    for x in range(g.nflags):
+            *[itertools.permutations(cell) for _, cell in vcells]):
+        for (off, _), perm in zip(vcells, perms):
+            for i, v in enumerate(perm):
+                phi[v] = off + i
+        key = [sorted(phi[g.root[x]] for x in cell) for _, cell in others]
+        if best is None or key < best:
+            best, ties = key, []
+        if key == best:
+            ties.append(list(phi))
+    bound, leaves = None, []
+
+    def search(p, tight):
+        """Fill the half-flag positions from p on, each partner in the
+        first free slot of its (cell, vertex) group: any later slot makes
+        val[p] larger.  ``tight``: val[:p] equals the bound's.  True iff
+        a leaf lowered the bound."""
+        nonlocal bound, leaves
+        if p == len(val):
+            if bound is None or val < bound:
+                bound, leaves = list(val), [tuple(phi)]
+                return True
+            if val == bound:
+                leaves.append(tuple(phi))
+            return False
+        lowered = False
+        for x in fits[p] if val[p] is None else [None]:
+            if x is not None:
+                if phi[x] >= 0:
+                    continue
+                y = g.inv[x]
+                phi[x], val[p] = p, -1
+                q = val.index(None, group[y])
+                phi[y], val[p], val[q] = q, q, p
+            if not (tight and val[p] > bound[p]) and search(
+                    p + 1, tight and val[p] == bound[p]):
+                lowered = tight = True
+            if x is not None:
+                phi[x] = phi[y] = -1
+                val[p] = val[q] = None
+        return lowered
+
+    for phi in ties:
+        group, fits = {}, []   # half-flag -> first slot; slot -> flags
+        for off, cell in others:
+            if g.inv[cell[0]] != cell[0]:
+                labs = sorted(phi[g.root[x]] for x in cell)
+                for x in cell:
+                    group[x] = off + labs.index(phi[g.root[x]])
+                fits += [[x for x in cell if phi[g.root[x]] == lab]
+                         for lab in labs]
+        for x in group:
+            phi[x] = -1
+        val = [None] * len(fits)
+        search(0, bound is not None)
+    phi_min = min(leaves)
+    inv_min = [0] * n
+    for x in range(n):
         inv_min[phi_min[x]] = x
-    autos = []
-    for enc, phi in labelings:
-        if enc == best:
-            a = tuple(inv_min[phi[x]] for x in range(g.nflags))
-            autos.append(a)
-    canon = graph_new(best[0], best[1], best[2], dict(best[3]))
-    canon_autos = set()
-    for a in autos:
-        canon_autos.add(tuple(phi_min[a[inv_min[y]]]
-                              for y in range(g.nflags)))
-    return canon, phi_min, sorted(canon_autos)
+    autos = sorted(tuple(a[inv_min[y]] for y in range(n)) for a in leaves)
+    return DiscreteGraph(*_relabel(g, phi_min)), phi_min, autos
 
 
 # ---------------------------------------------------------------------------

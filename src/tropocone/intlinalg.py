@@ -210,11 +210,14 @@ def frac_rank(rows):
 def frac_solve(a_rows, b):
     """One rational solution x of A x = b, or None if inconsistent.
 
-    Free variables are set to zero.
+    Free variables are set to zero.  A system without rows has no column
+    count, so it raises ValueError.
     """
+    if not a_rows:
+        raise ValueError("a system without rows has no column count")
     if len(b) != len(a_rows):
         raise ValueError("right-hand side length does not match the rows")
-    ncols = len(a_rows[0]) if a_rows else 0
+    ncols = len(a_rows[0])
     m = _integer_rows([tuple(r) + (bi,) for r, bi in zip(a_rows, b)])
     pivots = _eliminate(m, ncols, full=True)
     if any(r[ncols] for r in m[len(pivots):]):

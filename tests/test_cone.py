@@ -19,6 +19,7 @@ from tropocone.cone import (
     poic_new,
     poic_subset,
     product,
+    rational_preimage,
     strict_feasible,
 )
 from tropocone.intlinalg import (
@@ -713,3 +714,13 @@ def test_narrower_cone_with_a_boundary_witness_is_not_a_face():
     mor = check_morphism(matrix, sigma, xi)
     assert mor.injective and mor.face is None and not mor.face_embedding
     assert _oracle_image_face(matrix, sigma, xi) == []
+
+
+def test_rational_preimage_of_a_zero_row_matrix_has_one_zero_per_column():
+    assert rational_preimage(IntMatrix.from_rows([], 3), ()) == (0, 0, 0)
+    assert rational_preimage(IntMatrix.from_rows([], 0), ()) == ()
+    with pytest.raises(ValueError):
+        rational_preimage(IntMatrix.from_rows([], 3), (1,))
+    # a chart in Z^0 solves through a 0-row embedding
+    poic, embed = chart_cone([()], 0, [])
+    assert poic.rank == 0 and (embed.rows, embed.cols) == (0, 0)

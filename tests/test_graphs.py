@@ -1,3 +1,8 @@
+import itertools
+import random
+import subprocess
+import sys
+
 import pytest
 
 from tropocone.graphs import (
@@ -5,6 +10,7 @@ from tropocone.graphs import (
     LoopContraction,
     MarkingNotBijective,
     UnstableParameters,
+    _relabel,
     canonical_form,
     circuits,
     contract,
@@ -288,3 +294,182 @@ def test_moduli_04_skeleton_origin():
     sk = skeleton(m.complex, 0)
     assert len(sk.ids()) == 1
     assert sk.dim(sk.ids()[0]) == 0
+
+
+# ---------------------------------------------------------------------------
+# canonical form against the exhaustive search it replaced, and networkx
+
+def _reference_refine_colors(g):
+    verts = set(g.root)
+    color = {}
+    for x in range(g.nflags):
+        if x in verts:
+            color[x] = ("v",)
+        elif g.inv[x] == x:
+            color[x] = ("l", g.label_of(x))
+        else:
+            color[x] = ("e",)
+    for _ in range(g.nflags + 1):
+        ranked = {c: i for i, c in enumerate(sorted(set(color.values())))}
+        base = {x: ranked[color[x]] for x in range(g.nflags)}
+        nxt = {}
+        for x in range(g.nflags):
+            around = tuple(sorted(base[y] for y in range(g.nflags)
+                                  if g.root[y] == x)) if x in verts else ()
+            nxt[x] = (base[x], base[g.root[x]], base[g.inv[x]], around)
+        if len(set(nxt.values())) == len(set(color.values())):
+            color = nxt
+            break
+        color = nxt
+    ranked = {c: i for i, c in enumerate(sorted(set(color.values())))}
+    return {x: ranked[color[x]] for x in range(g.nflags)}
+
+
+def _reference_canonical_form(g):
+    """Every color-respecting labeling, kept in a list: the minimum
+    encoding, the least labeling reaching it, the automorphisms."""
+    color = _reference_refine_colors(g)
+    cells = {}
+    for x in range(g.nflags):
+        cells.setdefault(color[x], []).append(x)
+    ordered_cells = [cells[c] for c in sorted(cells)]
+    offsets = []
+    k = 0
+    for cell in ordered_cells:
+        offsets.append(k)
+        k += len(cell)
+    best = None
+    labelings = []
+    for perms in itertools.product(
+            *[itertools.permutations(cell) for cell in ordered_cells]):
+        phi = [0] * g.nflags
+        for cell_perm, off in zip(perms, offsets):
+            for i, x in enumerate(cell_perm):
+                phi[x] = off + i
+        enc = _relabel(g, phi)
+        labelings.append((enc, tuple(phi)))
+        if best is None or enc < best:
+            best = enc
+    phi_min = min(p for enc, p in labelings if enc == best)
+    inv_min = [0] * g.nflags
+    for x in range(g.nflags):
+        inv_min[phi_min[x]] = x
+    autos = []
+    for enc, phi in labelings:
+        if enc == best:
+            a = tuple(inv_min[phi[x]] for x in range(g.nflags))
+            autos.append(a)
+    canon = graph_new(best[0], best[1], best[2], dict(best[3]))
+    canon_autos = set()
+    for a in autos:
+        canon_autos.add(tuple(phi_min[a[inv_min[y]]]
+                              for y in range(g.nflags)))
+    return canon, phi_min, sorted(canon_autos)
+
+
+def _relabeled(g, rng):
+    perm = list(range(g.nflags))
+    rng.shuffle(perm)
+    root = [0] * g.nflags
+    inv = [0] * g.nflags
+    for x in range(g.nflags):
+        root[perm[x]] = perm[g.root[x]]
+        inv[perm[x]] = perm[g.inv[x]]
+    return graph_new(g.nflags, root, inv,
+                     {lab: perm[f] for lab, f in g.marking})
+
+
+def _rewired(g, rng):
+    """Swap the partners of two half-flags: often another graph."""
+    halves = [x for x in g.half_flags() if g.inv[x] != x]
+    a, b = rng.sample(halves, 2)
+    inv = list(g.inv)
+    ia, ib = inv[a], inv[b]
+    if b == ia:
+        return g
+    inv[a], inv[ib], inv[b], inv[ia] = ib, a, ia, b
+    return graph_new(g.nflags, g.root, inv, dict(g.marking))
+
+
+ORACLE_CATEGORIES = [(0, "123"), (1, "1"), (1, "12"), (1, "123"),
+                     (2, ""), (2, "1"), (2, "12"), (2, "123")]
+ODD_GRAPHS = [
+    graph_new(2, [0, 1], [0, 1], {}),                       # two points
+    graph_new(9, [6, 6, 7, 7, 8, 8, 6, 7, 8],               # a triangle
+              [5, 2, 1, 4, 3, 0, 6, 7, 8], {}),
+    graph_new(6, [4, 4, 5, 5, 4, 5], [1, 0, 3, 2, 4, 5], {}),  # two loops
+]
+
+
+def test_canonical_form_matches_exhaustive_reference():
+    rng = random.Random(11)
+    graphs = list(ODD_GRAPHS)
+    for genus, marks in ORACLE_CATEGORIES:
+        graphs += enumerate_category(genus, list(marks)).classes.values()
+    assert len(graphs) > 300
+    for rep in graphs:
+        for g in [rep] + [_relabeled(rep, rng) for _ in range(3)]:
+            canon, phi, autos = canonical_form(g)
+            ref_canon, ref_phi, ref_autos = _reference_canonical_form(g)
+            assert canon.encoding() == ref_canon.encoding()
+            assert tuple(phi) == tuple(ref_phi)
+            assert autos == ref_autos
+
+
+def _nx_graph(nx, g):
+    out = nx.MultiGraph()
+    for v in g.vertices():
+        out.add_node(v, label=None)
+    for x in g.legs():
+        out.add_node(("leg", x), label=g.label_of(x))
+        out.add_edge(g.root[x], ("leg", x))
+    for a, b in g.edges():
+        out.add_edge(g.root[a], g.root[b])
+    return out
+
+
+def test_canonical_form_decides_isomorphism_like_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(3)
+    pairs = []
+    for genus, marks in [(2, "12"), (3, "")]:
+        reps = list(enumerate_category(genus, list(marks)).classes.values())
+        for rep in reps:
+            other = _rewired(rep, rng)
+            pairs += [(rep, _relabeled(rep, rng)), (rep, rng.choice(reps)),
+                      (rep, other), (_relabeled(other, rng), rep)]
+    agree = {True: 0, False: 0}
+    for g, h in pairs:
+        iso = nx.is_isomorphic(
+            _nx_graph(nx, g), _nx_graph(nx, h),
+            node_match=lambda p, q: p["label"] == q["label"])
+        same = (canonical_form(g)[0].encoding()
+                == canonical_form(h)[0].encoding())
+        assert same == iso
+        agree[iso] += 1
+    assert min(agree.values()) > 50
+
+
+def test_enumerate_category_genus_three():
+    cat = enumerate_category(3, [])
+    assert len(cat.classes) == 15
+    assert len(cat.maximal) == 5
+    rose = [cid for cid, rep in cat.classes.items()
+            if len(rep.vertices()) == 1]
+    assert len(rose) == 1
+    assert len(cat.automorphisms[rose[0]]) == 48
+
+
+def _limit_address_space():
+    import resource
+    gib = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
+
+
+def test_enumerate_genus_three_cli_within_one_gib():
+    done = subprocess.run(
+        [sys.executable, "-m", "tropocone.cli", "enumerate", "--genus", "3",
+         "--marks", ""], capture_output=True, text=True,
+        preexec_fn=_limit_address_space)
+    assert done.returncode == 0, done.stderr
+    assert '"id": "G14"' in done.stdout

@@ -254,3 +254,9 @@ def test_frac_helpers():
     assert frac_rank([[1, 2], [2, 4]]) == 1
     assert frac_solve([[2, 0], [0, 2]], (1, 1)) is not None
     assert frac_solve([[1, 0], [1, 0]], (0, 1)) is None
+
+
+def test_frac_solve_rejects_an_empty_system():
+    # without rows there is no column count to size a solution by
+    with pytest.raises(ValueError):
+        frac_solve([], ())
