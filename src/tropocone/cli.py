@@ -179,16 +179,32 @@ def cmd_subdivide(args):
     return io_json.subdivision_to_json(sub)
 
 
+def _read_subdivision(path):
+    """A subdivision document that passes the three axioms."""
+    from .subdivision import SubdivisionError, validate_subdivision
+    sub = io_json.subdivision_from_json(_read_json(path))
+    report = validate_subdivision(sub)
+    if not report.ok:
+        raise SubdivisionError(f"{path} is not a subdivision: "
+                               f"{report.issues[0]['message']}")
+    return sub
+
+
 def cmd_pushforward(args):
     from .subdivision import (SubdivisionError, is_weakly_proper,
-                              pfine_refinement, pushforward)
-    mor = io_json.morphism_from_json(_read_json(args.morphism))
+                              pfine_refinement, pushforward,
+                              validate_complex_morphism)
+    mor = io_json.subdivision_from_json(_read_json(args.morphism))
+    validate_complex_morphism(mor)
     omega = io_json.weight_from_json(_read_json(args.weight))
     flag, witness = is_weakly_proper(mor)
     if not flag:
         raise SubdivisionError(f"morphism is not weakly proper: {witness}")
     if args.subdivision:
-        sub = io_json.subdivision_from_json(_read_json(args.subdivision))
+        sub = _read_subdivision(args.subdivision)
+        if sub.target.cones != mor.target.cones:
+            raise SchemaError("the subdivision is not one of the morphism "
+                              "target")
     else:
         sub = pfine_refinement(mor)
     out = pushforward(mor, sub, omega, omega.dim)
@@ -198,8 +214,8 @@ def cmd_pushforward(args):
 
 def cmd_cycle_eq(args):
     from .subdivision import Cycle, cycle_equal
-    s1 = io_json.subdivision_from_json(_read_json(args.sub1))
-    s2 = io_json.subdivision_from_json(_read_json(args.sub2))
+    s1 = _read_subdivision(args.sub1)
+    s2 = _read_subdivision(args.sub2)
     w1 = io_json.weight_from_json(_read_json(args.w1))
     w2 = io_json.weight_from_json(_read_json(args.w2))
     c1 = Cycle(base=s1.target, subdivision=s1, weight=w1)

@@ -123,24 +123,29 @@ def complex_new(cones, order, face_maps) -> PoicComplex:
             raise ComplexError(f"relation {p}<{q} references unknown cones")
         if (p, q) not in face_maps:
             raise ComplexError(f"missing face map for {p}<{q}")
-    for (p, q) in order:
-        for (q2, r) in order:
-            if q2 == q and (p, r) not in order:
+    # the relations out of and into each cone, sorted; only composable
+    # pairs p<q<r are checked
+    relations = sorted(order)
+    above, below = {}, {}
+    for (p, q) in relations:
+        above.setdefault(p, []).append(q)
+        below.setdefault(q, []).append(p)
+    for (p, q) in relations:
+        for r in above.get(q, ()):
+            if (p, r) not in order:
                 raise NonFunctorial(
                     f"order is not transitively closed: {p}<{q}<{r}")
     # axiom 1: every morphism is a face-embedding
     image_key = {}
-    for (p, q) in sorted(order):
+    for (p, q) in relations:
         m = face_maps[(p, q)]
         mor = check_morphism(m, cones[p], cones[q])
         if not mor.face_embedding:
             raise NotFaceEmbedding(f"map for {p}<{q} is not a face-embedding")
         image_key[(p, q)] = mor.face.gens_key
     # functoriality: face maps compose
-    for (p, q) in sorted(order):
-        for (qq, r) in sorted(order):
-            if qq != q:
-                continue
+    for (p, q) in relations:
+        for r in above.get(q, ()):
             lhs = face_maps[(q, r)] @ face_maps[(p, q)]
             if lhs != face_maps[(p, r)]:
                 raise NonFunctorial(
@@ -149,7 +154,7 @@ def complex_new(cones, order, face_maps) -> PoicComplex:
     for q in sorted(cones):
         sigma = cones[q]
         realized = {sigma.closure_rays}
-        for p in sorted(pp for (pp, qq) in order if qq == q):
+        for p in below.get(q, ()):
             key = image_key[(p, q)]
             if key in realized:
                 raise DuplicateFace(

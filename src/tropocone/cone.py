@@ -491,6 +491,11 @@ def image_face(matrix, sigma, xi):
     return f
 
 
+def is_injective(matrix: IntMatrix):
+    return frac_rank([matrix.col(j) for j in range(matrix.cols)]) \
+        == matrix.cols
+
+
 def check_morphism(matrix: IntMatrix, sigma: Poic, xi: Poic) -> PoicMorphism:
     """Validated poic morphism; also reports injectivity and whether the
     map is a face-embedding (image is a face, lattice saturated)."""
@@ -499,8 +504,7 @@ def check_morphism(matrix: IntMatrix, sigma: Poic, xi: Poic) -> PoicMorphism:
     bad = _image_in_cone(matrix, sigma, xi)
     if bad is not None:
         raise NotIntoCodomain(f"point {bad} maps outside the codomain")
-    injective = frac_rank([matrix.col(j) for j in range(matrix.cols)]) \
-        == sigma.rank
+    injective = is_injective(matrix)
     face = image_face(matrix, sigma, xi) if injective else None
     face_embedding = face is not None
     if face_embedding and sigma.rank > 0:

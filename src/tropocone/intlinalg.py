@@ -135,11 +135,9 @@ class IntMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        rows = []
-        for i in range(self.rows):
-            r = self.row(i)
-            rows.append(tuple(dot(r, other.col(j)) for j in range(other.cols)))
-        return IntMatrix.from_rows(rows, other.cols)
+        cols = [other.entries[j::other.cols] for j in range(other.cols)]
+        return IntMatrix(self.rows, other.cols, tuple(
+            dot(self.row(i), c) for i in range(self.rows) for c in cols))
 
     def apply(self, vec):
         """Matrix times column vector; accepts int or Fraction entries."""

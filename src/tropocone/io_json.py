@@ -1,5 +1,5 @@
-"""JSON interchange for cones, complexes, weights, subdivisions, graphs,
-and morphisms.
+"""JSON interchange for cones, complexes, weights, subdivisions (and
+morphisms of complexes, which share their document) and graphs.
 
 Integers are serialized as decimal strings so arbitrary-precision values
 survive round trips; parsing accepts both numbers and strings.
@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from .complexes import LinearStructure, PoicComplex, complex_new
+from .complexes import (LinearStructure, PoicComplex, complex_new,
+                        validate_linear)
 from .cone import Poic, poic_new
 from .intlinalg import IntMatrix
 
 if TYPE_CHECKING:  # the readers import these when they run
     from .graphs import DiscreteGraph
-    from .subdivision import Subdivision
+    from .subdivision import ComplexMorphism
     from .weights import Weight
 
 
@@ -25,10 +26,32 @@ class SchemaError(ValueError):
 
 
 def _int_in(x):
+    """An integer from a JSON number or decimal string (not a bool or a
+    float)."""
     try:
-        return int(x)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"not an integer: {x!r}") from exc
+        if isinstance(x, (int, str)) and not isinstance(x, bool):
+            return int(x)
+    except ValueError:
+        pass
+    raise SchemaError(f"not an integer: {x!r}")
+
+
+def _size_in(x):
+    if (n := _int_in(x)) < 0:
+        raise SchemaError(f"negative rank or size: {n}")
+    return n
+
+
+def _typed(x, kind, what):
+    if not isinstance(x, kind):
+        raise SchemaError(f"not {what}: {x!r}")
+    return x
+
+
+def _relation_in(pair):
+    if len(_typed(pair, list, "a list")) != 2:
+        raise SchemaError(f"a relation is two cone ids, not {pair!r}")
+    return tuple(_typed(p, str, "a cone id") for p in pair)
 
 
 def _int_out(x):
@@ -42,8 +65,9 @@ def matrix_to_json(m: IntMatrix):
 
 def matrix_from_json(doc):
     try:
-        return IntMatrix(int(doc["rows"]), int(doc["cols"]),
-                         tuple(_int_in(x) for x in doc["entries"]))
+        return IntMatrix(_size_in(doc["rows"]), _size_in(doc["cols"]),
+                         tuple(_int_in(x) for x in
+                               _typed(doc["entries"], list, "a list")))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad matrix document: {exc}") from exc
 
@@ -56,9 +80,11 @@ def poic_to_json(p: Poic):
 
 def poic_from_json(doc):
     try:
-        facets = [(tuple(_int_in(x) for x in f["normal"]), bool(f["strict"]))
-                  for f in doc["facets"]]
-        return poic_new(int(doc["rank"]), facets)
+        facets = [(tuple(_int_in(x) for x in _typed(f["normal"], list,
+                                                    "a list")),
+                   _typed(f["strict"], bool, "a bool"))
+                  for f in _typed(doc["facets"], list, "a list")]
+        return poic_new(_size_in(doc["rank"]), facets)
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad cone document: {exc}") from exc
 
@@ -71,7 +97,7 @@ def linear_to_json(lin: LinearStructure):
 def linear_from_json(doc):
     try:
         return LinearStructure(
-            target_rank=int(doc["target_rank"]),
+            target_rank=_size_in(doc["target_rank"]),
             maps={p: matrix_from_json(m) for p, m in doc["maps"].items()})
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SchemaError(f"bad linear structure document: {exc}") from exc
@@ -90,22 +116,22 @@ def complex_to_json(phi: PoicComplex, lin: LinearStructure = None):
     return doc
 
 
-def complex_from_json(doc, validate=True):
+def complex_from_json(doc):
+    """A validated complex and its linear structure, if the document has
+    one (validated against the complex)."""
     try:
-        cones = {c["id"]: poic_from_json(c) for c in doc["cones"]}
-        order = {tuple(r) for r in doc["order"]}
-        fmaps = {}
-        for key, m in doc["face_maps"].items():
-            p, q = key.split("<", 1)
-            fmaps[(p, q)] = matrix_from_json(m)
+        cones = {_typed(c["id"], str, "a cone id"): poic_from_json(c)
+                 for c in _typed(doc["cones"], list, "a list")}
+        order = {_relation_in(r) for r in _typed(doc["order"], list,
+                                                 "a list")}
+        fmaps = {_relation_in(key.split("<", 1)): matrix_from_json(m)
+                 for key, m in doc["face_maps"].items()}
+        lin = linear_from_json(doc["linear"]) if doc.get("linear") else None
     except (KeyError, TypeError, AttributeError) as exc:
         raise SchemaError(f"bad complex document: {exc}") from exc
-    if validate:
-        phi = complex_new(cones, order, fmaps)
-    else:
-        phi = PoicComplex(cones=cones, order=frozenset(order),
-                          face_maps=fmaps)
-    lin = linear_from_json(doc["linear"]) if doc.get("linear") else None
+    phi = complex_new(cones, order, fmaps)
+    if lin is not None:
+        validate_linear(phi, lin)
     return phi, lin
 
 
@@ -117,13 +143,13 @@ def weight_to_json(w: Weight):
 def weight_from_json(doc):
     from .weights import Weight
     try:
-        return Weight(int(doc["dim"]),
+        return Weight(_int_in(doc["dim"]),
                       {k: _int_in(v) for k, v in doc["values"].items()})
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise SchemaError(f"bad weight document: {exc}") from exc
 
 
-def subdivision_to_json(sub: Subdivision):
+def subdivision_to_json(sub: ComplexMorphism):
     return {
         "source": complex_to_json(sub.source),
         "target": complex_to_json(sub.target),
@@ -134,33 +160,23 @@ def subdivision_to_json(sub: Subdivision):
 
 
 def subdivision_from_json(doc):
-    from .subdivision import Subdivision
-    try:
-        source, _ = complex_from_json(doc["source"])
-        target, _ = complex_from_json(doc["target"])
-        return Subdivision(
-            source=source, target=target,
-            cone_map=dict(doc["cone_map"]),
-            matrices={p: matrix_from_json(m)
-                      for p, m in doc["matrices"].items()})
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"bad subdivision document: {exc}") from exc
-
-
-def morphism_from_json(doc):
+    """A subdivision, or any other morphism of complexes (``pushforward``
+    reads its morphism here), with map data that fits its cones."""
     from .subdivision import ComplexMorphism
     try:
         source, _ = complex_from_json(doc["source"])
         target, _ = complex_from_json(doc["target"])
-        return ComplexMorphism(
+        mor = ComplexMorphism(
             source=source, target=target,
-            cone_map=dict(doc["cone_map"]),
+            cone_map={p: _typed(t, str, "a cone id")
+                      for p, t in doc["cone_map"].items()},
             matrices={p: matrix_from_json(m)
-                      for p, m in doc["matrices"].items()},
-            int_matrix=matrix_from_json(doc["int_matrix"])
-            if doc.get("int_matrix") else None)
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"bad morphism document: {exc}") from exc
+                      for p, m in doc["matrices"].items()})
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise SchemaError(f"bad subdivision document: {exc}") from exc
+    for issue in mor.shape_issues():
+        raise SchemaError(f"bad subdivision document: {issue}")
+    return mor
 
 
 def graph_to_json(g: DiscreteGraph):

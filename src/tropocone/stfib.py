@@ -42,7 +42,6 @@ from .subdivision import (
     ComplexMorphism,
     Subdivision,
     compose_subdivisions,
-    compose_with_subdivision,
     is_weakly_proper,
     pushforward,
     validate_complex_morphism,
@@ -205,8 +204,7 @@ class FibrationMorphism:
         return ComplexMorphism(
             source=self.source.fibration.complex,
             target=self.target.fibration.complex,
-            cone_map=dict(self.cone_map), matrices=dict(self.matrices),
-            int_matrix=self.int_matrix)
+            cone_map=dict(self.cone_map), matrices=dict(self.matrices))
 
 
 def validate_fibration_morphism(fm: FibrationMorphism):
@@ -675,7 +673,7 @@ def fibration_pushforward(fm, sub_s: Subdivision, sub_t: Subdivision,
     if not flag:
         raise FibrationMorphismError(
             f"source subdivision is not compatible at {wit}")
-    comp = compose_with_subdivision(fm.complex_morphism(), sub_s)
+    comp = compose_subdivisions(fm.complex_morphism(), sub_s)
     wp, witness = is_weakly_proper(comp)
     if not wp:
         raise FibrationMorphismError(

@@ -22,6 +22,7 @@ from .cone import (
     dual_generators,
     faces,
     facets_from_rays,
+    is_injective,
     rational_preimage,
     strict_feasible,
 )
@@ -68,7 +69,11 @@ class IncomparableSubdivisions(SubdivisionError):
 
 
 @dataclass(frozen=True)
-class Subdivision:
+class ComplexMorphism:
+    """A morphism of poic-complexes: a target cone and a lattice map per
+    source cone.  Subdivisions are the morphisms that satisfy the three
+    subdivision axioms (``validate_subdivision``)."""
+
     source: PoicComplex
     target: PoicComplex
     cone_map: dict
@@ -77,9 +82,42 @@ class Subdivision:
     def pieces_over(self, s):
         return sorted(p for p, t in self.cone_map.items() if t == s)
 
+    def image_gens(self, p):
+        return _image(self.matrices[p], self.source.cones[p])
+
+    def pieces_containing(self, s, point):
+        """The pieces over s whose relative interior maps onto a set
+        containing point."""
+        found = []
+        for p in self.pieces_over(s):
+            pre = rational_preimage(self.matrices[p], point)
+            if pre is not None and self.source.cones[p].contains(
+                    pre, strictly=True):
+                found.append(p)
+        return found
+
+    def shape_issues(self):
+        """One message per source cone whose map data is missing, names no
+        target cone or does not fit the ranks, and per map entry naming no
+        source cone."""
+        for p in sorted({*self.cone_map, *self.matrices, *self.source.cones}):
+            s, m = self.cone_map.get(p), self.matrices.get(p)
+            if p not in self.source.cones or m is None \
+                    or s not in self.target.cones:
+                yield f"map data of {p} is missing or names no cone"
+            elif (m.rows, m.cols) != (self.target.dim(s), self.source.dim(p)):
+                yield f"matrix shape mismatch at {p}"
+
+
+def _image(matrix, cone):
+    return [tuple(matrix.apply(g)) for g in cone.closure_rays]
+
+
+Subdivision = ComplexMorphism
+
 
 def identity_subdivision(phi: PoicComplex) -> Subdivision:
-    return Subdivision(
+    return ComplexMorphism(
         source=phi, target=phi,
         cone_map={p: p for p in phi.ids()},
         matrices={p: IntMatrix.identity(phi.dim(p)) for p in phi.ids()},
@@ -206,19 +244,21 @@ def refine_assemble(phi: PoicComplex, cells_per_cone) -> Subdivision:
             face_maps[(p1, p2)] = fm
 
     source = complex_new(cones, order, face_maps)
-    return Subdivision(
+    return ComplexMorphism(
         source=source, target=phi,
         cone_map={pid: pieces[pid][0] for pid in pieces},
         matrices={pid: pieces[pid][2] for pid in pieces},
     )
 
 
-def compose_subdivisions(outer: Subdivision, inner: Subdivision) -> Subdivision:
-    """outer ∘ inner where inner subdivides outer's source."""
+def compose_subdivisions(outer: ComplexMorphism,
+                         inner: Subdivision) -> ComplexMorphism:
+    """outer ∘ inner where inner subdivides outer's source; outer is a
+    subdivision or any other morphism of complexes."""
     if inner.target is not outer.source and \
             inner.target.cones != outer.source.cones:
         raise AmbientMismatch("inner subdivision does not match the source")
-    return Subdivision(
+    return ComplexMorphism(
         source=inner.source, target=outer.target,
         cone_map={p: outer.cone_map[inner.cone_map[p]]
                   for p in inner.source.ids()},
@@ -233,15 +273,8 @@ def compose_subdivisions(outer: Subdivision, inner: Subdivision) -> Subdivision:
 def arrangement_cells(sigma: Poic, walls):
     """Closed cells (all dimensions) of the wall arrangement inside the
     closure of sigma, as generator tuples."""
-    norm_walls = []
-    seen = set()
-    for w in walls:
-        if is_zero_vec(w):
-            continue
-        w = sign_normalized(w)
-        if w not in seen:
-            seen.add(w)
-            norm_walls.append(w)
+    norm_walls = sorted({sign_normalized(w) for w in walls
+                         if not is_zero_vec(w)})
     facets = [n for n, _ in sigma.facets]
     cells = {}
 
@@ -293,15 +326,30 @@ class Report:
                             "witness": witness})
 
 
+def _square_issues(mor: ComplexMorphism):
+    """(message, relation) for every relation of the source, in sorted
+    order, whose image breaks the target order or whose square of
+    matrices does not commute."""
+    src, tgt = mor.source, mor.target
+    for (p, q) in sorted(src.order):
+        sp, sq = mor.cone_map[p], mor.cone_map[q]
+        if not (sp == sq or (sp, sq) in tgt.order):
+            yield f"relation {p}<{q} breaks order", (p, q)
+        elif tgt.facemap(sp, sq) @ mor.matrices[p] \
+                != mor.matrices[q] @ src.facemap(p, q):
+            yield f"matrices do not commute along {p}<{q}", (p, q)
+
+
 def validate_subdivision(sub: Subdivision) -> Report:
     """Check the three subdivision axioms exactly; report violations with
-    witnesses."""
+    witnesses.  Shape issues are reported alone: the axioms need maps that
+    fit their cones."""
     report = Report()
+    for message in sub.shape_issues():
+        report.add("shape", message)
+    if not report.ok:
+        return report
     src, tgt = sub.source, sub.target
-    for p in src.ids():
-        if p not in sub.cone_map or p not in sub.matrices:
-            report.add("shape", f"piece {p} lacks map data")
-            return report
     # axiom 1: functorial, order preserving, injective, iso when dims agree
     hit = set(sub.cone_map.values())
     for t in tgt.ids():
@@ -309,55 +357,31 @@ def validate_subdivision(sub: Subdivision) -> Report:
             report.add("surjective", f"target cone {t} has no piece", t)
     for p in src.ids():
         m = sub.matrices[p]
-        s = sub.cone_map[p]
-        if m.cols != src.dim(p) or m.rows != tgt.dim(s):
-            report.add("shape", f"matrix shape mismatch at {p}")
-            continue
-        if frac_rank([m.col(j) for j in range(m.cols)]) != src.dim(p):
+        if not is_injective(m):
             report.add("injective", f"matrix at {p} is not injective", p)
-        if src.dim(p) == tgt.dim(s):
+        if src.dim(p) == tgt.dim(sub.cone_map[p]):
             d, _, _ = smith_normal_form(m)
             diag = [d.entry(i, i) for i in range(min(m.rows, m.cols))]
             if any(x != 1 for x in diag):
                 report.add("lattice-iso",
                            f"piece {p} is not a lattice isomorphism", p)
-    for (p, q) in src.order:
-        sp, sq = sub.cone_map[p], sub.cone_map[q]
-        if not (sp == sq or (sp, sq) in tgt.order):
-            report.add("functorial",
-                       f"relation {p}<{q} breaks order", (p, q))
-            continue
-        lhs = tgt.facemap(sp, sq) @ sub.matrices[p]
-        rhs = sub.matrices[q] @ src.facemap(p, q)
-        if lhs != rhs:
-            report.add("functorial",
-                       f"matrices do not commute along {p}<{q}", (p, q))
+    for message, relation in _square_issues(sub):
+        report.add("functorial", message, relation)
     if not report.ok:
         return report
     # axiom 2: relative interiors partition each target interior
     for s in tgt.ids():
         sigma = tgt.cones[s]
         ps = sub.pieces_over(s)
-        walls = set()
-        images = {}
+        walls = []
         for p in ps:
-            m = sub.matrices[p]
-            gens = [tuple(m.apply(g)) for g in src.cones[p].closure_rays]
-            images[p] = gens
-            fs, ann = facets_from_rays(gens, sigma.rank)
-            for wvec in list(fs) + list(ann):
-                if not is_zero_vec(wvec):
-                    walls.add(sign_normalized(wvec))
-        for cell in arrangement_cells(sigma, sorted(walls)):
+            fs, ann = facets_from_rays(sub.image_gens(p), sigma.rank)
+            walls += [*fs, *ann]
+        for cell in arrangement_cells(sigma, walls):
             w = cell_witness(cell, sigma.rank)
             if not sigma.contains(w, strictly=True):
                 continue
-            covering = []
-            for p in ps:
-                pre = rational_preimage(sub.matrices[p], w)
-                if pre is not None and src.cones[p].contains(pre,
-                                                             strictly=True):
-                    covering.append(p)
+            covering = sub.pieces_containing(s, w)
             if len(covering) == 0:
                 report.add("partition",
                            f"interior point {w} of {s} is uncovered", w)
@@ -543,9 +567,8 @@ def common_refinement(subs) -> Subdivision:
     cells_per_cone = {}
     for y in base.ids():
         rank = base.dim(y)
-        systems = [[tuple(tuple(sub.matrices[p].apply(g))
-                          for g in sub.source.cones[p].closure_rays)
-                    for p in sub.pieces_over(y)] for sub in subs]
+        systems = [[tuple(sub.image_gens(p)) for p in sub.pieces_over(y)]
+                   for sub in subs]
         cells_per_cone[y] = fold_cells(systems, rank)
     return refine_assemble(base, cells_per_cone)
 
@@ -563,20 +586,6 @@ def honest_subdivision_refine(subs) -> Subdivision:
 # ---------------------------------------------------------------------------
 # morphisms of complexes, weak properness, P-fine refinement, pushforward
 
-@dataclass(frozen=True)
-class ComplexMorphism:
-    source: PoicComplex
-    target: PoicComplex
-    cone_map: dict
-    matrices: dict
-    int_matrix: IntMatrix = None  # optional linear part N_X -> N_Y
-
-    def image_gens(self, p):
-        m = self.matrices[p]
-        return [tuple(m.apply(g))
-                for g in self.source.cones[p].closure_rays]
-
-
 def validate_complex_morphism(mor: ComplexMorphism):
     for p in mor.source.ids():
         src, tgt = mor.source.cones[p], mor.target.cones[mor.cone_map[p]]
@@ -586,33 +595,19 @@ def validate_complex_morphism(mor: ComplexMorphism):
         if _carrier(m.apply(src.interior_point()), tgt) != tgt.closure_rays:
             raise ComplexError(
                 f"image of {p} lies in a proper face of its target")
-    for (p, q) in mor.source.order:
-        tp, tq = mor.cone_map[p], mor.cone_map[q]
-        if not (tp == tq or (tp, tq) in mor.target.order):
-            raise ComplexError(f"morphism breaks the order at {p}<{q}")
-        lhs = mor.target.facemap(tp, tq) @ mor.matrices[p]
-        rhs = mor.matrices[q] @ mor.source.facemap(p, q)
-        if lhs != rhs:
-            raise ComplexError(f"morphism squares fail at {p}<{q}")
+    for message, _ in _square_issues(mor):
+        raise ComplexError(f"morphism fails: {message}")
     return True
 
 
-def compose_with_subdivision(mor: ComplexMorphism,
-                             sub: Subdivision) -> ComplexMorphism:
-    """mor ∘ sub where sub subdivides mor's source."""
-    return ComplexMorphism(
-        source=sub.source, target=mor.target,
-        cone_map={p: mor.cone_map[sub.cone_map[p]]
-                  for p in sub.source.ids()},
-        matrices={p: mor.matrices[sub.cone_map[p]] @ sub.matrices[p]
-                  for p in sub.source.ids()},
-        int_matrix=mor.int_matrix,
-    )
-
-
-def _is_injective(matrix):
-    return frac_rank([matrix.col(j) for j in range(matrix.cols)]) \
-        == matrix.cols
+def _injective_cones(mor: ComplexMorphism, dims=None):
+    """(source cone, target cone, image generators) for every source cone,
+    of a dimension in ``dims`` when given, with an injective matrix."""
+    for s in mor.source.ids():
+        if dims is not None and mor.source.dim(s) not in dims:
+            continue
+        if is_injective(mor.matrices[s]):
+            yield s, mor.cone_map[s], mor.image_gens(s)
 
 
 def is_weakly_proper(mor: ComplexMorphism):
@@ -625,15 +620,11 @@ def is_weakly_proper(mor: ComplexMorphism):
     complex.  Returns (flag, witness).
     """
     src, tgt = mor.source, mor.target
-    for s in src.ids():
-        m = mor.matrices[s]
-        if not _is_injective(m):
-            continue
-        y = mor.cone_map[s]
-        target_cone = tgt.cones[y]
-        gens = mor.image_gens(s)
+    for s, y, gens in _injective_cones(mor):
         if not gens:
             continue
+        m = mor.matrices[s]
+        target_cone = tgt.cones[y]
         rel_closure, embed = chart_cone(gens, target_cone.rank,
                                         target_cone.facets)
         d = rel_closure.rank
@@ -643,16 +634,11 @@ def is_weakly_proper(mor: ComplexMorphism):
             tau_gens = [tuple(embed.apply(f.matrix.apply(g)))
                         for g in f.sub.closure_rays]
             codim = d - f.dim
-            lifted = False
-            for q in src.below(s):
-                if src.dim(s) - src.dim(q) != codim:
-                    continue
-                q_img = [tuple((m @ src.facemap(q, s)).apply(g))
-                         for g in src.cones[q].closure_rays]
-                if closed_cone_equal(q_img, tau_gens, target_cone.rank):
-                    lifted = True
-                    break
-            if not lifted:
+            if not any(closed_cone_equal(_image(m @ src.facemap(q, s),
+                                                src.cones[q]),
+                                         tau_gens, target_cone.rank)
+                       for q in src.below(s)
+                       if src.dim(s) - src.dim(q) == codim):
                 return False, (s, tuple(tau_gens))
     return True, None
 
@@ -676,12 +662,8 @@ def pfine_refinement(mor: ComplexMorphism) -> Subdivision:
     the facets of all source images."""
     tgt = mor.target
     walls = {y: [] for y in tgt.ids()}
-    for s in mor.source.ids():
-        m = mor.matrices[s]
-        if not _is_injective(m):
-            continue
-        y = mor.cone_map[s]
-        gens = [g for g in mor.image_gens(s) if not is_zero_vec(g)]
+    for _, y, gens in _injective_cones(mor):
+        gens = [g for g in gens if not is_zero_vec(g)]
         if not gens:
             continue
         basis = saturation(IntMatrix.from_rows(gens, tgt.dim(y)))
@@ -732,7 +714,7 @@ def refine_by_walls(phi: PoicComplex, walls_per_cone) -> Subdivision:
     else:
         raise SubdivisionError(
             f"walls still change after {_WALL_PASSES} propagation passes")
-    cells = {p: arrangement_cells(phi.cones[p], sorted(walls[p]))
+    cells = {p: arrangement_cells(phi.cones[p], walls[p])
              for p in phi.ids()}
     return refine_assemble(phi, cells)
 
@@ -741,21 +723,13 @@ def pfine_matching(mor: ComplexMorphism, sub: Subdivision, dims=None):
     """Match every injective source cone to the subdivision piece with the
     same open image; raises NotPFine when a required match is missing."""
     match = {}
-    for s in mor.source.ids():
-        if dims is not None and mor.source.dim(s) not in dims:
-            continue
-        m = mor.matrices[s]
-        if not _is_injective(m):
-            continue
-        y = mor.cone_map[s]
-        gens = mor.image_gens(s)
+    for s, y, gens in _injective_cones(mor, dims):
         found = None
         for t in sub.pieces_over(y):
             if sub.source.dim(t) != mor.source.dim(s):
                 continue
-            tg = [tuple(sub.matrices[t].apply(g))
-                  for g in sub.source.cones[t].closure_rays]
-            if closed_cone_equal(gens, tg, mor.target.dim(y)):
+            if closed_cone_equal(gens, sub.image_gens(t),
+                                 mor.target.dim(y)):
                 found = t
                 break
         if found is None:
@@ -779,13 +753,9 @@ def pushforward(mor: ComplexMorphism, sub: Subdivision, omega: Weight,
             continue
         t = match[s]
         y = mor.cone_map[s]
-        sup = Lattice(mor.target.dim(y), IntMatrix.from_rows(
-            [sub.matrices[t].col(j) for j in range(sub.matrices[t].cols)],
-            mor.target.dim(y)))
-        m = mor.matrices[s]
-        sub_lat = Lattice(mor.target.dim(y), IntMatrix.from_rows(
-            [m.col(j) for j in range(m.cols)], mor.target.dim(y)))
-        idx = lattice_index(sup, sub_lat)
+        rank = mor.target.dim(y)
+        idx = lattice_index(Lattice(rank, sub.matrices[t].transpose()),
+                            Lattice(rank, mor.matrices[s].transpose()))
         if idx is None:
             raise NotPFine(f"index of {s} in its match is infinite")
         values[t] = values.get(t, 0) + v * idx
@@ -798,8 +768,7 @@ def proper_probe(mor: ComplexMorphism, subdivisions):
     list of failures as (subdivision index, witness)."""
     failures = []
     for i, sub in enumerate(subdivisions):
-        comp = compose_with_subdivision(mor, sub)
-        flag, witness = is_weakly_proper(comp)
+        flag, witness = is_weakly_proper(compose_subdivisions(mor, sub))
         if not flag:
             failures.append((i, witness))
     return failures
@@ -815,16 +784,6 @@ class Cycle:
     base: PoicComplex
     subdivision: Subdivision
     weight: Weight
-
-
-def _locate_value(sub: Subdivision, y, witness, k):
-    """Pullback value of a weight under refinement at a located witness."""
-    for p in sub.pieces_over(y):
-        pre = rational_preimage(sub.matrices[p], witness)
-        if pre is not None and sub.source.cones[p].contains(pre,
-                                                            strictly=True):
-            return p
-    return None
 
 
 def cycle_equal(c1: Cycle, c2: Cycle) -> bool:
@@ -843,10 +802,11 @@ def cycle_equal(c1: Cycle, c2: Cycle) -> bool:
             common.source.cones[r].interior_point()))
         vals = []
         for c in (c1, c2):
-            p = _locate_value(c.subdivision, y, w, k)
-            if p is None:
+            found = c.subdivision.pieces_containing(y, w)
+            if not found:
                 raise IncomparableSubdivisions(
                     f"cannot locate witness {w} in a subdivision")
+            p = found[0]
             v = c.weight.values.get(p, 0) \
                 if c.subdivision.source.dim(p) == k else 0
             vals.append(v)

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import subprocess
 import sys
@@ -339,3 +340,184 @@ def test_cli_errors_name_their_cause(tmp_path, argv, code, message, capsys):
     pattern = message.format(t=re.escape(str(tmp_path)))
     assert re.search(pattern, capsys.readouterr().err)
     assert not (tmp_path / "report.json").exists()
+
+
+def _m04_documents():
+    """The M_0,4 complex (with its linear structure), its identity
+    subdivision and a balanced 1-weight on it."""
+    m = build_moduli(0, ["1", "2", "3", "4"])
+    ident = identity_subdivision(m.complex)
+    weight = Weight(1, {p: 1 for p in m.complex.classes(1)})
+    return (io_json.complex_to_json(m.complex, m.linear),
+            io_json.subdivision_to_json(ident), io_json.weight_to_json(weight))
+
+
+def test_morphism_document_round_trips_and_pushes_forward(tmp_path):
+    """A morphism of complexes is written and read as a subdivision
+    document, which is what ``pushforward --morphism`` reads."""
+    from tropocone.subdivision import (ComplexMorphism, pfine_refinement,
+                                       pushforward)
+    m = build_moduli(0, ["1", "2", "3", "4"])
+    plane = single_cone_complex(poic_new(2, []), "P")
+    mor = ComplexMorphism(source=m.complex, target=plane,
+                          cone_map={p: "P" for p in m.complex.ids()},
+                          matrices=dict(m.linear.maps))
+    doc = io_json.subdivision_to_json(mor)
+    again = io_json.subdivision_from_json(json.loads(io_json.dumps(doc)))
+    assert isinstance(again, ComplexMorphism)
+    assert io_json.subdivision_to_json(again) == doc
+    weight = Weight(1, {p: 1 for p in m.complex.classes(1)})
+    argv = ["pushforward", "--morphism", _write(tmp_path / "mor.json", doc),
+            "--weight", _write(tmp_path / "w.json",
+                               io_json.weight_to_json(weight)),
+            "--out", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 0
+    out = json.loads((tmp_path / "out.json").read_text())
+    expected = pushforward(mor, pfine_refinement(mor), weight, 1)
+    assert out["weight"] == io_json.weight_to_json(expected)
+
+
+def _m04_commands(tmp_path, kind, path):
+    """Every command that reads a document of ``kind`` (complex or
+    subdivision), reading ``path`` in that place and valid M_0,4 documents
+    elsewhere."""
+    _, sdoc, wdoc = _m04_documents()
+    good = _write(tmp_path / "good_sub.json", sdoc)
+    weight = _write(tmp_path / "w.json", wdoc)
+    if kind == "complex":
+        return [["weights", "--complex", path, "--k", "1"],
+                ["subdivide", "--complex", path]]
+    return [["verify", "--subdivision", path],
+            ["pushforward", "--morphism", path, "--weight", weight],
+            ["pushforward", "--morphism", good, "--weight", weight,
+             "--subdivision", path],
+            ["cycle-eq", "--sub1", path, "--w1", weight,
+             "--sub2", good, "--w2", weight],
+            ["equivariant", "--genus", "0", "--marks", "1,2,3,4",
+             "--subdivision", path]]
+
+
+def _order_triple(doc):
+    doc["order"][0].append(doc["order"][0][0])
+
+
+def _face_map_key_without_bracket(doc):
+    key = sorted(doc["face_maps"])[0]
+    doc["face_maps"][key.replace("<", "")] = doc["face_maps"].pop(key)
+
+
+def _rank_x(doc):
+    doc["cones"][0]["rank"] = "x"
+
+
+def _target_rank_off(doc):
+    doc["linear"]["target_rank"] += 1
+
+
+def _unknown_target_cone(doc):
+    doc["cone_map"][sorted(doc["cone_map"])[-1]] = "nowhere"
+
+
+def _misshaped_matrix(doc):
+    doc["matrices"][sorted(doc["matrices"])[-1]] = {
+        "rows": 1, "cols": 1, "entries": ["1"]}
+
+
+@pytest.mark.parametrize("kind, mutate, code", [
+    ("complex", _order_triple, 2),
+    ("complex", _face_map_key_without_bracket, 2),
+    ("complex", _rank_x, 2),
+    ("complex", _target_rank_off, 1),
+    ("subdivision", _unknown_target_cone, 2),
+    ("subdivision", _misshaped_matrix, 2),
+], ids=["order-triple", "face-map-key", "rank-x", "target-rank",
+        "unknown-target", "misshaped-matrix"])
+def test_malformed_m04_documents_are_rejected(tmp_path, capsys, kind,
+                                              mutate, code):
+    cdoc, sdoc, _ = _m04_documents()
+    doc = cdoc if kind == "complex" else sdoc
+    mutate(doc)
+    path = _write(tmp_path / "bad.json", doc)
+    for argv in _m04_commands(tmp_path, kind, path):
+        assert cli.main(argv) == code, argv
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_pushforward_and_cycle_eq_need_a_subdivision(tmp_path, capsys):
+    """A well-formed document whose ray piece is scaled by 4 is a morphism
+    but not a subdivision: verify reports it, the commands that compute on
+    a subdivision refuse it."""
+    _, sdoc, _ = _m04_documents()
+    ray = next(p for p, m in sorted(sdoc["matrices"].items())
+               if m["rows"] == 1)
+    sdoc["matrices"][ray]["entries"] = ["4"]
+    bad = _write(tmp_path / "scaled.json", sdoc)
+    verify, _, pushforward, cycle_eq, _ = _m04_commands(
+        tmp_path, "subdivision", bad)
+    assert cli.main(verify + ["--out", str(tmp_path / "v.json")]) == 0
+    report = json.loads((tmp_path / "v.json").read_text())
+    assert report["axioms"]["lattice-iso"] == "fail"
+    assert cli.main(pushforward) == 1
+    assert cli.main(cycle_eq) == 1
+    assert "is not a subdivision" in capsys.readouterr().err
+
+
+_WRONG_TYPES = (None, "x", 1.5, True, [], {})
+
+
+def _paths(doc, path=()):
+    """Every (path, value) of a JSON document, containers included."""
+    yield path, doc
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutants(doc, rng, count):
+    """Malformed texts of ``doc``: cut short, one scalar replaced by a value
+    of another JSON type, or one required entry dropped (``linear`` is
+    optional and is never dropped)."""
+    text = io_json.dumps(doc)
+    scalars = [(p, v) for p, v in _paths(doc)
+               if p and not isinstance(v, (dict, list))]
+    entries = [p for p, _ in _paths(doc) if p and p[-1] != "linear"]
+    for _ in range(count):
+        kind = rng.choice(("truncate", "retype", "drop"))
+        if kind == "truncate":
+            yield text[:rng.randrange(1, len(text) - 2)]
+            continue
+        mutant = json.loads(text)
+        path = rng.choice([p for p, _ in scalars] if kind == "retype"
+                          else entries)
+        parent = mutant
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "drop":
+            del parent[path[-1]]
+        else:
+            old = parent[path[-1]]
+            parent[path[-1]] = rng.choice(
+                [v for v in _WRONG_TYPES if type(v) is not type(old)])
+        yield io_json.dumps(mutant)
+
+
+@pytest.mark.parametrize("kind", ["complex", "subdivision"])
+def test_fuzzed_m04_documents_never_escape_the_exit_codes(tmp_path, capsys,
+                                                          kind):
+    """Seeded mutants of the M_0,4 documents: every command that reads one
+    exits 1 (validation) or 2 (input), and none raises."""
+    cdoc, sdoc, _ = _m04_documents()
+    rng = random.Random(20261019 if kind == "complex" else 1019)
+    path = tmp_path / "mutant.json"
+    argvs = _m04_commands(tmp_path, kind, str(path))
+    for text in _mutants(cdoc if kind == "complex" else sdoc, rng, 60):
+        path.write_text(text)
+        for argv in argvs:
+            code = cli.main(argv)
+            assert code in (1, 2), (argv[0], text)
+    assert "Traceback" not in capsys.readouterr().err

@@ -156,6 +156,18 @@ def test_m06_face_poset():
     assert phi.is_pure(3)
 
 
+def test_m07_is_built_and_validated():
+    """complex_new checks only composable pairs of relations, so the 24,521
+    relations of M_0,7 validate in seconds."""
+    m = build_moduli(0, [str(i) for i in range(1, 8)])
+    phi = m.complex
+    assert len(phi.ids()) == 2752                # A000311(7)
+    assert len(phi.order) == 24521
+    assert len(phi.classes(4)) == 945            # 9!!
+    assert phi.max_dim() == 4
+    assert phi.is_pure(4)
+
+
 def _relabel_flags(g, perm):
     root = [0] * g.nflags
     inv = [0] * g.nflags

@@ -9,6 +9,7 @@ from tropocone.complexes import (
     single_cone_complex,
 )
 from tropocone.intlinalg import IntMatrix
+from tropocone.moduli import build_moduli
 from tropocone.subdivision import (
     AmbientMismatch,
     ComplexMorphism,
@@ -17,7 +18,7 @@ from tropocone.subdivision import (
     RayNotInterior,
     Subdivision,
     common_refinement,
-    compose_with_subdivision,
+    compose_subdivisions,
     cycle_equal,
     honest_subdivision_refine,
     identity_subdivision,
@@ -26,6 +27,7 @@ from tropocone.subdivision import (
     pfine_refinement,
     proper_probe,
     pushforward,
+    refine_by_walls,
     stellar,
     validate_complex_morphism,
     validate_subdivision,
@@ -139,6 +141,57 @@ def test_validate_catches_overlap():
     rep = validate_subdivision(sub)
     assert not rep.ok
     assert any(i["axiom"] == "partition" for i in rep.issues)
+
+
+def test_a_subdivision_is_a_complex_morphism():
+    assert Subdivision is ComplexMorphism
+    assert isinstance(identity_subdivision(quadrant_complex()),
+                      ComplexMorphism)
+
+
+def test_compose_rejects_a_subdivision_of_another_source():
+    with pytest.raises(AmbientMismatch):
+        compose_subdivisions(halfplane_projection(),
+                             identity_subdivision(quadrant_complex()))
+
+
+def test_composition_with_a_subdivision_keeps_the_morphism():
+    mor = halfplane_projection()
+    split = refine_by_walls(mor.source, {"h": [(1, -1)]})
+    comp = compose_subdivisions(mor, split)
+    assert comp.source is split.source and comp.target is mor.target
+    validate_complex_morphism(comp)
+    for p in split.source.ids():
+        assert comp.matrices[p] == mor.matrices["h"] @ split.matrices[p]
+
+
+def test_functorial_issues_come_in_sorted_relation_order():
+    """Negating the rays of M_0,5 breaks every square ray < wall."""
+    phi = build_moduli(0, ["1", "2", "3", "4", "5"]).complex
+    sub = identity_subdivision(phi)
+    sub = Subdivision(
+        source=phi, target=phi, cone_map=sub.cone_map,
+        matrices={p: IntMatrix.from_rows([[-1]]) if phi.dim(p) == 1
+                  else m for p, m in sub.matrices.items()})
+    rep = validate_subdivision(sub)
+    broken = [i["witness"] for i in rep.issues if i["axiom"] == "functorial"]
+    assert len(broken) == 30
+    assert broken == sorted(broken)
+    assert all(phi.dim(p) == 1 for p, _ in broken)
+
+
+def test_shape_issues_are_reported_alone():
+    phi = quadrant_complex()
+    sub = identity_subdivision(phi)
+    top = phi.classes(2)[0]
+    bad = Subdivision(source=phi, target=phi, cone_map=sub.cone_map,
+                      matrices={**sub.matrices,
+                                top: IntMatrix.from_rows([[1, 0]])})
+    rep = validate_subdivision(bad)
+    assert [i["axiom"] for i in rep.issues] == ["shape"]
+    del bad.matrices[top]
+    assert [i["axiom"] for i in validate_subdivision(bad).issues] \
+        == ["shape"]
 
 
 def test_ord_closed_quadrant():
@@ -402,7 +455,6 @@ def test_proper_probe_detects_failure():
     validate_complex_morphism(mor)
     flag, _ = is_weakly_proper(mor)
     assert flag
-    from tropocone.subdivision import refine_by_walls
     split = refine_by_walls(src, {"h": [(1, -1)]})
     rep = validate_subdivision(split)
     assert rep.ok, rep.issues
