@@ -57,6 +57,7 @@ class NotIntoCodomain(ConeError):
 # call-level tracer still sees every request.
 _DD_MEMO_SIZE = 4096
 _FACES_MEMO_SIZE = 1024
+_MORPHISM_MEMO_SIZE = 4096
 
 
 def _maximal(sets):
@@ -501,6 +502,16 @@ def check_morphism(matrix: IntMatrix, sigma: Poic, xi: Poic) -> PoicMorphism:
     map is a face-embedding (image is a face, lattice saturated)."""
     if matrix.cols != sigma.rank or matrix.rows != xi.rank:
         raise ConeError("matrix shape does not match the lattice ranks")
+    injective, face_embedding, face = _check_morphism(matrix, sigma, xi)
+    return PoicMorphism(matrix=matrix, domain=sigma, codomain=xi,
+                        injective=injective, face_embedding=face_embedding,
+                        face=face)
+
+
+@lru_cache(maxsize=_MORPHISM_MEMO_SIZE)
+def _check_morphism(matrix, sigma, xi):
+    """(injective, face_embedding, face) of a shape-checked morphism; a
+    NotIntoCodomain is raised, and so never memoized."""
     bad = _image_in_cone(matrix, sigma, xi)
     if bad is not None:
         raise NotIntoCodomain(f"point {bad} maps outside the codomain")
@@ -512,9 +523,7 @@ def check_morphism(matrix: IntMatrix, sigma: Poic, xi: Poic) -> PoicMorphism:
             [matrix.col(j) for j in range(matrix.cols)], xi.rank))
         face_embedding = lattice_index(
             Lattice(xi.rank, face.matrix.transpose()), sub_lat) == 1
-    return PoicMorphism(matrix=matrix, domain=sigma, codomain=xi,
-                        injective=injective, face_embedding=face_embedding,
-                        face=face)
+    return injective, face_embedding, face
 
 
 def rational_preimage(matrix: IntMatrix, point):

@@ -68,8 +68,12 @@ def validate_fibration(fib: Fibration) -> Report:
     """Verify the three fibration axioms on the finite data."""
     report = Report()
     phi, space = fib.complex, fib.space
+    relations = sorted(phi.order)
+    above = {}
+    for (p, q) in relations:
+        above.setdefault(p, []).append(q)
     # naturality of the transforms
-    for (p, q) in sorted(phi.order):
+    for (p, q) in relations:
         if (p, q) not in fib.morphism_map:
             report.add("shape", f"morphism map missing for {p}<{q}")
             continue
@@ -81,10 +85,8 @@ def validate_fibration(fib: Fibration) -> Report:
         rhs = fib.transforms[q] @ phi.facemap(p, q)
         if lhs != rhs:
             report.add("shape", f"transform square fails at {p}<{q}")
-    for (p, q) in sorted(phi.order):
-        for (q2, r) in sorted(phi.order):
-            if q2 != q:
-                continue
+    for (p, q) in relations:
+        for r in above.get(q, ()):
             lhs = fib.pi_mor(q, r) @ fib.pi_mor(p, q)
             if lhs != fib.pi_mor(p, r):
                 report.add("shape", f"morphism map not functorial "
@@ -122,16 +124,21 @@ def validate_fibration(fib: Fibration) -> Report:
     # axiom 3: lifting of space morphisms, unique up to isomorphism (the
     # valid factorizations may differ by cones with isomorphic images, as
     # in the two-sheet examples; their images must be isomorphic)
+    # in which q each composite g @ pi(p<q), g an iso pi(q) -> x, lands;
+    # the composites are formed once per (p, x) and looked up per f
     for p in sorted(phi.ids()):
         x0 = fib.pi(p)
         for x in space.ids():
-            for f in space.hom(x0, x):
-                valid_q = set()
-                for q in [p] + phi.above(p):
-                    pih = fib.pi_mor(p, q)
-                    for g in space_isos(space, fib.pi(q), x):
-                        if g @ pih == f:
-                            valid_q.add(q)
+            homs = space.hom(x0, x)
+            if not homs:
+                continue
+            lands = {}
+            for q in [p] + above.get(p, []):
+                pih = fib.pi_mor(p, q)
+                for g in space_isos(space, fib.pi(q), x):
+                    lands.setdefault(g @ pih, set()).add(q)
+            for f in homs:
+                valid_q = lands.get(f, ())
                 if not valid_q:
                     report.add("lifting",
                                f"morphism {x0}->{x} does not lift at {p}",

@@ -10,7 +10,7 @@ poic-space whose hom-sets are the contraction and automorphism matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .cone import Poic, poic_new
@@ -27,6 +27,7 @@ from .intlinalg import (
     hermite_row_basis,
     quotient,
     solve_integer,
+    solve_integer_columns,
 )
 from .spaces import PoicSpace, space_new
 
@@ -66,19 +67,31 @@ class DistanceData:
     free_projection: object    # QuotientPresentation of Z^pairs mod im(M_A)
     basis: IntMatrix           # rows: basis of N_dist in free coordinates
     rank: int
+    # split side without labels[0] -> its coordinates in the basis
+    split_coords: dict = field(default_factory=dict, compare=False,
+                               repr=False)
 
     def split_vector(self, side):
         """Raw distance vector of the split with the given label side."""
-        side = set(side)
-        return tuple(1 if (a in side) != (b in side) else 0
-                     for (a, b) in self.pairs)
+        return _split_vector(self.pairs, side)
 
     def split_in_basis(self, side):
+        key = frozenset(side)
+        if self.labels[0] in key:
+            key = frozenset(self.labels) - key
+        x = self.split_coords.get(key)
+        if x is not None:
+            return x
         u = self.free_projection.free_part(self.split_vector(side))
         x = solve_integer(self.basis.transpose(), u)
         if x is None:
             raise ModuliError("split vector escapes the distance lattice")
         return x
+
+
+def _split_vector(pairs, side):
+    side = set(side)
+    return tuple(1 if (a in side) != (b in side) else 0 for (a, b) in pairs)
 
 
 def distance_structure(labels) -> DistanceData:
@@ -94,24 +107,22 @@ def distance_structure(labels) -> DistanceData:
         rows.append([1 if lab in (a, b) else 0 for lab in labels])
     m_matrix = IntMatrix.from_rows(rows, n)
     pres = quotient(len(pairs), m_matrix.transpose())
-    data0 = DistanceData(labels=labels, pairs=pairs, m_matrix=m_matrix,
-                         free_projection=pres,
-                         basis=IntMatrix.from_rows([], pres.free_rank),
-                         rank=0)
-    gens = []
-    for r in range(2, n - 1):
-        for side in combinations(labels, r):
-            if labels[0] in side:
-                continue  # one representative per split
-            gens.append(data0.free_projection.free_part(
-                data0.split_vector(side)))
+    # one representative side per split
+    sides = [side for r in range(2, n - 1)
+             for side in combinations(labels, r) if labels[0] not in side]
+    gens = [pres.free_part(_split_vector(pairs, side)) for side in sides]
     if not gens:
         basis = IntMatrix.from_rows([], pres.free_rank)
+        coords = {}
     else:
-        basis = hermite_row_basis(
-            IntMatrix.from_rows(gens, pres.free_rank))
+        gen_mat = IntMatrix.from_rows(gens, pres.free_rank)
+        basis = hermite_row_basis(gen_mat)
+        # every split in the basis it spans, from one Smith normal form
+        x = solve_integer_columns(basis.transpose(), gen_mat.transpose())
+        coords = {frozenset(side): x.col(j) for j, side in enumerate(sides)}
     return DistanceData(labels=labels, pairs=pairs, m_matrix=m_matrix,
-                        free_projection=pres, basis=basis, rank=basis.rows)
+                        free_projection=pres, basis=basis, rank=basis.rows,
+                        split_coords=coords)
 
 
 def leg_side_of_edge(t: DiscreteGraph, edge):
@@ -169,11 +180,10 @@ def _contraction_matrix(small: DiscreteGraph, big: DiscreteGraph, mapping):
     big_idx = {e: i for i, e in enumerate(big.edges())}
     cols = []
     for e in small.edges():
-        target = mapping[e]
-        col = [0] * len(big.edges())
-        col[big_idx[target]] = 1
+        col = [0] * len(big_idx)
+        col[big_idx[mapping[e]]] = 1
         cols.append(tuple(col))
-    return IntMatrix.from_cols(cols, len(big.edges()))
+    return IntMatrix.from_cols(cols, len(big_idx))
 
 
 def build_moduli(g, labels):
@@ -189,9 +199,8 @@ def build_moduli(g, labels):
         order = set()
         fmaps = {}
         for big_id in cat.ids():
-            out_of_big = contractions_from(cat, big_id)
-            for small_id in cat.ids():
-                mors = out_of_big.get(small_id)
+            for small_id, mors in sorted(
+                    contractions_from(cat, big_id).items()):
                 if small_id == big_id or not mors:
                     continue
                 if len(mors) != 1:

@@ -102,14 +102,16 @@ def space_new(objects, homs) -> PoicSpace:
                     f"a morphism {x} -> {y} is not a face-embedding")
             realizations.setdefault((y, mor.face.gens_key), []).append(
                 (x, m))
-    # composition closure
+    # composition closure, on the composable pairs (x -> y, y -> z)
+    targets = {}
+    for (y, z) in sorted(cleaned):
+        targets.setdefault(y, []).append(z)
+    members = {key: set(mats) for key, mats in cleaned.items()}
     for (x, y) in sorted(cleaned):
-        for (y2, z) in sorted(cleaned):
-            if y2 != y:
-                continue
+        for z in targets.get(y, ()):
             for f in cleaned[(x, y)]:
-                for g in cleaned[(y2, z)]:
-                    if g @ f not in space.hom(x, z):
+                for g in cleaned[(y, z)]:
+                    if g @ f not in members.get((x, z), ()):
                         raise SpaceError(
                             f"hom-sets are not closed under composition "
                             f"({x} -> {y} -> {z})")

@@ -209,6 +209,49 @@ def test_check_morphism_strictness_violation():
     assert m.injective
 
 
+def test_check_morphism_repeats_on_equal_content_agree():
+    """The morphism memo is keyed on content: equal but distinct inputs
+    give equal fields, around the caller's own objects."""
+    def octant():
+        return poic_new(3, [((1, 0, 0), False), ((0, 1, 0), False),
+                            ((0, 0, 1), False)])
+
+    def inclusion():
+        return IntMatrix.from_rows([[1, 0], [0, 1], [0, 0]])
+
+    def twist():
+        return IntMatrix.from_rows([[1, 1], [0, 1], [0, 0]])
+
+    for mat in (inclusion, twist):
+        first = check_morphism(mat(), quadrant(), octant())
+        hits = cone._check_morphism.cache_info().hits
+        dom, cod, m = quadrant(), octant(), mat()
+        again = check_morphism(m, dom, cod)
+        assert cone._check_morphism.cache_info().hits == hits + 1
+        assert dom is not first.domain and m is not first.matrix
+        assert again.domain is dom and again.codomain is cod \
+            and again.matrix is m
+        assert again == first
+    assert first.injective and not first.face_embedding
+    embedded = check_morphism(inclusion(), quadrant(), octant())
+    assert embedded.face_embedding and embedded.face.dim == 2
+
+
+def test_check_morphism_errors_are_raised_on_every_repeat():
+    ray = poic_new(1, [((1,), False)])
+    for _ in range(3):
+        misses = cone._check_morphism.cache_info().misses
+        with pytest.raises(NotIntoCodomain):
+            check_morphism(IntMatrix.from_rows([[-1]]),
+                           poic_new(1, [((1,), False)]), ray)
+        assert cone._check_morphism.cache_info().misses == misses + 1
+    for _ in range(3):
+        info = cone._check_morphism.cache_info()
+        with pytest.raises(ConeError, match="shape"):
+            check_morphism(IntMatrix.identity(2), ray, ray)
+        assert cone._check_morphism.cache_info() == info
+
+
 def test_face_of_face_is_face():
     sigma = poic_new(3, [((1, 0, 0), False), ((0, 1, 0), False),
                          ((0, 0, 1), False)])

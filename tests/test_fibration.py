@@ -1,6 +1,9 @@
+import dataclasses
+import random
+
 import pytest
 
-from tropocone.cone import poic_new
+from tropocone.cone import NotIntoCodomain, check_morphism, faces, poic_new
 from tropocone.complexes import LinearStructure, complex_new
 from tropocone.fibration import (
     Fibration,
@@ -12,10 +15,19 @@ from tropocone.fibration import (
     is_pi_compatible,
     validate_fibration,
 )
-from tropocone.intlinalg import IntMatrix
+from tropocone.intlinalg import IntMatrix, unimodular_inverse
 from tropocone.moduli import build_moduli
-from tropocone.spaces import PoicSpace, space_from_complex, space_new
+from tropocone.spaces import (
+    PoicSpace,
+    SpaceError,
+    iso_class_reps,
+    space_from_complex,
+    space_isos,
+    space_new,
+)
+from tropocone.stfib import spanning_tree_fibration
 from tropocone.subdivision import (
+    Report,
     identity_subdivision,
     refine_by_walls,
     stellar,
@@ -181,3 +193,208 @@ def test_transform_onto_a_proper_subcone_is_not_an_interior_iso():
     assert [i["axiom"] for i in rep.issues] == ["interior-iso"]
     fib.transforms["c"] = IntMatrix.from_rows([[0, 1], [1, 0]])
     assert validate_fibration(fib).ok
+
+
+# ---------------------------------------------------------------------------
+# references: the space_new composition check over all pairs of hom-sets
+# and validate_fibration over all pairs of relations, each composite
+# g @ pi(p<q) formed once per f in hom(pi(p), x)
+
+def _reference_space_new(objects, homs):
+    objects = dict(objects)
+    cleaned = {}
+    for (x, y), mats in homs.items():
+        uniq = []
+        for m in mats:
+            if m not in uniq:
+                uniq.append(m)
+        if uniq:
+            cleaned[(x, y)] = tuple(uniq)
+    space = PoicSpace(objects=objects, homs=cleaned)
+    for x in space.ids():
+        if IntMatrix.identity(space.dim(x)) not in space.hom(x, x):
+            raise SpaceError(f"identity missing in hom({x},{x})")
+    realizations = {}
+    for (x, y), mats in sorted(cleaned.items()):
+        for m in mats:
+            mor = check_morphism(m, objects[x], objects[y])
+            if not mor.face_embedding:
+                raise SpaceError(
+                    f"a morphism {x} -> {y} is not a face-embedding")
+            realizations.setdefault((y, mor.face.gens_key), []).append(
+                (x, m))
+    for (x, y) in sorted(cleaned):
+        for (y2, z) in sorted(cleaned):
+            if y2 != y:
+                continue
+            for f in cleaned[(x, y)]:
+                for g in cleaned[(y2, z)]:
+                    if g @ f not in space.hom(x, z):
+                        raise SpaceError(
+                            f"hom-sets are not closed under composition "
+                            f"({x} -> {y} -> {z})")
+    for y in space.ids():
+        for f in faces(objects[y]):
+            reals = realizations.get((y, f.gens_key))
+            if reals is None:
+                raise SpaceError(
+                    f"face {sorted(f.gens_key)} of {y} is not realized")
+            (x0, m0) = reals[0]
+            for (x1, m1) in reals[1:]:
+                if not any(
+                        m1 @ u == m0
+                        for u in space_isos(space, x0, x1)):
+                    raise SpaceError(
+                        f"face of {y} realized non-uniquely "
+                        f"({x0} vs {x1})")
+    return space
+
+
+def _reference_validate_fibration(fib):
+    report = Report()
+    phi, space = fib.complex, fib.space
+    for (p, q) in sorted(phi.order):
+        if (p, q) not in fib.morphism_map:
+            report.add("shape", f"morphism map missing for {p}<{q}")
+            continue
+        m = fib.morphism_map[(p, q)]
+        if m not in space.hom(fib.pi(p), fib.pi(q)):
+            report.add("shape",
+                       f"morphism map of {p}<{q} is not a hom of the space")
+        lhs = m @ fib.transforms[p]
+        rhs = fib.transforms[q] @ phi.facemap(p, q)
+        if lhs != rhs:
+            report.add("shape", f"transform square fails at {p}<{q}")
+    for (p, q) in sorted(phi.order):
+        for (q2, r) in sorted(phi.order):
+            if q2 != q:
+                continue
+            lhs = fib.pi_mor(q, r) @ fib.pi_mor(p, q)
+            if lhs != fib.pi_mor(p, r):
+                report.add("shape", f"morphism map not functorial "
+                                    f"at {p}<{q}<{r}")
+    if not report.ok:
+        return report
+    reps = iso_class_reps(space)
+    hit = {reps[fib.pi(p)] for p in phi.ids()}
+    for x in space.ids():
+        if reps[x] not in hit:
+            report.add("surjective", f"space class of {x} is not hit", x)
+    for p in phi.ids():
+        eta = fib.transforms[p]
+        target = space.objects[fib.pi(p)]
+        sigma = phi.cones[p]
+        if eta.rows != target.rank or eta.cols != sigma.rank \
+                or eta.rows != eta.cols:
+            report.add("interior-iso", f"transform at {p} is not square", p)
+            continue
+        try:
+            unimodular_inverse(eta)
+        except ValueError:
+            report.add("interior-iso",
+                       f"transform at {p} is not unimodular", p)
+            continue
+        try:
+            face = check_morphism(eta, sigma.relint(), target.relint()).face
+        except NotIntoCodomain:
+            face = None
+        if face is None or face.dim != target.rank:
+            report.add("interior-iso",
+                       f"transform at {p} does not identify interiors", p)
+    for p in sorted(phi.ids()):
+        x0 = fib.pi(p)
+        for x in space.ids():
+            for f in space.hom(x0, x):
+                valid_q = set()
+                for q in [p] + phi.above(p):
+                    pih = fib.pi_mor(p, q)
+                    for g in space_isos(space, fib.pi(q), x):
+                        if g @ pih == f:
+                            valid_q.add(q)
+                if not valid_q:
+                    report.add("lifting",
+                               f"morphism {x0}->{x} does not lift at {p}",
+                               (p, x))
+                elif len({reps[fib.pi(q)] for q in valid_q}) > 1:
+                    report.add("lifting",
+                               f"lifts of {x0}->{x} at {p} land in "
+                               f"non-isomorphic images: {sorted(valid_q)}",
+                               (p, x))
+    return report
+
+
+def _space_error(build, objects, homs):
+    """The SpaceError text of ``build`` on the data, or None."""
+    try:
+        build(objects, homs)
+    except SpaceError as exc:
+        return str(exc)
+    return None
+
+
+def _mutants(fib, rng):
+    """Three seeded mutants of a valid fibration: a hom dropped from the
+    space, a morphism-map entry swapped for another hom, a transform
+    replaced."""
+    space = fib.space
+    # a non-identity automorphism, whose loss the lifting axiom sees, or
+    # where there is none a hom the morphism map uses
+    autos = [((x, x), m) for x in space.ids() for m in space.hom(x, x)
+             if m != IntMatrix.identity(m.rows)]
+    used = sorted({((fib.pi(p), fib.pi(q)), m)
+                   for (p, q), m in fib.morphism_map.items()},
+                  key=lambda km: (km[0], km[1].entries))
+    key, gone = rng.choice(autos or used)
+    homs = dict(space.homs)
+    homs[key] = tuple(m for m in homs[key] if m != gone)
+    yield "drop", homs, dataclasses.replace(fib, space=PoicSpace(
+        objects=space.objects, homs={k: v for k, v in homs.items() if v}))
+    mats = sorted({m for ms in space.homs.values() for m in ms},
+                  key=lambda m: (m.rows, m.cols, m.entries))
+    swap = [(rel, m) for rel, old in sorted(fib.morphism_map.items())
+            for m in mats if (m.rows, m.cols) == (old.rows, old.cols)
+            and m != old]
+    # where possible a relation p < q with p > 0-dimensional and some
+    # cone above q, so that the functoriality check sees the swap too
+    composable = [(rel, m) for rel, m in swap
+                  if fib.complex.dim(rel[0]) > 0
+                  and fib.complex.above(rel[1])]
+    rel, new = rng.choice(composable or swap)
+    yield "swap", space.homs, dataclasses.replace(
+        fib, morphism_map={**fib.morphism_map, rel: new})
+    p = rng.choice([p for p in sorted(fib.complex.ids())
+                    if fib.complex.dim(p) > 0])
+    eta = fib.transforms[p]
+    flipped = IntMatrix.from_cols(
+        [tuple(-x for x in eta.col(0))]
+        + [eta.col(j) for j in range(1, eta.cols)], eta.rows)
+    yield "transform", space.homs, dataclasses.replace(
+        fib, transforms={**fib.transforms, p: flipped})
+
+
+@pytest.mark.parametrize("g,labels", [(0, ["1", "2", "3", "4", "5"]),
+                                      (0, ["1", "2", "3", "4", "5", "6"]),
+                                      (1, ["a", "b"]), (2, [])])
+def test_space_and_fibration_checks_match_reference(g, labels):
+    """The composable-pair closure of space_new and the per-(p, x) lifting
+    table of validate_fibration give the reference's error text and
+    issues, in order, on st fibrations and on seeded mutants of them.
+    Only the six-mark source has relations p < q < r with p of positive
+    dimension, which the functoriality check needs to see a swap."""
+    fib = spanning_tree_fibration(g, labels).fibration
+    space = fib.space
+    assert _space_error(space_new, space.objects, space.homs) is None
+    assert _space_error(_reference_space_new, space.objects,
+                        space.homs) is None
+    assert validate_fibration(fib).ok
+    assert _reference_validate_fibration(fib).ok
+    rng = random.Random(f"mutants {g} {labels}")
+    for kind, homs, mutant in _mutants(fib, rng):
+        assert _space_error(space_new, space.objects, homs) \
+            == _space_error(_reference_space_new, space.objects, homs)
+        issues = validate_fibration(mutant).issues
+        assert issues == _reference_validate_fibration(mutant).issues
+        assert issues, kind
+        if kind == "drop" and g > 0:
+            # a lost automorphism breaks lifting, past the shape checks
+            assert issues[0]["axiom"] == "lifting"

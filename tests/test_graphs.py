@@ -473,3 +473,15 @@ def test_enumerate_genus_three_cli_within_one_gib():
         preexec_fn=_limit_address_space)
     assert done.returncode == 0, done.stderr
     assert '"id": "G14"' in done.stdout
+
+
+def test_st_fibration_genus_three_cli_validates_within_one_gib():
+    """The spanning-tree fibration of genus 3 is built and validated in
+    full (236 source cones) under the same address-space limit."""
+    done = subprocess.run(
+        [sys.executable, "-m", "tropocone.cli", "st-fibration", "--genus",
+         "3", "--marks", ""], capture_output=True, text=True,
+        preexec_fn=_limit_address_space)
+    assert done.returncode == 0, done.stderr
+    assert '"valid": true' in done.stdout
+    assert '"source_cones": 236' in done.stdout

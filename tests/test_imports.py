@@ -2,7 +2,10 @@
 it runs.  Import footprints are checked in fresh interpreters, since the
 test process has long since imported everything."""
 
+import functools
 import importlib
+import pkgutil
+import re
 import subprocess
 import sys
 
@@ -105,3 +108,23 @@ def test_build_moduli_and_weights_load_only_their_modules(tmp_path):
     assert "weights" in weighed
     assert not weighed & {"graphs", "moduli", "spaces", "subdivision",
                           "fibration", "stfib"}
+
+
+def test_every_memo_is_bounded():
+    """No unbounded global state: each functools memo of the package has
+    a finite maxsize, and every memo decorator in the source is one of
+    the module-level memos checked here."""
+    memos = {}
+    decorators = 0
+    for info in pkgutil.iter_modules(tropocone.__path__):
+        module = importlib.import_module(f"tropocone.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, functools._lru_cache_wrapper):
+                memos[f"{info.name}.{name}"] = obj.cache_parameters()
+        with open(module.__file__, encoding="utf-8") as src:
+            decorators += len(re.findall(
+                r"^\s*@(?:functools\.)?(?:lru_cache|cache)\b", src.read(),
+                flags=re.M))
+    assert decorators == len(memos) >= 5
+    for name, params in memos.items():
+        assert params["maxsize"] is not None, name

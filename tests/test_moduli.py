@@ -1,6 +1,7 @@
 """The moduli face posets and hom-sets built by construction, checked
 against the all-pairs search they replace."""
 
+import dataclasses
 import itertools
 import random
 
@@ -16,8 +17,13 @@ from tropocone.graphs import (
     graph_new,
     is_forest,
 )
-from tropocone.intlinalg import IntMatrix, unimodular_inverse
-from tropocone.moduli import _contraction_matrix, build_moduli
+from tropocone.intlinalg import IntMatrix, solve_integer, unimodular_inverse
+from tropocone.moduli import (
+    ModuliError,
+    _contraction_matrix,
+    build_moduli,
+    distance_structure,
+)
 from tropocone.spaces import is_space_iso
 
 
@@ -233,3 +239,45 @@ def test_bad_marks_are_named(g, labels, named):
 
 def test_gluing_names_are_ordinary_marks_at_genus_zero():
     assert check_marks(0, ["g1", "b", "a"]) == ("a", "b", "g1")
+
+
+def _solved_split(data, side):
+    """A split's coordinates by one solve, as before the split table."""
+    return solve_integer(data.basis.transpose(), data.free_projection
+                         .free_part(data.split_vector(side)))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_split_table_matches_one_solve_per_split(n):
+    labels = [str(i) for i in range(1, n + 1)]
+    data = distance_structure(labels)
+    splits = [set(side) for r in range(2, n - 1)
+              for side in itertools.combinations(labels, r)]
+    assert len(data.split_coords) == len(splits) // 2
+    for side in splits:
+        other = set(labels) - side
+        for s in (side, other):
+            x = data.split_in_basis(tuple(sorted(s)))
+            assert x == _solved_split(data, s) is not None
+    # sides that are not splits go through the solve: the empty side, the
+    # singletons and their complements lie in the pair-sum image, and an
+    # unknown label does not move a split vector
+    for side in [(), (labels[0],), tuple(labels[1:]), tuple(labels)]:
+        assert data.split_in_basis(side) == _solved_split(data, side) \
+            == (0,) * data.rank
+    if n >= 5:
+        assert data.split_in_basis(("2", "3", "x")) \
+            == data.split_in_basis(("2", "3"))
+
+
+def test_a_side_outside_the_table_keeps_the_solve_and_its_error():
+    """Every side of the labels has coordinates, so only a lattice that
+    misses a split vector makes the solve fail: here the basis doubled,
+    with the table emptied so that the side is not found in it."""
+    data = distance_structure(["1", "2", "3", "4", "5"])
+    doubled = IntMatrix(data.basis.rows, data.basis.cols,
+                        tuple(2 * x for x in data.basis.entries))
+    broken = dataclasses.replace(data, basis=doubled, split_coords={})
+    assert broken.split_in_basis(("1",)) == (0,) * data.rank
+    with pytest.raises(ModuliError, match="escapes"):
+        broken.split_in_basis(("2", "3"))
