@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cone import (
     Poic,
@@ -83,11 +84,20 @@ class PoicComplex:
     def max_dim(self):
         return max((c.rank for c in self.cones.values()), default=-1)
 
+    @cached_property
+    def _neighbours(self):
+        """The cones below and above each cone, sorted, built once."""
+        below, above = {}, {}
+        for (p, q) in sorted(self.order):
+            above.setdefault(p, []).append(q)
+            below.setdefault(q, []).append(p)
+        return below, above
+
     def below(self, q):
-        return sorted(p for (p, qq) in self.order if qq == q)
+        return list(self._neighbours[0].get(q, ()))
 
     def above(self, p):
-        return sorted(q for (pp, q) in self.order if pp == p)
+        return list(self._neighbours[1].get(p, ()))
 
     def facemap(self, p, q):
         if p == q:

@@ -111,37 +111,45 @@ def dual_generators(normals, rank):
 def _dual_generators(normals, rank):
     """Double description of ``dual_generators`` for a frozenset of
     primitive nonzero normals."""
-    if rank == 0:
-        return ()
+    gens, inserted, pointed = _dd_start(rank), [], False
+    for a in sorted(normals):
+        inserted.append(a)
+        gens, pointed = _dd_step(gens, inserted, rank, pointed)
+    return tuple(sorted(gens))
+
+
+def _dd_start(rank):
+    """The generators ±e_i of R^rank, where every double description
+    starts."""
     gens = []
     for i in range(rank):
         e = tuple(1 if j == i else 0 for j in range(rank))
-        gens.append(e)
-        gens.append(tuple(-x for x in e))
-    if not normals:
-        return tuple(sorted(gens))
-    inserted = []
-    pointed = False
-    for a in sorted(normals):
-        pos = [g for g in gens if dot(a, g) > 0]
-        zero = [g for g in gens if dot(a, g) == 0]
-        neg = [g for g in gens if dot(a, g) < 0]
-        combos = []
-        for p in pos:
-            ap = dot(a, p)
-            for m in neg:
-                am = dot(a, m)
-                combo = tuple(ap * x - am * y for x, y in zip(m, p))
-                if not is_zero_vec(combo):
-                    combos.append(primitive(combo))
-        inserted.append(a)
-        gens = _prune_generators(pos + zero + combos, inserted, rank, pointed)
-        # a cone without a ± pair of generators is pointed, and stays
-        # pointed as constraints are added
-        if not pointed:
-            present = set(gens)
-            pointed = not any(tuple(-x for x in g) in present for g in gens)
-    return tuple(gens)
+        gens += [e, tuple(-x for x in e)]
+    return gens
+
+
+def _dd_step(gens, inserted, rank, pointed):
+    """One double-description insertion: from generators of the cone of
+    ``inserted[:-1]``, the pruned generators of the cone of ``inserted``
+    and whether that cone is pointed.  A cone without a ± pair of
+    generators is pointed, and stays pointed as normals are added."""
+    a = inserted[-1]
+    pos, zero, neg = [], [], []
+    for g in gens:
+        v = dot(a, g)
+        (pos if v > 0 else neg if v < 0 else zero).append((v, g))
+    combos = []
+    for ap, p in pos:
+        for am, m in neg:
+            combo = tuple(ap * x - am * y for x, y in zip(m, p))
+            if not is_zero_vec(combo):
+                combos.append(primitive(combo))
+    gens = _prune_generators([g for _, g in pos + zero] + combos, inserted,
+                             rank, pointed)
+    if not pointed:
+        present = set(gens)
+        pointed = not any(tuple(-x for x in g) in present for g in gens)
+    return gens, pointed
 
 
 def facets_from_rays(gens, rank):
@@ -296,17 +304,23 @@ def poic_new(lattice_rank, facets):
             continue
         normal = primitive(normal)
         cleaned[normal] = bool(strict) or cleaned.get(normal, False)
-    constraints = sorted(cleaned.items())
+    facets, rays = _poic_new(rank, tuple(sorted(cleaned.items())))
+    return Poic(rank=rank, facets=facets, closure_rays=rays)
+
+
+@lru_cache(maxsize=_DD_MEMO_SIZE)
+def _poic_new(rank, constraints):
+    """(facets, closure_rays) of ``poic_new`` for sorted (primitive
+    normal, strict) pairs; EmptyCone and NotFullDimensional are raised,
+    and so never memoized."""
     if strict_feasible(constraints, rank) is None:
         raise EmptyCone("no point satisfies all constraints")
-    closed_normals = [n for n, _ in constraints]
-    gens = dual_generators(closed_normals, rank)
+    gens = dual_generators([n for n, _ in constraints], rank)
     if frac_rank(list(gens) or [(0,) * rank]) != rank and rank > 0:
         raise NotFullDimensional(
             "closure span is a proper subspace; re-coordinate first")
     minimal = _minimal(constraints, gens)
-    gens = dual_generators([n for n, _ in minimal], rank)
-    return Poic(rank=rank, facets=tuple(minimal), closure_rays=tuple(gens))
+    return tuple(minimal), dual_generators([n for n, _ in minimal], rank)
 
 
 def chart_cone(gens, rank, ambient):

@@ -64,12 +64,16 @@ class DiscreteGraph:
         return [x for x in self.half_flags() if self.inv[x] == x]
 
     def edges(self):
+        return list(self._edges)
+
+    @cached_property
+    def _edges(self):
         out = set()
         for x in self.half_flags():
             y = self.inv[x]
             if y != x:
                 out.add((min(x, y), max(x, y)))
-        return sorted(out)
+        return tuple(sorted(out))
 
     def genus(self):
         return len(self.edges()) - len(self.vertices()) + 1

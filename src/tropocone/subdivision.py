@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from .cone import (
     Poic,
     _carrier,
+    _dd_start,
+    _dd_step,
     cell_key,
     chart_cone,
     check_morphism,
@@ -24,7 +26,6 @@ from .cone import (
     facets_from_rays,
     is_injective,
     rational_preimage,
-    strict_feasible,
 )
 from .complexes import (
     ComplexError,
@@ -209,34 +210,29 @@ def refine_assemble(phi: PoicComplex, cells_per_cone) -> Subdivision:
             poic, embed = chart_cone(sorted(key), sigma.rank, cuts)
             pieces[f"{s}/{i}"] = (s, poic, embed, key)
 
-    # ambient keys of the faces of each piece, used for face detection
-    face_keys = {}
+    # the pieces by (cone, ambient key of one of their faces), so each
+    # piece finds the pieces it is a face of by lookup
+    pieces_by_face = {}
     for pid, (s, poic, embed, key) in pieces.items():
-        fk = {}
         for f in faces(poic):
-            fk[cell_key(embed.apply(f.matrix.apply(g))
-                        for g in f.sub.closure_rays)] = f.dim
-        face_keys[pid] = fk
+            fkey = cell_key(embed.apply(f.matrix.apply(g))
+                            for g in f.sub.closure_rays)
+            pieces_by_face.setdefault((s, fkey), {})[pid] = f.dim
 
     cones = {pid: data[1] for pid, data in pieces.items()}
     order = set()
     face_maps = {}
-    ids = sorted(pieces)
-    for p1 in ids:
+    for p1 in sorted(pieces):
         s1, poic1, emb1, key1 = pieces[p1]
-        for p2 in ids:
-            if p1 == p2:
-                continue
-            s2, poic2, emb2, key2 = pieces[p2]
-            if not (s1 == s2 or (s1, s2) in phi.order):
-                continue
+        found = {}
+        for s2 in [s1] + phi.above(s1):
             fmap = phi.facemap(s1, s2)
             lifted = cell_key(fmap.apply(g) for g in key1)
-            if lifted not in face_keys[p2]:
-                continue
-            if face_keys[p2][lifted] != poic1.rank:
-                continue
-            fm = solve_integer_columns(emb2, fmap @ emb1)
+            for p2, dim in pieces_by_face.get((s2, lifted), {}).items():
+                if p2 != p1 and dim == poic1.rank:
+                    found[p2] = fmap
+        for p2 in sorted(found):
+            fm = solve_integer_columns(pieces[p2][2], found[p2] @ emb1)
             if fm is None:
                 raise SubdivisionError(
                     f"piece lattice of {p1} not saturated inside {p2}")
@@ -272,38 +268,45 @@ def compose_subdivisions(outer: ComplexMorphism,
 
 def arrangement_cells(sigma: Poic, walls):
     """Closed cells (all dimensions) of the wall arrangement inside the
-    closure of sigma, as generator tuples."""
-    norm_walls = sorted({sign_normalized(w) for w in walls
-                         if not is_zero_vec(w)})
+    closure of sigma, as generator tuples.
+
+    The walk branches on the sign of each facet normal (> 0 or = 0) and
+    then of each wall (> 0, < 0 or = 0).  Each node's cone is one double
+    description step from its parent's, and a node is dropped when some
+    strict normal is positive on no generator.  A wall parallel to a facet
+    normal is dropped up front: that facet's branch fixes its sign."""
+    rank = sigma.rank
     facets = [n for n, _ in sigma.facets]
+    parallel = {*facets, *(tuple(-x for x in n) for n in facets)}
+    levels = [[[(n, True)], [(n, False), (tuple(-x for x in n), False)]]
+              for n in facets]
+    for w in sorted({sign_normalized(w) for w in walls
+                     if not is_zero_vec(w)} - parallel):
+        m = tuple(-x for x in w)
+        levels.append([[(w, True)], [(m, True)], [(w, False), (m, False)]])
     cells = {}
 
-    def rec(i, constraints):
-        if strict_feasible(constraints, sigma.rank) is None:
+    def rec(i, constraints, gens, inserted, pointed):
+        if i == len(levels):
+            # a pointed cone's primitive extreme rays are unique, but the
+            # lineality basis of a cell with a line depends on the order
+            # its normals were inserted in, so such a cell is described
+            # from scratch
+            key = frozenset(gens) if pointed else cell_key(dual_generators(
+                [n for n, _ in constraints], rank))
+            cells.setdefault(key, tuple(sorted(key)))
             return
-        if i < len(facets):
-            n = facets[i]
-            rec(i + 1, constraints + [(n, True)])
-            rec(i + 1, constraints + [(n, False),
-                                      (tuple(-x for x in n), False)])
-            return
-        j = i - len(facets)
-        if j < len(norm_walls):
-            w = norm_walls[j]
-            rec(i + 1, constraints + [(w, True)])
-            rec(i + 1, constraints + [(tuple(-x for x in w), True)])
-            rec(i + 1, constraints + [(w, False),
-                                      (tuple(-x for x in w), False)])
-            return
-        closed = [(n, False) for n, _ in constraints]
-        gens = dual_generators([n for n, _ in closed], sigma.rank)
-        # honor the one-sided closed constraints exactly
-        gens = tuple(g for g in gens
-                     if all(dot(n, g) >= 0 for n, _ in closed))
-        key = cell_key(gens)
-        cells.setdefault(key, tuple(sorted(key)))
+        for branch in levels[i]:
+            g, ins, pt = gens, inserted, pointed
+            for n, _ in branch:
+                if n not in ins:
+                    ins = ins + (n,)
+                    g, pt = _dd_step(g, ins, rank, pt)
+            cons = constraints + branch
+            if all(any(dot(n, x) > 0 for x in g) for n, s in cons if s):
+                rec(i + 1, cons, g, ins, pt)
 
-    rec(0, [])
+    rec(0, [], _dd_start(rank), (), False)
     return sorted(cells.values(), key=lambda c: (len(c), c))
 
 

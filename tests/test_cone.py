@@ -252,6 +252,52 @@ def test_check_morphism_errors_are_raised_on_every_repeat():
         assert cone._check_morphism.cache_info() == info
 
 
+def test_poic_new_repeats_on_equal_content_agree():
+    """The poic memo is keyed on the sorted primitive constraints with
+    their strictness: permuted, scaled or duplicated lists give equal
+    poics, each a new object, and strictness flags are part of the key."""
+    rng = random.Random(11)
+    built = 0
+    for rank, normals in _normal_sets(seed=23, count=60):
+        facets = [(n, rng.random() < 0.4) for n in normals]
+        try:
+            first = poic_new(rank, facets)
+        except ConeError:
+            continue
+        variant = [(tuple(k * x for x in n), s)
+                   for (n, s), k in zip(facets, rng.choices((1, 2, 3),
+                                                          k=len(facets)))]
+        variant += [c for c in facets if rng.random() < 0.5]
+        rng.shuffle(variant)
+        hits = cone._poic_new.cache_info().hits
+        again = poic_new(rank, variant)
+        assert cone._poic_new.cache_info().hits == hits + 1
+        assert again == first and again is not first
+        built += 1
+    assert built >= 30
+    closed = poic_new(2, [((1, 0), False), ((0, 1), False)])
+    half_open = poic_new(2, [((0, 2), True), ((1, 0), False)])
+    assert closed.facets != half_open.facets
+    assert half_open == poic_new(2, [((1, 0), False), ((0, 1), True),
+                                     ((0, 1), False)])
+
+
+def test_poic_new_errors_are_raised_on_every_repeat():
+    for exc, facets in ((EmptyCone, [((1, 0), True), ((-1, 0), False)]),
+                        (NotFullDimensional, [((1, 0), False),
+                                              ((-1, 0), False)])):
+        for _ in range(3):
+            misses = cone._poic_new.cache_info().misses
+            with pytest.raises(exc):
+                poic_new(2, facets)
+            assert cone._poic_new.cache_info().misses == misses + 1
+    for _ in range(3):
+        info = cone._poic_new.cache_info()
+        with pytest.raises(ConeError, match="wrong length"):
+            poic_new(2, [((1, 0), False), ((1, 0, 0), False)])
+        assert cone._poic_new.cache_info() == info
+
+
 def test_face_of_face_is_face():
     sigma = poic_new(3, [((1, 0, 0), False), ((0, 1, 0), False),
                          ((0, 0, 1), False)])
@@ -620,7 +666,7 @@ def test_facets_from_rays_matches_reference():
 
 def test_cone_memos_are_bounded():
     for memo in (cone._dual_generators, cone._faces, cone._facets_from_rays,
-                 intlinalg._smith_normal_form):
+                 cone._poic_new, intlinalg._smith_normal_form):
         assert memo.cache_info().maxsize is not None
     memo = intlinalg._smith_normal_form
     side = int(intlinalg._SNF_MEMO_CELLS ** 0.5) // 2

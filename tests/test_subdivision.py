@@ -1,6 +1,19 @@
+import math
+import random
+
 import pytest
 
-from tropocone.cone import poic_new
+from tropocone import cone, subdivision
+from tropocone.cone import (
+    ConeError,
+    cell_key,
+    chart_cone,
+    dual_generators,
+    faces,
+    facets_from_rays,
+    poic_new,
+    strict_feasible,
+)
 from tropocone.complexes import (
     ComplexError,
     LinearStructure,
@@ -8,7 +21,15 @@ from tropocone.complexes import (
     relint_complex,
     single_cone_complex,
 )
-from tropocone.intlinalg import IntMatrix
+from tropocone.intlinalg import (
+    IntMatrix,
+    dot,
+    is_zero_vec,
+    primitive,
+    sign_normalized,
+    solve_integer_columns,
+    vadd,
+)
 from tropocone.moduli import build_moduli
 from tropocone.subdivision import (
     AmbientMismatch,
@@ -17,6 +38,9 @@ from tropocone.subdivision import (
     NotPFine,
     RayNotInterior,
     Subdivision,
+    SubdivisionError,
+    arrangement_cells,
+    cell_witness,
     common_refinement,
     compose_subdivisions,
     cycle_equal,
@@ -473,3 +497,296 @@ def test_cycle_equal():
     assert cycle_equal(c1, c2)
     c3 = Cycle(base=phi, subdivision=ident, weight=omega.scaled(2))
     assert not cycle_equal(c1, c3)
+
+
+# ---------------------------------------------------------------------------
+# the incremental arrangement walk and the indexed face lookup against the
+# from-scratch walk and the all-pairs scan they replaced
+
+def _reference_arrangement_cells(sigma, walls):
+    norm_walls = sorted({sign_normalized(w) for w in walls
+                         if not is_zero_vec(w)})
+    facets = [n for n, _ in sigma.facets]
+    cells = {}
+
+    def rec(i, constraints):
+        if strict_feasible(constraints, sigma.rank) is None:
+            return
+        if i < len(facets):
+            n = facets[i]
+            rec(i + 1, constraints + [(n, True)])
+            rec(i + 1, constraints + [(n, False),
+                                      (tuple(-x for x in n), False)])
+            return
+        j = i - len(facets)
+        if j < len(norm_walls):
+            w = norm_walls[j]
+            rec(i + 1, constraints + [(w, True)])
+            rec(i + 1, constraints + [(tuple(-x for x in w), True)])
+            rec(i + 1, constraints + [(w, False),
+                                      (tuple(-x for x in w), False)])
+            return
+        closed = [(n, False) for n, _ in constraints]
+        gens = dual_generators([n for n, _ in closed], sigma.rank)
+        gens = tuple(g for g in gens
+                     if all(dot(n, g) >= 0 for n, _ in closed))
+        key = cell_key(gens)
+        cells.setdefault(key, tuple(sorted(key)))
+
+    rec(0, [])
+    return sorted(cells.values(), key=lambda c: (len(c), c))
+
+
+def _reference_refine_assemble(phi, cells_per_cone):
+    pieces = {}
+    for s in phi.ids():
+        sigma = phi.cones[s]
+        seen = set()
+        kept = []
+        for gens in cells_per_cone.get(s, [tuple(sigma.closure_rays)]):
+            key = cell_key(gens)
+            if key in seen:
+                continue
+            seen.add(key)
+            for g in key:
+                if not all(dot(n, g) >= 0 for n, _ in sigma.facets):
+                    raise SubdivisionError(
+                        f"cell generator {g} escapes the closure of {s}")
+            w = cell_witness(gens, sigma.rank)
+            if not sigma.contains(w, strictly=True):
+                continue
+            kept.append(key)
+        kept.sort(key=lambda k: (len(k), sorted(k)))
+        cuts = [(n, True) for n, strict in sigma.facets if strict]
+        for i, key in enumerate(kept):
+            poic, embed = chart_cone(sorted(key), sigma.rank, cuts)
+            pieces[f"{s}/{i}"] = (s, poic, embed, key)
+    face_keys = {}
+    for pid, (s, poic, embed, key) in pieces.items():
+        fk = {}
+        for f in faces(poic):
+            fk[cell_key(embed.apply(f.matrix.apply(g))
+                        for g in f.sub.closure_rays)] = f.dim
+        face_keys[pid] = fk
+    cones = {pid: data[1] for pid, data in pieces.items()}
+    order = set()
+    face_maps = {}
+    ids = sorted(pieces)
+    for p1 in ids:
+        s1, poic1, emb1, key1 = pieces[p1]
+        for p2 in ids:
+            if p1 == p2:
+                continue
+            s2, poic2, emb2, key2 = pieces[p2]
+            if not (s1 == s2 or (s1, s2) in phi.order):
+                continue
+            fmap = phi.facemap(s1, s2)
+            lifted = cell_key(fmap.apply(g) for g in key1)
+            if lifted not in face_keys[p2]:
+                continue
+            if face_keys[p2][lifted] != poic1.rank:
+                continue
+            fm = solve_integer_columns(emb2, fmap @ emb1)
+            if fm is None:
+                raise SubdivisionError(
+                    f"piece lattice of {p1} not saturated inside {p2}")
+            order.add((p1, p2))
+            face_maps[(p1, p2)] = fm
+    source = complex_new(cones, order, face_maps)
+    return ComplexMorphism(
+        source=source, target=phi,
+        cone_map={pid: pieces[pid][0] for pid in pieces},
+        matrices={pid: pieces[pid][2] for pid in pieces},
+    )
+
+
+def _vec(rng, rank, bound=2):
+    return tuple(rng.randint(-bound, bound) for _ in range(rank))
+
+
+def _lined(cell):
+    """True when the cell's generators hold a ± pair (a line)."""
+    return any(tuple(-x for x in g) in cell for g in cell)
+
+
+def _special_cones():
+    """Cones with lineality and small pointed ones, strict and closed."""
+    yield poic_new(0, [])
+    for strict in (False, True):
+        yield poic_new(1, [((1,), strict)])
+        yield poic_new(2, [((1, 2), strict)])                    # half-plane
+        yield poic_new(2, [((0, 1), strict)])                    # R x R>=0
+        yield poic_new(2, [((1, 0), strict), ((0, 1), False)])
+        yield poic_new(3, [((0, 1, 0), strict), ((0, 0, 1), False)])
+        yield poic_new(3, [((1, -1, 2), strict)])
+        yield poic_new(3, [((1, 0, 0), strict), ((0, 1, 0), strict),
+                           ((0, 0, 1), False)])
+    yield poic_new(1, [])
+    yield poic_new(2, [])                                        # plane
+    yield poic_new(3, [])
+
+
+def _random_cone(rng, rank):
+    """A seeded poic of the given rank: pointed (normals positive on an
+    interior point, plus the coordinate ones) or with lineality (normals
+    orthogonal to a random direction)."""
+    while True:
+        if rng.random() < 0.5:
+            point = tuple(rng.randint(1, 3) for _ in range(rank))
+            normals = [tuple(int(i == j) for j in range(rank))
+                       for i in range(rank)]
+            normals += [n for n in (_vec(rng, rank)
+                                    for _ in range(rng.randint(0, 2)))
+                        if dot(n, point) > 0]
+        else:
+            v = _vec(rng, rank)
+            normals = [n for n in (_vec(rng, rank)
+                                   for _ in range(rng.randint(1, rank)))
+                       if dot(n, v) == 0 and not is_zero_vec(n)]
+        try:
+            return poic_new(rank, [(n, rng.random() < 0.4)
+                                   for n in normals])
+        except ConeError:
+            continue
+
+
+def _random_walls(rng, sigma):
+    """Seeded walls: random ones, then copies that are duplicated, scaled,
+    ± facet normals, zero, and sums of facet normals, which touch the
+    closure only on its boundary."""
+    rank = sigma.rank
+    walls = [_vec(rng, rank) for _ in range(rng.randint(0, 2))]
+    normals = sigma.normals()
+    extra = []
+    if walls:
+        extra.append(rng.choice(walls))
+        k = rng.randint(2, 3)
+        extra.append(tuple(k * x for x in rng.choice(walls)))
+    if normals:
+        n = rng.choice(normals)
+        extra.append(n if rng.random() < 0.5 else tuple(-x for x in n))
+    if len(normals) >= 2:
+        a, b = rng.sample(normals, 2)
+        extra.append(vadd(a, b))
+    extra.append((0,) * rank)
+    return walls + rng.sample(extra, rng.randint(0, len(extra)))
+
+
+def _arrangement_cases():
+    rng = random.Random(1414)
+    for sigma in _special_cones():
+        yield sigma, []
+        yield sigma, [(0,) * sigma.rank]
+        for _ in range(3):
+            yield sigma, _random_walls(rng, sigma)
+    yield poic_new(3, []), [(1, 2, -1)]                          # R^3, 1 wall
+    for i in range(90):
+        sigma = _random_cone(rng, 1 + i % 3)
+        yield sigma, _random_walls(rng, sigma)
+
+
+def test_arrangement_cells_match_the_from_scratch_walk():
+    lined = pointed = 0
+    for sigma, walls in _arrangement_cases():
+        got = arrangement_cells(sigma, walls)
+        assert got == _reference_arrangement_cells(sigma, walls), \
+            (sigma, walls)
+        lined += any(_lined(c) for c in got)
+        pointed += sigma.rank > 0 and sigma.pointed()
+    assert arrangement_cells(poic_new(0, []), []) == [()]
+    assert lined >= 15 and pointed >= 30
+
+
+def _complete_fan(rng):
+    """A seeded complete fan in Z^2 (closed cones, coordinate rays plus up
+    to two more)."""
+    rays = {(1, 0), (0, 1), (-1, 0), (0, -1)}
+    rays |= {primitive(v) for v in (_vec(rng, 2, 3) for _ in range(2))
+             if not is_zero_vec(v)}
+    rays = sorted(rays, key=lambda r: math.atan2(r[1], r[0]))
+    ray = poic_new(1, [((1,), False)])
+    cones = {"o": poic_new(0, [])}
+    fmaps = {}
+    for i, r in enumerate(rays):
+        cones[f"r{i}"] = ray
+        fmaps[("o", f"r{i}")] = IntMatrix(1, 0, ())
+    for j in range(len(rays)):
+        pair = (rays[j], rays[(j + 1) % len(rays)])
+        facets, _ = facets_from_rays(list(pair), 2)
+        cones[f"c{j}"] = poic_new(2, [(f, False) for f in facets])
+        fmaps[("o", f"c{j}")] = IntMatrix(2, 0, ())
+        for k in (j, (j + 1) % len(rays)):
+            fmaps[(f"r{k}", f"c{j}")] = IntMatrix.from_cols([rays[k]])
+    return complex_new(cones, set(fmaps), fmaps)
+
+
+def test_refine_assemble_matches_the_pair_scan(monkeypatch):
+    compared = []
+    real = subdivision.refine_assemble
+
+    def both(phi, cells):
+        got, ref = real(phi, cells), _reference_refine_assemble(phi, cells)
+        assert list(got.source.cones) == list(ref.source.cones)
+        assert got.source.cones == ref.source.cones
+        assert got.source.order == ref.source.order
+        assert list(got.source.face_maps.items()) == \
+            list(ref.source.face_maps.items())
+        assert (got.cone_map, got.matrices) == (ref.cone_map, ref.matrices)
+        compared.append(len(got.source.order))
+        return got
+
+    monkeypatch.setattr(subdivision, "refine_assemble", both)
+    rng = random.Random(1415)
+    for _ in range(6):
+        phi = _complete_fan(rng)
+        top = rng.choice(phi.classes(2))
+        g1, g2 = phi.cones[top].closure_rays[:2]
+        k = rng.randint(1, 3)
+        ray = primitive(vadd(tuple(k * x for x in g1), g2))
+        stellar(phi, top, ray)
+        ord_subdivision(phi)
+        walls = {c: [_vec(rng, 2, 3) for _ in range(rng.randint(1, 2))]
+                 for c in phi.classes(2)}
+        refine_by_walls(phi, walls)
+        for c, ws in walls.items():
+            assert arrangement_cells(phi.cones[c], ws) == \
+                _reference_arrangement_cells(phi.cones[c], ws)
+    assert len(compared) == 18 and min(compared) > 0
+
+
+def test_arrangement_walk_runs_no_from_scratch_description(monkeypatch):
+    """The walk makes each cone one double-description step from its
+    parent: no strict_feasible call, and a from-scratch dual_generators
+    call only at a leaf whose cell has a line.  Every leaf of a walk in a
+    space without facets is a distinct cell, unless an empty node (one
+    whose older strict normal an equation has made zero) is walked on."""
+    octant = poic_new(3, [((1, 0, 0), False), ((0, 1, 0), True),
+                          ((0, 0, 1), False)])
+    sector = poic_new(2, [((1, 0), False), ((-1, 3), True)])
+    plane, space = poic_new(2, []), poic_new(3, [])
+    calls = {"strict_feasible": [], "dual_generators": []}
+    for name, log in calls.items():
+        real = getattr(cone, name)
+
+        def counted(*args, real=real, log=log):
+            out = real(*args)
+            log.append(out)
+            return out
+
+        for module in (cone, subdivision):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+
+    for sigma, walls in ((sector, [(1, -1), (2, 1)]),
+                         (octant, [(1, -1, 0), (0, 1, -2), (1, 1, 1)])):
+        cells = arrangement_cells(sigma, walls)
+        assert len(cells) > 5
+        assert calls == {"strict_feasible": [], "dual_generators": []}
+    for sigma, walls, count in ((plane, [(1, 2)], 3),
+                                (space, [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
+                                 13)):
+        calls["dual_generators"].clear()
+        assert len(arrangement_cells(sigma, walls)) == count
+        assert not calls["strict_feasible"]
+        assert len(calls["dual_generators"]) == count
+        assert all(_lined(set(g)) for g in calls["dual_generators"])
