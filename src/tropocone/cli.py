@@ -8,6 +8,7 @@ Exit codes: 0 verified/computed, 1 validation failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import io_json
@@ -75,7 +76,7 @@ def _marks(text):
 
 def _genus_marks(text):
     g, sep, labels = text.partition(":")
-    if not sep or not g.isdigit():
+    if not sep or not re.fullmatch("[0-9]+", g):
         raise SchemaError(f"expected g:A with a genus g >= 0, not {text!r}")
     return int(g), _marks(labels)
 
@@ -317,6 +318,9 @@ def cmd_run(args):
                           "not with an 'out' param or input")
     if not all(isinstance(path, str) for path in inputs.values()):
         raise SchemaError("manifest inputs are file paths")
+    output = manifest.get("output")
+    if not isinstance(output, (str, type(None))):
+        raise SchemaError("a manifest's 'output' is a file path")
     digests = {name: _digest(path) for name, path in sorted(inputs.items())}
     # params and inputs are the command's options, checked by its parser
     argv = [command]
@@ -333,7 +337,7 @@ def cmd_run(args):
         "digests": digests,
         "result": result,
     }
-    _write_out(report, manifest.get("output"))
+    _write_out(report, output)
     return None
 
 

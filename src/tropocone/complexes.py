@@ -135,11 +135,9 @@ def complex_new(cones, order, face_maps) -> PoicComplex:
             raise ComplexError(f"missing face map for {p}<{q}")
     # the relations out of and into each cone, sorted; only composable
     # pairs p<q<r are checked
-    relations = sorted(order)
-    above, below = {}, {}
-    for (p, q) in relations:
-        above.setdefault(p, []).append(q)
-        below.setdefault(q, []).append(p)
+    phi = PoicComplex(cones=cones, order=order, face_maps=face_maps)
+    below, above = phi._neighbours
+    relations = [(p, q) for p, qs in above.items() for q in qs]
     for (p, q) in relations:
         for r in above.get(q, ()):
             if (p, r) not in order:
@@ -175,7 +173,7 @@ def complex_new(cones, order, face_maps) -> PoicComplex:
                 raise MissingFace(
                     f"face {sorted(f.gens_key)} of cone {q} has no source "
                     f"object")
-    return PoicComplex(cones=cones, order=order, face_maps=face_maps)
+    return phi
 
 
 def single_cone_complex(sigma: Poic, name="c0") -> PoicComplex:
@@ -211,14 +209,7 @@ def relint_complex(sigma: Poic, name="c0") -> PoicComplex:
 
 def skeleton(phi: PoicComplex, k: int) -> PoicComplex:
     """Full subcomplex on the cones of dimension <= k."""
-    keep = {p for p in phi.ids() if phi.dim(p) <= k}
-    return PoicComplex(
-        cones={p: phi.cones[p] for p in keep},
-        order=frozenset((p, q) for (p, q) in phi.order
-                        if p in keep and q in keep),
-        face_maps={(p, q): m for (p, q), m in phi.face_maps.items()
-                   if p in keep and q in keep},
-    )
+    return subcomplex(phi, [p for p in phi.ids() if phi.dim(p) <= k])
 
 
 def subcomplex(phi: PoicComplex, ids) -> PoicComplex:

@@ -69,9 +69,7 @@ def validate_fibration(fib: Fibration) -> Report:
     report = Report()
     phi, space = fib.complex, fib.space
     relations = sorted(phi.order)
-    above = {}
-    for (p, q) in relations:
-        above.setdefault(p, []).append(q)
+    above = phi._neighbours[1]
     # naturality of the transforms
     for (p, q) in relations:
         if (p, q) not in fib.morphism_map:

@@ -83,47 +83,25 @@ class STFibration:
         return self.fibration.space
 
 
-def _rep_edges(cat, graph, error, message):
-    """Locate graph in cat.  Returns its class id and, for each edge of the
-    class representative, the edge of graph it comes from under the
-    canonical relabeling; raises error(message) if the class is missing."""
-    cls, phi = cat.locate(graph)
-    if cls is None:
-        raise error(message)
-    inv_phi = [0] * len(phi)
-    for x, y in enumerate(phi):
-        inv_phi[y] = x
-    edges = []
-    for (a, b) in cat.classes[cls].edges():
-        ra, rb = inv_phi[a], inv_phi[b]
-        edges.append((min(ra, rb), max(ra, rb)))
-    return cls, edges
+def _unit_rows(graph, col):
+    """eta with one unit row per edge of graph, at that edge's column."""
+    edges, n = graph.edges(), len(col)
+    return IntMatrix(len(edges), n, tuple(
+        int(col[e] == j) for e in edges for j in range(n)))
 
 
 def _st_edge_matrix(tree_rep: DiscreteGraph, g: int, cat):
     """Class of st(T) in cat and the matrix sigma_T x R^g ->
     sigma_{st(T)-rep}."""
     image = st_join(tree_rep, g) if g > 0 else tree_rep
-    cls, raw_edges = _rep_edges(cat, image, FibrationError,
-                                "st image not found in the target")
-    tree_edges = {e: i for i, e in enumerate(tree_rep.edges())}
+    # st_join keeps the flags, so every edge of the image is a tree edge
+    # or a gluing pair
+    col = {e: i for i, e in enumerate(tree_rep.edges())}
     marking = tree_rep.marking_dict()
-    glue_pair = {}
     for i in range(1, g + 1):
         fa, fb = marking[f"g{i}"], marking[f"g{i}*"]
-        glue_pair[(min(fa, fb), max(fa, fb))] = i - 1
-    ncols = len(tree_edges) + g
-    rows = []
-    for raw in raw_edges:
-        row = [0] * ncols
-        if raw in tree_edges:
-            row[tree_edges[raw]] = 1
-        elif raw in glue_pair:
-            row[len(tree_edges) + glue_pair[raw]] = 1
-        else:
-            raise FibrationError(f"edge {raw} unaccounted in st image")
-        rows.append(row)
-    return cls, IntMatrix.from_rows(rows, ncols)
+        col[(min(fa, fb), max(fa, fb))] = len(col)
+    return _class_and_matrix(cat, image, _unit_rows(image, col))
 
 
 def spanning_tree_fibration(g, labels) -> STFibration:
@@ -403,12 +381,22 @@ def forget_leg(g: DiscreteGraph, label):
 
 
 def _class_and_matrix(cat, graph, eta):
-    """Canonicalize and compose the edge matrix with the relabeling."""
-    cls, raw_edges = _rep_edges(cat, graph, FibrationMorphismError,
-                                "image class missing from category")
+    """Locate graph in cat.  Returns its class id and eta (one row per
+    edge of graph) with its rows moved to the edges of the class
+    representative by the canonical relabeling."""
+    cls, phi = cat.locate(graph)
+    if cls is None:
+        raise FibrationMorphismError("graph class missing from category")
+    inv_phi = [0] * len(phi)
+    for x, y in enumerate(phi):
+        inv_phi[y] = x
     graph_idx = {e: i for i, e in enumerate(graph.edges())}
-    return cls, IntMatrix.from_rows(
-        [eta.row(graph_idx[e]) for e in raw_edges], eta.cols)
+    rep_edges = cat.classes[cls].edges()
+    entries = ()
+    for (a, b) in rep_edges:
+        ra, rb = inv_phi[a], inv_phi[b]
+        entries += eta.row(graph_idx[(min(ra, rb), max(ra, rb))])
+    return cls, IntMatrix(len(rep_edges), eta.cols, entries)
 
 
 def _align_space_matrices(src_fib, tgt_fib, space_map, raw_space_matrices,
@@ -595,24 +583,14 @@ def product_fibration(left: STFibration, right: STFibration):
 def _clutch_edge_matrix(gL, gR, joined, index_map, cat):
     """Class of the joined graph in cat and the edge matrix
     sigma_L x sigma_R -> sigma_{joined-rep}."""
-    cls, raw_edges = _rep_edges(cat, joined, FibrationMorphismError,
-                                "clutched class missing from category")
-    eL = {e: i for i, e in enumerate(gL.edges())}
-    eR = {e: i for i, e in enumerate(gR.edges())}
-    back = {v: k for k, v in index_map.items()}
-    rows = []
-    for (ra, rb) in raw_edges:
-        row = [0] * (len(eL) + len(eR))
-        (sa, xa), (sb, xb) = back[ra], back[rb]
-        if sa != sb:
-            raise FibrationMorphismError("edge straddles the clutch")
-        key = (min(xa, xb), max(xa, xb))
-        if sa == "a":
-            row[eL[key]] = 1
-        else:
-            row[len(eL) + eR[key]] = 1
-        rows.append(row)
-    return cls, IntMatrix.from_rows(rows, len(eL) + len(eR))
+    # clutch_graphs keeps each flag's side, so every edge of the joined
+    # graph is a left edge or a right edge
+    col = {}
+    for side, graph in (("a", gL), ("b", gR)):
+        for (x, y) in graph.edges():
+            a, b = index_map[(side, x)], index_map[(side, y)]
+            col[(min(a, b), max(a, b))] = len(col)
+    return _class_and_matrix(cat, joined, _unit_rows(joined, col))
 
 
 def clutching(g, labels_a, h, labels_b) -> FibrationMorphism:

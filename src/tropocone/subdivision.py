@@ -36,7 +36,6 @@ from .intlinalg import (
     IntMatrix,
     Lattice,
     dot,
-    frac_rank,
     is_zero_vec,
     lattice_index,
     primitive,
@@ -448,111 +447,30 @@ def stellar(phi: PoicComplex, s, ray) -> Subdivision:
 def ord_subdivision(phi: PoicComplex) -> Subdivision:
     """Barycentric-style subdivision via the chains-of-faces construction.
 
-    Works per connected component; partially open complexes are completed
-    by their missing closure faces first, the chain cones are built from
-    the sums of primitive ray generators, and faces absent from the
-    partially open cones are dropped again by the strictness filter.
+    A chain of faces that ends at a cone lies in that cone's own face
+    lattice, so each cone is refined on its own: a cell is spanned by the
+    barycenters (sums of primitive closure rays) of a chain of nonzero
+    closure faces ending at the whole closure.  Faces absent from a
+    partially open cone are dropped again by the strictness filter.
     """
-    for p in phi.ids():
-        if not phi.cones[p].pointed():
+    cells_per_cone = {}
+    for s in phi.ids():
+        sigma = phi.cones[s]
+        if not sigma.pointed():
             raise SubdivisionError(
                 "ord subdivision needs pointed closures")
-    # global closure completion: union-find over (cone, closure-face key)
-    nodes = {}
-    for s in phi.ids():
-        closed = phi.cones[s].closure()
-        for f in faces(closed):
-            nodes[(s, frozenset(f.gens_key))] = (s, frozenset(f.gens_key))
-    parent = dict(nodes)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for (f_id, s_id) in phi.order:
-        fmap = phi.facemap(f_id, s_id)
-        closed_f = phi.cones[f_id].closure()
-        for f in faces(closed_f):
-            union((f_id, frozenset(f.gens_key)),
-                  (s_id, cell_key(fmap.apply(g) for g in f.gens_key)))
-
-    classes = {}
-    for key in nodes:
-        classes.setdefault(find(key), []).append(key)
-
-    class_of = {key: find(key) for key in nodes}
-    original = {}
-    for s in phi.ids():
-        topkey = frozenset(phi.cones[s].closure_rays)
-        original[class_of[(s, topkey)]] = s
-    dims = {}
-    nvecs = {}
-    for root, members in classes.items():
-        s0, key0 = sorted(members)[0]
-        gens = sorted(key0)
-        dims[root] = frac_rank(list(gens) or [(0,) * max(phi.dim(s0), 1)])
-        per_cone = {}
-        for (s, key) in members:
-            w = (0,) * phi.dim(s)
-            for g in sorted(key):
-                w = vadd(w, g)
-            per_cone[s] = w
-        nvecs[root] = per_cone
-
-    # bar order between classes
-    roots = sorted(classes, key=lambda r: (dims[r], str(r)))
-    less = set()
-    for r1 in roots:
-        for r2 in roots:
-            if r1 == r2 or dims[r1] >= dims[r2]:
-                continue
-            for (s, k2) in classes[r2]:
-                match = next((k1 for (s1, k1) in classes[r1] if s1 == s), None)
-                if match is not None and match <= k2:
-                    less.add((r1, r2))
-                    break
-
-    def chain_cells():
-        cells_per_cone = {t: [] for t in phi.ids()}
-        nontrivial = [r for r in roots if dims[r] > 0]
-        chains = []
-
-        def extend(chain):
-            chains.append(chain)
-            top = chain[-1]
-            for r in nontrivial:
-                if (top, r) in less:
-                    extend(chain + [r])
-
-        for r in nontrivial:
-            extend([r])
+        if sigma.rank == 0:
+            cells_per_cone[s] = [()]
+            continue
+        keys = [frozenset(f.gens_key) for f in faces(sigma.closure())]
+        # the chains are grown downwards from the whole closure, so only
+        # those ending there are built
+        chains = [[frozenset(sigma.closure_rays)]]
         for chain in chains:
-            top = chain[-1]
-            if top not in original:
-                continue
-            t = original[top]
-            gens = []
-            ok = True
-            for r in chain:
-                if t not in nvecs[r]:
-                    ok = False
-                    break
-                gens.append(nvecs[r][t])
-            if ok:
-                cells_per_cone[t].append(tuple(gens))
-        for s in phi.ids():
-            if phi.dim(s) == 0:
-                cells_per_cone[s].append(())
-        return cells_per_cone
-
-    return refine_assemble(phi, chain_cells())
+            chains.extend([k] + chain for k in keys if k and k < chain[0])
+        cells_per_cone[s] = [tuple(cell_witness(k, sigma.rank) for k in c)
+                             for c in chains]
+    return refine_assemble(phi, cells_per_cone)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 it runs.  Import footprints are checked in fresh interpreters, since the
 test process has long since imported everything."""
 
+import ast
 import functools
 import importlib
 import pkgutil
@@ -128,3 +129,26 @@ def test_every_memo_is_bounded():
     assert decorators == len(memos) >= 5
     for name, params in memos.items():
         assert params["maxsize"] is not None, name
+
+
+def test_every_imported_name_is_used():
+    """Each name a module of the package imports is read somewhere in
+    that module; ``from __future__`` imports bind no name."""
+    for info in pkgutil.iter_modules(tropocone.__path__):
+        module = importlib.import_module(f"tropocone.{info.name}")
+        with open(module.__file__, encoding="utf-8") as src:
+            tree = ast.parse(src.read())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) \
+                    and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused = sorted((line, name) for name, line in imported.items()
+                        if name not in used)
+        assert not unused, f"{info.name}: unused imports {unused}"

@@ -288,6 +288,10 @@ def _incompatible_subdivision(tmp_path):
     (_zeroed_face_map, 1),
     (_non_utf8_input, 2),
     (_shear_ord, 1),
+    (lambda t: _enumerate_manifest(t, output=["x"]), 2),
+    (lambda t: _enumerate_manifest(t, output=True), 2),
+    (lambda t: _enumerate_manifest(t, output=1), 2),
+    (lambda t: ["clutch", "--left", "\u00b2:1,c", "--right", "0:3,4,c"], 2),
 ], ids=["manifest-no-inputs", "manifest-list", "linear-no-target-rank",
         "stellar-unknown-cone", "stellar-no-ray", "stellar-bad-ray",
         "equivariant-foreign-subdivision", "equivariant-incompatible",
@@ -298,7 +302,9 @@ def _incompatible_subdivision(tmp_path):
         "manifest-unreadable-input", "out-unwritable",
         "manifest-output-unwritable", "manifest-out-param",
         "manifest-input-not-a-path", "weights-not-face-embedding",
-        "non-utf8-input", "shear-ord"])
+        "non-utf8-input", "shear-ord", "manifest-output-list",
+        "manifest-output-true", "manifest-output-one",
+        "clutch-superscript-genus"])
 def test_cli_bad_input_exit_codes(tmp_path, argv, code):
     out = run_cli(*argv(tmp_path))
     assert out.returncode == code, out.stderr
@@ -330,10 +336,18 @@ def test_negative_k_error_names_the_option(argv, capsys):
     (_non_utf8_input, 2, "input error: cannot decode {t}/bad.json as UTF-8"),
     (_shear_ord, 1,
      "validation failure: ord subdivision needs pointed closures"),
+    (lambda t: _enumerate_manifest(t, output=["x"]), 2,
+     "input error: a manifest's 'output' is a file path"),
+    (lambda t: _enumerate_manifest(t, output=True), 2,
+     "input error: a manifest's 'output' is a file path"),
+    (lambda t: ["clutch", "--left", "\u00b2:1,c", "--right", "0:3,4,c"], 2,
+     "input error: expected g:A with a genus g >= 0, not '\u00b2:1,c'"),
 ], ids=["manifest-unreadable-input", "out-unwritable",
         "manifest-output-unwritable", "manifest-out-param",
         "manifest-input-not-a-path", "manifest-out-input",
-        "weights-not-face-embedding", "non-utf8-input", "shear-ord"])
+        "weights-not-face-embedding", "non-utf8-input", "shear-ord",
+        "manifest-output-list", "manifest-output-true",
+        "clutch-superscript-genus"])
 def test_cli_errors_name_their_cause(tmp_path, argv, code, message, capsys):
     """``message`` is a pattern; {t} stands for the temporary directory."""
     assert cli.main(argv(tmp_path)) == code

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tropocone import cone, subdivision
+from tropocone import cone, io_json, subdivision
 from tropocone.cone import (
     ConeError,
     cell_key,
@@ -17,13 +17,16 @@ from tropocone.cone import (
 from tropocone.complexes import (
     ComplexError,
     LinearStructure,
+    PoicComplex,
     complex_new,
+    product_complex,
     relint_complex,
     single_cone_complex,
 )
 from tropocone.intlinalg import (
     IntMatrix,
     dot,
+    frac_rank,
     is_zero_vec,
     primitive,
     sign_normalized,
@@ -31,6 +34,7 @@ from tropocone.intlinalg import (
     vadd,
 )
 from tropocone.moduli import build_moduli
+from tropocone.stfib import spanning_tree_fibration
 from tropocone.subdivision import (
     AmbientMismatch,
     ComplexMorphism,
@@ -51,6 +55,7 @@ from tropocone.subdivision import (
     pfine_refinement,
     proper_probe,
     pushforward,
+    refine_assemble,
     refine_by_walls,
     stellar,
     validate_complex_morphism,
@@ -790,3 +795,162 @@ def test_arrangement_walk_runs_no_from_scratch_description(monkeypatch):
         assert not calls["strict_feasible"]
         assert len(calls["dual_generators"]) == count
         assert all(_lined(set(g)) for g in calls["dual_generators"])
+
+
+# ---------------------------------------------------------------------------
+# the per-cone ord subdivision against the complex-wide construction it
+# replaced: a union-find over the closure faces of all cones, an order on
+# the glued classes, and the chains of the whole class poset
+
+def _reference_ord_subdivision(phi: PoicComplex) -> Subdivision:
+    """Barycentric-style subdivision via the chains-of-faces construction.
+
+    Works per connected component; partially open complexes are completed
+    by their missing closure faces first, the chain cones are built from
+    the sums of primitive ray generators, and faces absent from the
+    partially open cones are dropped again by the strictness filter.
+    """
+    for p in phi.ids():
+        if not phi.cones[p].pointed():
+            raise SubdivisionError(
+                "ord subdivision needs pointed closures")
+    # global closure completion: union-find over (cone, closure-face key)
+    nodes = {}
+    for s in phi.ids():
+        closed = phi.cones[s].closure()
+        for f in faces(closed):
+            nodes[(s, frozenset(f.gens_key))] = (s, frozenset(f.gens_key))
+    parent = dict(nodes)
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for (f_id, s_id) in phi.order:
+        fmap = phi.facemap(f_id, s_id)
+        closed_f = phi.cones[f_id].closure()
+        for f in faces(closed_f):
+            union((f_id, frozenset(f.gens_key)),
+                  (s_id, cell_key(fmap.apply(g) for g in f.gens_key)))
+
+    classes = {}
+    for key in nodes:
+        classes.setdefault(find(key), []).append(key)
+
+    class_of = {key: find(key) for key in nodes}
+    original = {}
+    for s in phi.ids():
+        topkey = frozenset(phi.cones[s].closure_rays)
+        original[class_of[(s, topkey)]] = s
+    dims = {}
+    nvecs = {}
+    for root, members in classes.items():
+        s0, key0 = sorted(members)[0]
+        gens = sorted(key0)
+        dims[root] = frac_rank(list(gens) or [(0,) * max(phi.dim(s0), 1)])
+        per_cone = {}
+        for (s, key) in members:
+            w = (0,) * phi.dim(s)
+            for g in sorted(key):
+                w = vadd(w, g)
+            per_cone[s] = w
+        nvecs[root] = per_cone
+
+    # bar order between classes
+    roots = sorted(classes, key=lambda r: (dims[r], str(r)))
+    less = set()
+    for r1 in roots:
+        for r2 in roots:
+            if r1 == r2 or dims[r1] >= dims[r2]:
+                continue
+            for (s, k2) in classes[r2]:
+                match = next((k1 for (s1, k1) in classes[r1] if s1 == s), None)
+                if match is not None and match <= k2:
+                    less.add((r1, r2))
+                    break
+
+    def chain_cells():
+        cells_per_cone = {t: [] for t in phi.ids()}
+        nontrivial = [r for r in roots if dims[r] > 0]
+        chains = []
+
+        def extend(chain):
+            chains.append(chain)
+            top = chain[-1]
+            for r in nontrivial:
+                if (top, r) in less:
+                    extend(chain + [r])
+
+        for r in nontrivial:
+            extend([r])
+        for chain in chains:
+            top = chain[-1]
+            if top not in original:
+                continue
+            t = original[top]
+            gens = []
+            ok = True
+            for r in chain:
+                if t not in nvecs[r]:
+                    ok = False
+                    break
+                gens.append(nvecs[r][t])
+            if ok:
+                cells_per_cone[t].append(tuple(gens))
+        for s in phi.ids():
+            if phi.dim(s) == 0:
+                cells_per_cone[s].append(())
+        return cells_per_cone
+
+    return refine_assemble(phi, chain_cells())
+
+
+def _pointed_cone(rng, rank):
+    while True:
+        sigma = _random_cone(rng, rank)
+        if sigma.pointed():
+            return sigma
+
+
+def _ord_cases():
+    rng = random.Random(1516)
+    for _ in range(40):
+        yield _complete_fan(rng)
+    for n in (4, 5, 6):
+        yield build_moduli(0, [str(i) for i in range(1, n + 1)]).complex
+    for g, labels in ((1, ["a"]), (1, ["a", "b"]), (2, [])):
+        yield spanning_tree_fibration(g, labels).complex
+    for i in range(24):
+        sigma = _pointed_cone(rng, 1 + i % 3)
+        yield single_cone_complex(sigma, "c")
+        yield relint_complex(sigma, "c")
+    half_open = poic_new(2, [((1, 0), True), ((0, 1), False)])
+    yield product_complex(build_moduli(0, ["1", "2", "3", "4"]).complex,
+                          single_cone_complex(half_open, "q"))[0]
+
+
+def test_ord_subdivision_matches_the_complex_wide_construction():
+    partially_open = 0
+    for phi in _ord_cases():
+        got = io_json.dumps(io_json.subdivision_to_json(ord_subdivision(phi)))
+        assert got == io_json.dumps(io_json.subdivision_to_json(
+            _reference_ord_subdivision(phi)))
+        partially_open += any(strict for c in phi.cones.values()
+                              for _, strict in c.facets)
+    assert partially_open >= 20
+    shear = complex_new(
+        {"a": poic_new(2, []), "b": poic_new(3, [((0, 0, 1), False)])},
+        {("a", "b")},
+        {("a", "b"): IntMatrix.from_rows([[1, 1], [0, 1], [0, 0]])})
+    for phi in (shear, single_cone_complex(poic_new(2, [((1, 0), False)]))):
+        for build in (ord_subdivision, _reference_ord_subdivision):
+            with pytest.raises(SubdivisionError,
+                               match="ord subdivision needs pointed"):
+                build(phi)
