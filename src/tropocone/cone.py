@@ -28,6 +28,7 @@ from .intlinalg import (
     lattice_index,
     primitive,
     saturation,
+    saturation_coordinates,
     vadd,
 )
 
@@ -327,12 +328,10 @@ def chart_cone(gens, rank, ambient):
     """The closed cone generated by ``gens`` in Z^rank, re-coordinated to
     its saturated lattice and cut by the pullbacks of the ``ambient``
     (normal, strict) pairs.  Returns (poic, embedding into Z^rank)."""
-    gens = list(gens)
-    basis = saturation(IntMatrix.from_rows(gens, rank)) if gens \
-        else IntMatrix.from_rows([], rank)
+    basis, local = saturation_coordinates(IntMatrix.from_rows(list(gens),
+                                                              rank))
     d = basis.rows
     embed = basis.transpose()
-    local = [tuple(int(x) for x in rational_preimage(embed, g)) for g in gens]
     facets, _ = facets_from_rays(local, d)
     constraints = [(f, False) for f in facets]
     for n, strict in ambient:
@@ -410,7 +409,7 @@ def _faces(sigma: Poic):
         if gens not in seen:
             seen[gens] = tight_set
     out = []
-    for gens in sorted(seen, key=lambda g: (frac_rank(list(g) or [(0,) * max(sigma.rank, 1)]), g)):
+    for gens in sorted(seen):
         witness = (0,) * sigma.rank
         for g in gens:
             witness = vadd(witness, g)
@@ -483,24 +482,32 @@ def _carrier(point, xi: Poic):
                  if all(dot(n, g) == 0 for n in tight))
 
 
+def closed_cone_contains(gens, points, rank):
+    """True iff every point lies in the closed cone generated by gens."""
+    if not points:
+        return True
+    facets, ann = facets_from_rays(list(gens), rank)
+    return all(all(dot(f, x) >= 0 for f in facets)
+               and all(dot(a, x) == 0 for a in ann) for x in points)
+
+
 def image_face(matrix, sigma, xi):
     """The face of xi equal to matrix(sigma), or None.
 
     Assumes matrix(sigma) ⊆ xi and that matrix is injective.  Then
     matrix(sigma) lies in the carrier f of the image of an interior point
-    of sigma, and equals f iff f has sigma's dimension, every ray of f has
-    a preimage in the closure of sigma (equal closures), and f has as many
-    present faces as sigma (each present face of sigma maps onto a
-    distinct present face of f).
+    of sigma, and equals f iff f has sigma's dimension, every ray of f
+    lies in the closed cone matrix(closure of sigma) (equal closures), and
+    f has as many present faces as sigma (each present face of sigma maps
+    onto a distinct present face of f).
     """
     key = _carrier(matrix.apply(sigma.interior_point()), xi)
     f = next((f for f in faces(xi) if f.gens_key == key), None)
     if f is None or f.dim != sigma.rank:
         return None
-    for g in key:
-        pre = rational_preimage(matrix, g)
-        if pre is None or any(dot(n, pre) < 0 for n in sigma.normals()):
-            return None
+    image = [matrix.apply(g) for g in sigma.closure_rays]
+    if not closed_cone_contains(image, key, xi.rank):
+        return None
     if len(faces(f.sub)) != len(faces(sigma)):
         return None
     return f

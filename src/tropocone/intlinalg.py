@@ -478,12 +478,25 @@ def unimodular_inverse(mat: IntMatrix) -> IntMatrix:
 
 def saturation(generators: IntMatrix) -> IntMatrix:
     """Basis (rows) of the saturation Z^n ∩ span_Q(rows of generators)."""
+    return saturation_coordinates(generators)[0]
+
+
+def saturation_coordinates(generators: IntMatrix):
+    """(basis, coordinates): the ``saturation`` basis rows, and per row of
+    ``generators`` its integer coordinates in that basis.
+
+    Both come from one Smith form U g V = D.  D is zero beyond its rank r,
+    so g = (g V) V^-1 only uses the first r columns of g V and the first r
+    rows of V^-1: those rows are the basis, and the first r entries of
+    each row of g V are the coordinates."""
     d, _, v = smith_normal_form(generators)
     rank = sum(1 for i in range(min(generators.rows, generators.cols))
                if d.entry(i, i) != 0)
     vinv = unimodular_inverse(v)
-    return IntMatrix.from_rows([vinv.row(i) for i in range(rank)],
-                               generators.cols)
+    coords = generators @ v
+    return (IntMatrix.from_rows([vinv.row(i) for i in range(rank)],
+                                generators.cols),
+            [coords.row(i)[:rank] for i in range(coords.rows)])
 
 
 # ---------------------------------------------------------------------------

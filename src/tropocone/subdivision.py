@@ -12,6 +12,7 @@ assembles the refined poic-complex together with the subdivision map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .cone import (
     Poic,
@@ -21,11 +22,11 @@ from .cone import (
     cell_key,
     chart_cone,
     check_morphism,
+    closed_cone_contains,
     dual_generators,
     faces,
     facets_from_rays,
     is_injective,
-    rational_preimage,
 )
 from .complexes import (
     ComplexError,
@@ -79,22 +80,36 @@ class ComplexMorphism:
     cone_map: dict
     matrices: dict
 
+    @cached_property
+    def _pieces_by_target(self):
+        """The sorted source cones over each target cone, built once:
+        ``cone_map`` is never changed after construction."""
+        index = {}
+        for p in sorted(self.cone_map):
+            index.setdefault(self.cone_map[p], []).append(p)
+        return index
+
     def pieces_over(self, s):
-        return sorted(p for p, t in self.cone_map.items() if t == s)
+        return list(self._pieces_by_target.get(s, ()))
 
     def image_gens(self, p):
         return _image(self.matrices[p], self.source.cones[p])
 
+    def _image_hdescs(self, s):
+        """(piece, facets, annihilator) per piece over s: the
+        H-description of the closed cone its image spans."""
+        rank = self.target.dim(s)
+        return [(p, *facets_from_rays(self.image_gens(p), rank))
+                for p in self.pieces_over(s)]
+
     def pieces_containing(self, s, point):
         """The pieces over s whose relative interior maps onto a set
-        containing point."""
-        found = []
-        for p in self.pieces_over(s):
-            pre = rational_preimage(self.matrices[p], point)
-            if pre is not None and self.source.cones[p].contains(
-                    pre, strictly=True):
-                found.append(p)
-        return found
+        containing point.
+
+        Needs injective maps, as a subdivision's are (axiom 1): an
+        injective map sends the relative interior of a piece onto the
+        relative interior of its closed image cone."""
+        return _relint_members(self._image_hdescs(s), point)
 
     def shape_issues(self):
         """One message per source cone whose map data is missing, names no
@@ -111,6 +126,15 @@ class ComplexMorphism:
 
 def _image(matrix, cone):
     return [tuple(matrix.apply(g)) for g in cone.closure_rays]
+
+
+def _relint_members(hdescs, x):
+    """The pieces of (piece, facets, annihilator) triples whose closed cone
+    has x in its relative interior: every annihilator row vanishes on x
+    and every facet normal is positive on it."""
+    return [p for p, facets, ann in hdescs
+            if all(dot(a, x) == 0 for a in ann)
+            and all(dot(f, x) > 0 for f in facets)]
 
 
 Subdivision = ComplexMorphism
@@ -132,15 +156,6 @@ def cell_witness(gens, rank):
     for g in cell_key(gens):
         w = vadd(w, g)
     return w
-
-
-def closed_cone_contains(gens, points, rank):
-    """True iff every point lies in the closed cone generated by gens."""
-    if not points:
-        return True
-    facets, ann = facets_from_rays(list(gens), rank)
-    return all(all(dot(f, x) >= 0 for f in facets)
-               and all(dot(a, x) == 0 for a in ann) for x in points)
 
 
 def closed_cone_equal(gens_a, gens_b, rank):
@@ -374,16 +389,13 @@ def validate_subdivision(sub: Subdivision) -> Report:
     # axiom 2: relative interiors partition each target interior
     for s in tgt.ids():
         sigma = tgt.cones[s]
-        ps = sub.pieces_over(s)
-        walls = []
-        for p in ps:
-            fs, ann = facets_from_rays(sub.image_gens(p), sigma.rank)
-            walls += [*fs, *ann]
+        hdescs = sub._image_hdescs(s)
+        walls = [w for _, fs, ann in hdescs for w in (*fs, *ann)]
         for cell in arrangement_cells(sigma, walls):
             w = cell_witness(cell, sigma.rank)
             if not sigma.contains(w, strictly=True):
                 continue
-            covering = sub.pieces_containing(s, w)
+            covering = _relint_members(hdescs, w)
             if len(covering) == 0:
                 report.add("partition",
                            f"interior point {w} of {s} is uncovered", w)

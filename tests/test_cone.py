@@ -813,3 +813,154 @@ def test_rational_preimage_of_a_zero_row_matrix_has_one_zero_per_column():
     # a chart in Z^0 solves through a 0-row embedding
     poic, embed = chart_cone([()], 0, [])
     assert poic.rank == 0 and (embed.rows, embed.cols) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# chart_cone, image_face and faces against the versions they replaced: a
+# rational solve per generator for the chart coordinates, a rational
+# preimage per ray of the candidate face, and faces visited in rank order
+
+def _reference_chart_cone(gens, rank, ambient):
+    gens = list(gens)
+    basis = intlinalg.saturation(IntMatrix.from_rows(gens, rank)) if gens \
+        else IntMatrix.from_rows([], rank)
+    d = basis.rows
+    embed = basis.transpose()
+    local = [tuple(int(x) for x in rational_preimage(embed, g)) for g in gens]
+    facets, _ = facets_from_rays(local, d)
+    constraints = [(f, False) for f in facets]
+    for n, strict in ambient:
+        # a zero pullback stays: poic_new drops 0 >= 0 and rejects 0 > 0
+        constraints.append((tuple(dot(n, basis.row(j)) for j in range(d)),
+                            strict))
+    return poic_new(d, constraints), embed
+
+
+def _reference_image_face(matrix, sigma, xi):
+    key = cone._carrier(matrix.apply(sigma.interior_point()), xi)
+    f = next((f for f in faces(xi) if f.gens_key == key), None)
+    if f is None or f.dim != sigma.rank:
+        return None
+    for g in key:
+        pre = rational_preimage(matrix, g)
+        if pre is None or any(dot(n, pre) < 0 for n in sigma.normals()):
+            return None
+    if len(faces(f.sub)) != len(faces(sigma)):
+        return None
+    return f
+
+
+def _reference_faces(sigma):
+    facet_normals = cone._closed_facet_normals(sigma)
+    rays = sigma.closure_rays
+    seen = {}
+    n_facets = len(facet_normals)
+    for mask in range(1 << n_facets):
+        tight_set = [facet_normals[i] for i in range(n_facets) if mask >> i & 1]
+        gens = tuple(g for g in rays
+                     if all(dot(a, g) == 0 for a in tight_set))
+        if gens not in seen:
+            seen[gens] = tight_set
+    out = []
+    for gens in sorted(seen, key=lambda g: (frac_rank(list(g) or [(0,) * max(sigma.rank, 1)]), g)):
+        witness = (0,) * sigma.rank
+        for g in gens:
+            witness = vadd(witness, g)
+        if not all(dot(n, witness) > 0 for n, s in sigma.facets if s):
+            continue  # dropped by strictness
+        if len(gens) == len(rays):
+            # the improper face: sigma itself
+            out.append(cone.FaceEmbedding(
+                sub=sigma, sup=sigma, matrix=IntMatrix.identity(sigma.rank),
+                gens_key=gens))
+            continue
+        basis = intlinalg.saturation(
+            IntMatrix.from_rows(list(gens), sigma.rank)) \
+            if gens else IntMatrix.from_rows([], sigma.rank)
+        d = basis.rows
+        pulled = []
+        for n, s in sigma.facets:
+            pn = tuple(dot(n, basis.row(j)) for j in range(d))
+            if not is_zero_vec(pn):
+                pulled.append((pn, s))
+        sub = poic_new(d, pulled)
+        out.append(cone.FaceEmbedding(sub=sub, sup=sigma,
+                                      matrix=basis.transpose(),
+                                      gens_key=gens))
+    return tuple(sorted(out, key=lambda f: (f.dim, f.gens_key)))
+
+
+def _outcome(call, *args):
+    """A call's result, or the type and message of the ConeError it
+    raised."""
+    try:
+        return call(*args)
+    except ConeError as exc:
+        return type(exc), str(exc)
+
+
+def _chart_cases(seed=1616, count=240):
+    """Seeded generator lists with ambient constraints: saturated and not,
+    with zero vectors, ± pairs (lineality), proper spans, no generators,
+    and rank 0."""
+    rng = random.Random(seed)
+    yield [], 0, []
+    yield [()], 0, []
+    yield [(0, 0)], 2, [((1, 0), True)]
+    yield [(2, 0), (0, 2)], 2, []
+    yield [(1, 1), (-1, -1), (2, 0)], 2, [((0, 1), True)]
+    for i in range(count):
+        rank = 1 + i % 4
+        gens = [_random_normal(rng, rank, 2)
+                for _ in range(rng.randint(0, rank + 1))]
+        if gens and rng.random() < 0.3:
+            gens.append(tuple(-x for x in rng.choice(gens)))
+        if gens and rng.random() < 0.3:
+            k = rng.randint(2, 3)
+            gens = [tuple(k * x for x in g) for g in gens]
+        if rng.random() < 0.2:
+            gens.append((0,) * rank)
+        ambient = [(_random_normal(rng, rank), rng.random() < 0.4)
+                   for _ in range(rng.randint(0, 2))]
+        yield gens, rank, ambient
+
+
+def test_chart_cone_matches_the_rational_solve():
+    kinds = set()
+    for gens, rank, ambient in _chart_cases():
+        got = _outcome(chart_cone, gens, rank, ambient)
+        assert got == _outcome(_reference_chart_cone, gens, rank, ambient), \
+            (gens, rank, ambient)
+        if isinstance(got[0], Poic):
+            kinds.add((got[0].rank < rank, got[0].pointed(),
+                       any(s for _, s in got[0].facets)))
+    assert len(kinds) >= 6, kinds
+
+
+def test_image_face_matches_the_rational_preimage_test():
+    seen = {}
+    for _, matrix, sigma, xi in _face_morphisms(seed=16, count=160):
+        face = image_face(matrix, sigma, xi)
+        assert face == _reference_image_face(matrix, sigma, xi), \
+            (matrix, sigma, xi)
+        kind = (xi.pointed(), sigma.rank == 0, face is not None)
+        seen[kind] = seen.get(kind, 0) + 1
+    assert len(seen) >= 5 and min(seen.values()) >= 3, seen
+
+
+def test_faces_match_the_rank_ordered_walk():
+    from tropocone.moduli import build_moduli
+    rng = random.Random(1617)
+    cones = []
+    for rank, normals in _normal_sets(seed=1617, count=200):
+        try:
+            cones.append(poic_new(
+                rank, [(n, rng.random() < 0.4) for n in normals]))
+        except ConeError:
+            continue
+    for n in (5, 6):
+        cones += build_moduli(
+            0, [str(i) for i in range(1, n + 1)]).complex.cones.values()
+    assert len(cones) > 300
+    for sigma in cones:
+        assert faces(sigma) == _reference_faces(sigma), sigma

@@ -492,27 +492,51 @@ def _paths(doc, path=()):
         yield from _paths(value, path + (key,))
 
 
-def _mutants(doc, rng, count):
-    """Malformed texts of ``doc``: cut short, one scalar replaced by a value
-    of another JSON type, or one required entry dropped (``linear`` is
-    optional and is never dropped)."""
+def _revalue_sites(doc):
+    """The values a "revalue" mutant may change, by class: integer entries
+    of matrices and facet normals, strictness flags, and ``cone_map``
+    targets (each with the other cone ids it may be swapped for)."""
+    sites = {"integer": [], "strict": [], "target": []}
+    for path, value in _paths(doc):
+        if len(path) >= 2 and path[-2] in ("entries", "normal"):
+            sites["integer"].append((path, [str(int(value) + d)
+                                            for d in (-1, 1)]))
+        elif path[-1:] == ("strict",):
+            sites["strict"].append((path, [not value]))
+        elif len(path) == 2 and path[0] == "cone_map":
+            sites["target"].append((path, sorted(
+                {*doc["cone_map"].values()} - {value})))
+    return [v for v in sites.values() if v]
+
+
+def _mutants(doc, rng, count, kinds=("truncate", "retype", "drop")):
+    """Mutated texts of ``doc``: cut short, one scalar replaced by a value
+    of another JSON type, one required entry dropped (``linear`` is
+    optional and is never dropped), or, of kind "revalue", one value
+    changed with its JSON type kept (``_revalue_sites``)."""
     text = io_json.dumps(doc)
     scalars = [(p, v) for p, v in _paths(doc)
                if p and not isinstance(v, (dict, list))]
     entries = [p for p, _ in _paths(doc) if p and p[-1] != "linear"]
+    revalue = _revalue_sites(doc)
     for _ in range(count):
-        kind = rng.choice(("truncate", "retype", "drop"))
+        kind = rng.choice(kinds)
         if kind == "truncate":
             yield text[:rng.randrange(1, len(text) - 2)]
             continue
         mutant = json.loads(text)
-        path = rng.choice([p for p, _ in scalars] if kind == "retype"
-                          else entries)
+        if kind == "revalue":
+            path, values = rng.choice(rng.choice(revalue))
+        else:
+            path = rng.choice([p for p, _ in scalars] if kind == "retype"
+                              else entries)
         parent = mutant
         for key in path[:-1]:
             parent = parent[key]
         if kind == "drop":
             del parent[path[-1]]
+        elif kind == "revalue":
+            parent[path[-1]] = rng.choice(values)
         else:
             old = parent[path[-1]]
             parent[path[-1]] = rng.choice(
@@ -535,3 +559,36 @@ def test_fuzzed_m04_documents_never_escape_the_exit_codes(tmp_path, capsys,
             code = cli.main(argv)
             assert code in (1, 2), (argv[0], text)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["complex", "subdivision"])
+def test_revalued_m04_documents_never_escape_the_exit_codes(
+        tmp_path, capsys, monkeypatch, kind):
+    """Seeded mutants of the M_0,4 documents that keep every JSON type and
+    change one value: every command that reads one exits 0, 1 or 2, and
+    none raises.  Subdivision mutants reach the partition axiom."""
+    from tropocone import subdivision
+    tests = []
+    real = subdivision._relint_members
+
+    def counted(hdescs, x):
+        tests.append(x)
+        return real(hdescs, x)
+
+    monkeypatch.setattr(subdivision, "_relint_members", counted)
+    cdoc, sdoc, _ = _m04_documents()
+    rng = random.Random(1620 if kind == "complex" else 16)
+    path = tmp_path / "mutant.json"
+    argvs = _m04_commands(tmp_path, kind, str(path))
+    codes = set()
+    for text in _mutants(cdoc if kind == "complex" else sdoc, rng, 60,
+                         kinds=("revalue",)):
+        path.write_text(text)
+        for argv in argvs:
+            code = cli.main(argv)
+            assert code in (0, 1, 2), (argv[0], text)
+            codes.add(code)
+    assert "Traceback" not in capsys.readouterr().err
+    assert len(codes) >= 2
+    if kind == "subdivision":
+        assert tests

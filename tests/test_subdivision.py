@@ -1,9 +1,10 @@
 import math
 import random
+import sys
 
 import pytest
 
-from tropocone import cone, io_json, subdivision
+from tropocone import cone, intlinalg, io_json, subdivision
 from tropocone.cone import (
     ConeError,
     cell_key,
@@ -11,7 +12,9 @@ from tropocone.cone import (
     dual_generators,
     faces,
     facets_from_rays,
+    is_injective,
     poic_new,
+    rational_preimage,
     strict_feasible,
 )
 from tropocone.complexes import (
@@ -30,6 +33,7 @@ from tropocone.intlinalg import (
     is_zero_vec,
     primitive,
     sign_normalized,
+    smith_normal_form,
     solve_integer_columns,
     vadd,
 )
@@ -954,3 +958,266 @@ def test_ord_subdivision_matches_the_complex_wide_construction():
             with pytest.raises(SubdivisionError,
                                match="ord subdivision needs pointed"):
                 build(phi)
+
+
+# ---------------------------------------------------------------------------
+# membership by signs against the rational solves it replaced: the parent's
+# pieces_over, pieces_containing (one rational preimage per piece) and
+# validate_subdivision, verbatim apart from calling those two as functions
+
+def _reference_pieces_over(self, s):
+    return sorted(p for p, t in self.cone_map.items() if t == s)
+
+
+def _reference_pieces_containing(self, s, point):
+    """The pieces over s whose relative interior maps onto a set
+    containing point."""
+    found = []
+    for p in _reference_pieces_over(self, s):
+        pre = rational_preimage(self.matrices[p], point)
+        if pre is not None and self.source.cones[p].contains(
+                pre, strictly=True):
+            found.append(p)
+    return found
+
+
+def _reference_validate_subdivision(sub: Subdivision):
+    """Check the three subdivision axioms exactly; report violations with
+    witnesses.  Shape issues are reported alone: the axioms need maps that
+    fit their cones."""
+    report = subdivision.Report()
+    for message in sub.shape_issues():
+        report.add("shape", message)
+    if not report.ok:
+        return report
+    src, tgt = sub.source, sub.target
+    # axiom 1: functorial, order preserving, injective, iso when dims agree
+    hit = set(sub.cone_map.values())
+    for t in tgt.ids():
+        if t not in hit:
+            report.add("surjective", f"target cone {t} has no piece", t)
+    for p in src.ids():
+        m = sub.matrices[p]
+        if not is_injective(m):
+            report.add("injective", f"matrix at {p} is not injective", p)
+        if src.dim(p) == tgt.dim(sub.cone_map[p]):
+            d, _, _ = smith_normal_form(m)
+            diag = [d.entry(i, i) for i in range(min(m.rows, m.cols))]
+            if any(x != 1 for x in diag):
+                report.add("lattice-iso",
+                           f"piece {p} is not a lattice isomorphism", p)
+    for message, relation in subdivision._square_issues(sub):
+        report.add("functorial", message, relation)
+    if not report.ok:
+        return report
+    # axiom 2: relative interiors partition each target interior
+    for s in tgt.ids():
+        sigma = tgt.cones[s]
+        ps = _reference_pieces_over(sub, s)
+        walls = []
+        for p in ps:
+            fs, ann = facets_from_rays(sub.image_gens(p), sigma.rank)
+            walls += [*fs, *ann]
+        for cell in arrangement_cells(sigma, walls):
+            w = cell_witness(cell, sigma.rank)
+            if not sigma.contains(w, strictly=True):
+                continue
+            covering = _reference_pieces_containing(sub, s, w)
+            if len(covering) == 0:
+                report.add("partition",
+                           f"interior point {w} of {s} is uncovered", w)
+            elif len(covering) > 1:
+                report.add("partition",
+                           f"interior point {w} of {s} covered by "
+                           f"{covering}", w)
+    # axiom 3: every target relation out of S(t) lifts to a source relation
+    for t in src.ids():
+        st = sub.cone_map[t]
+        for s2 in tgt.above(st):
+            if not any(sub.cone_map[q] == s2 for q in src.above(t)):
+                report.add("face-lifting",
+                           f"relation {st}<{s2} does not lift above {t}",
+                           (t, s2))
+    return report
+
+
+def _edit_piece(sub, piece, twin=None):
+    """``sub`` with one maximal piece dropped (twin None) or doubled under
+    the id ``twin``: a morphism that keeps axiom 1 and breaks axiom 2 with
+    covering count 0 or 2."""
+    src = sub.source
+    keep = [p for p in src.ids() if p != piece or twin]
+    cones = {p: src.cones[p] for p in keep}
+    face_maps = {r: m for r, m in src.face_maps.items()
+                 if piece not in r or twin}
+    cone_map = {p: sub.cone_map[p] for p in keep}
+    matrices = {p: sub.matrices[p] for p in keep}
+    if twin:
+        cones[twin] = src.cones[piece]
+        face_maps.update({(p, twin): m for (p, q), m in src.face_maps.items()
+                          if q == piece})
+        cone_map[twin] = sub.cone_map[piece]
+        matrices[twin] = sub.matrices[piece]
+    return ComplexMorphism(complex_new(cones, set(face_maps), face_maps),
+                           sub.target, cone_map, matrices)
+
+
+def _membership_subdivisions():
+    """Stellar, ord and P-fine subdivisions of 40 seeded complete fans, the
+    ord subdivisions of M_0,4/5/6, wall refinements of cones with
+    lineality, partially open cones and rank-0 cones, and mutants of
+    these whose axiom 2 fails with covering counts 0 and 2.
+
+    Rank-3 cones with lineality get no walls: ``refine_assemble`` does not
+    yet glue cells whose ray representatives modulo a line differ (it
+    raises MissingFace), a fault of the wall refinement, not of the
+    membership test."""
+    rng = random.Random(1618)
+    for _ in range(40):
+        phi = _complete_fan(rng)
+        top = rng.choice(phi.classes(2))
+        g1, g2 = phi.cones[top].closure_rays[:2]
+        ray = primitive(vadd(tuple(rng.randint(1, 3) * x for x in g1), g2))
+        star = stellar(phi, top, ray)
+        yield star
+        yield ord_subdivision(phi)
+        yield pfine_refinement(star)
+    for n in (4, 5, 6):
+        yield ord_subdivision(build_moduli(
+            0, [str(i) for i in range(1, n + 1)]).complex)
+    cones = list(_special_cones())
+    cones += [_random_cone(rng, 1 + i % 3) for i in range(24)]
+    for sigma in cones:
+        for phi in (single_cone_complex(sigma, "c"),
+                    relint_complex(sigma, "c")):
+            walls = _random_walls(rng, sigma) \
+                if sigma.rank < 3 or sigma.pointed() else []
+            yield refine_by_walls(phi, {"c": walls})
+    rng = random.Random(1619)
+    for sub in (stellar(quadrant_complex(), "q", (1, 1)),
+                ord_subdivision(_complete_fan(rng)),
+                refine_by_walls(relint_complex(poic_new(3, [
+                    ((1, 0, 0), True), ((0, 1, 0), False)]), "c"),
+                    {"c": [(1, -1, 0), (0, 1, 2)]})):
+        top = max(sub.source.ids(), key=sub.source.dim)
+        yield _edit_piece(sub, top)
+        yield _edit_piece(sub, top, twin=top + "'")
+
+
+def _witnesses(sub, s):
+    """Witnesses of the cells of the arrangement of the piece images in the
+    closure of s, boundary cells included (at most about 16, spread over
+    the cells), and their negatives, mostly off the cone."""
+    sigma = sub.target.cones[s]
+    walls = []
+    for p in _reference_pieces_over(sub, s):
+        facets, ann = facets_from_rays(sub.image_gens(p), sigma.rank)
+        walls += [*facets, *ann]
+    points = [cell_witness(c, sigma.rank)
+              for c in arrangement_cells(sigma, walls)]
+    points = points[::max(1, len(points) // 16)]
+    return points + [tuple(-x for x in w) for w in points]
+
+
+def test_membership_by_signs_matches_the_rational_solves():
+    seen = {"uncovered": 0, "covered by": 0, "lined": 0, "open": 0,
+            "rank 0": 0}
+    for sub in _membership_subdivisions():
+        report = validate_subdivision(sub)
+        assert report.issues == _reference_validate_subdivision(sub).issues
+        for issue in report.issues:
+            for key in ("uncovered", "covered by"):
+                seen[key] += key in issue["message"]
+        for s in sub.target.ids() + ["no such cone"]:
+            assert sub.pieces_over(s) == _reference_pieces_over(sub, s)
+        targets = sub.target.ids()
+        for s in targets[::max(1, len(targets) // 24)]:
+            for w in _witnesses(sub, s):
+                assert sub.pieces_containing(s, w) == \
+                    _reference_pieces_containing(sub, s, w), (s, w)
+        pieces = sub.source.cones.values()
+        seen["lined"] += any(not c.pointed() for c in pieces)
+        seen["open"] += any(not c.is_closed() for c in pieces)
+        seen["rank 0"] += any(c.rank == 0 for c in pieces)
+    assert min(seen.values()) >= 3, seen
+
+
+def test_subdivisions_are_built_as_with_the_rational_solves(monkeypatch):
+    """The JSON bytes of every subdivision above, built again with the
+    rational-solve chart_cone and image_face (memos cleared, so no result
+    of the new code is reused)."""
+    from test_cone import _reference_chart_cone, _reference_image_face
+
+    def build():
+        return [io_json.dumps(io_json.subdivision_to_json(sub))
+                for sub in _membership_subdivisions()]
+
+    got = build()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(cone, "chart_cone", _reference_chart_cone)
+            m.setattr(subdivision, "chart_cone", _reference_chart_cone)
+            m.setattr(cone, "image_face", _reference_image_face)
+            _clear_memos()
+            assert build() == got
+    finally:
+        _clear_memos()
+
+
+def _clear_memos():
+    for memo in (cone._dual_generators, cone._facets_from_rays,
+                 cone._poic_new, cone._faces, cone._check_morphism,
+                 intlinalg._smith_normal_form):
+        memo.cache_clear()
+
+
+def test_library_paths_make_no_rational_solve(monkeypatch):
+    """stellar, ord, P-fine, validation, cycle equality and the M_0,5
+    build give the same results with frac_solve and rational_preimage
+    raising at every name the library binds them under (memos cleared, so
+    nothing computed before is reused)."""
+    def run():
+        rng = random.Random(1620)
+        out = []
+        for _ in range(4):
+            phi = _complete_fan(rng)
+            top = rng.choice(phi.classes(2))
+            g1, g2 = phi.cones[top].closure_rays[:2]
+            star = stellar(phi, top, vadd(g1, g2))
+            other = stellar(phi, top, vadd(vadd(g1, g1), g2))
+            subs = [star, other, ord_subdivision(phi), pfine_refinement(star)]
+            out += [io_json.dumps(io_json.subdivision_to_json(s))
+                    for s in subs]
+            out += [validate_subdivision(s).issues for s in subs]
+            ones = [Cycle(phi, s, Weight(2, {p: 1 for p in
+                                             s.source.classes(2)}))
+                    for s in (star, other)]
+            twice = Cycle(phi, other, Weight(2, {
+                p: 1 + (p == other.source.classes(2)[0])
+                for p in other.source.classes(2)}))
+            out += [cycle_equal(*ones), cycle_equal(ones[0], twice)]
+        m = build_moduli(0, ["1", "2", "3", "4", "5"])
+        out.append(io_json.dumps(io_json.complex_to_json(m.complex,
+                                                         m.linear)))
+        return out
+
+    def refuse(*args):
+        raise AssertionError("a rational solve on a library path")
+
+    expected = run()
+    assert expected[-3:-1] == [True, False]
+    solves = (intlinalg.frac_solve, cone.rational_preimage)
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tropocone":
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in solves):
+                    monkeypatch.setattr(module, attr, refuse)
+                    patched += 1
+    assert patched >= 3
+    try:
+        _clear_memos()
+        assert run() == expected
+    finally:
+        monkeypatch.undo()
+        _clear_memos()
