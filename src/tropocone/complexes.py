@@ -16,13 +16,14 @@ from .cone import (
     Poic,
     chart_cone,
     check_morphism,
+    closed_cone_contains,
     faces,
-    facets_from_rays,
     poic_new,
 )
+from .cone import product as cone_product
 from .intlinalg import (
     IntMatrix,
-    dot,
+    block_diag,
     primitive,
     solve_integer_columns,
     unimodular_inverse,
@@ -233,8 +234,6 @@ def product_id(p, q):
 def product_complex(phi: PoicComplex, psi: PoicComplex):
     """Product complex; returns (complex, pairs) where pairs maps each
     product id to its factor ids."""
-    from .cone import product as cone_product
-    from .intlinalg import block_diag
     cones = {}
     pairs = {}
     for p in phi.ids():
@@ -294,7 +293,6 @@ def validate_linear(phi: PoicComplex, lin: LinearStructure):
 
 
 def product_linear(phi, lin_phi, psi, lin_psi, pairs):
-    from .intlinalg import block_diag
     maps = {}
     for pid, (p, q) in pairs.items():
         maps[pid] = block_diag(lin_phi.maps[p], lin_psi.maps[q])
@@ -472,9 +470,7 @@ def conify(cells):
             # a is a face of b iff every generator of a's cone lies in b's
             # cone and the face relation holds cone-wise
             ga = cone_gens[a]
-            fb, annb = facets_from_rays(cone_gens[b], n)
-            if all(all(dot(f, g) >= 0 for f in fb) and
-                   all(dot(r, g) == 0 for r in annb) for g in ga):
+            if closed_cone_contains(cone_gens[b], ga, n):
                 if len(ga) == len(cone_gens[b]) and set(ga) == set(
                         cone_gens[b]):
                     raise NotPolyhedralComplex(

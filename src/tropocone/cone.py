@@ -163,6 +163,13 @@ def facets_from_rays(gens, rank):
         tuple(primitive(g) for g in gens if not is_zero_vec(g)), rank)
 
 
+def closed_normals(gens, rank):
+    """Normals n with cone(gens) = {x : n.x >= 0 for all n}: the facet
+    normals and ± each annihilator row."""
+    facets, ann = facets_from_rays(list(gens), rank)
+    return [*facets, *ann, *(tuple(-x for x in a) for a in ann)]
+
+
 @lru_cache(maxsize=_DD_MEMO_SIZE)
 def _facets_from_rays(gens, rank):
     """``facets_from_rays`` for an ordered tuple of primitive nonzero
@@ -278,11 +285,10 @@ class Poic:
         return poic_new(self.rank, [(n, True) for n, _ in self.facets])
 
     def pointed(self):
-        """True when the closure contains no line."""
-        if not self.facets:
-            return self.rank == 0
-        return integer_kernel(
-            IntMatrix.from_rows(self.normals(), self.rank)).rows == 0
+        """True when the closure contains no line: the closure rays hold
+        ± a lineality basis, and otherwise no ray and its negative."""
+        rays = set(self.closure_rays)
+        return not any(tuple(-x for x in g) in rays for g in rays)
 
 
 def poic_new(lattice_rank, facets):

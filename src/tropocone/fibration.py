@@ -14,16 +14,15 @@ from dataclasses import dataclass
 
 from .cone import (
     NotIntoCodomain,
-    cell_key,
     check_morphism,
+    closed_normals,
     dual_generators,
     faces,
-    facets_from_rays,
     image_face,
 )
 from .complexes import LinearStructure, PoicComplex
 from .intlinalg import IntMatrix, unimodular_inverse
-from .spaces import PoicSpace, iso_class_reps, space_isos
+from .spaces import PoicSpace, iso_class_reps, space_from_complex, space_isos
 from .subdivision import (
     Report,
     Subdivision,
@@ -153,51 +152,49 @@ def validate_fibration(fib: Fibration) -> Report:
 # pi-compatibility
 
 def _canonical_closed_key(gens, rank):
-    facets, ann = facets_from_rays(list(gens), rank)
-    normals = list(facets)
-    for a in ann:
-        normals.append(a)
-        normals.append(tuple(-x for x in a))
-    return frozenset(dual_generators(normals, rank))
+    return frozenset(dual_generators(closed_normals(gens, rank), rank))
 
 
 def _piece_keys(fib: Fibration, sub: Subdivision, p, transport=None):
     """Closed keys of the subdivision pieces of cone p, pushed to the
     space cone of p (optionally further through ``transport``)."""
-    out = {}
-    eta = fib.transforms[p]
-    for t in sub.pieces_over(p):
-        m = eta @ sub.matrices[t]
-        if transport is not None:
-            m = transport @ m
-        gens = [tuple(m.apply(g))
-                for g in sub.source.cones[t].closure_rays]
-        out[t] = _canonical_closed_key(gens, m.rows)
-    return out
+    m = fib.transforms[p]
+    if transport is not None:
+        m = transport @ m
+    return {t: _canonical_closed_key([tuple(m.apply(g))
+                                      for g in sub.image_gens(t)], m.rows)
+            for t in sub.pieces_over(p)}
+
+
+def _first_iso(fib: Fibration, p, q):
+    """The least isomorphism pi(p) -> pi(q) by entries."""
+    isos = space_isos(fib.space, fib.pi(p), fib.pi(q))
+    if not isos:
+        raise FibrationError(f"no isomorphism between images of {p} and {q}")
+    return min(isos, key=lambda m: m.entries)
+
+
+def _classes(fib: Fibration):
+    """The sorted source cones of each isomorphism class of images, by
+    class representative."""
+    reps = iso_class_reps(fib.space)
+    classes = {}
+    for p in sorted(fib.complex.ids()):
+        classes.setdefault(reps[fib.pi(p)], []).append(p)
+    return classes
 
 
 def compatibility_generators(fib: Fibration):
     """Representative triples (p, q, f) whose stability implies
     pi-equivariance: transports to class representatives plus the
     automorphisms of the representatives."""
-    phi = fib.complex
-    reps = iso_class_reps(fib.space)
-    members = {}
-    for p in sorted(phi.ids()):
-        members.setdefault(reps[fib.pi(p)], []).append(p)
+    classes = _classes(fib)
     triples = []
-    for cls in sorted(members):
-        group = members[cls]
-        rep = group[0]
-        for s in group[1:]:
-            isos = space_isos(fib.space, fib.pi(rep), fib.pi(s))
-            if not isos:
-                raise FibrationError(
-                    f"no isomorphism between images of {rep} and {s}")
-            triples.append((rep, s, sorted(isos,
-                                           key=lambda m: m.entries)[0]))
-        for a in space_isos(fib.space, fib.pi(rep), fib.pi(rep)):
-            triples.append((rep, rep, a))
+    for cls in sorted(classes):
+        rep, *others = classes[cls]
+        triples += [(rep, s, _first_iso(fib, rep, s)) for s in others]
+        triples += [(rep, rep, a)
+                    for a in space_isos(fib.space, fib.pi(rep), fib.pi(rep))]
     return triples
 
 
@@ -249,102 +246,57 @@ def _absent_closure_faces(phi: PoicComplex, s):
             if f.gens_key not in realized]
 
 
+def _cover(phi: PoicComplex, sub: Subdivision, refined, s):
+    """Closed cells covering the closure of s: the cone-off of its refined
+    boundary (the refined faces and the absent closure faces), cut by the
+    pieces over s.  Each refined face cell lies in one piece over its
+    face and meets the others in faces of itself, so the pieces over
+    lower faces cut nothing more."""
+    sigma = phi.cones[s]
+    bd = [cell for f in phi.below(s)
+          for cell in _apply_cells(phi.facemap(f, s), refined[f])]
+    bd += _absent_closure_faces(phi, s)
+    r = sigma.interior_point()
+    cone_off = bd + [tuple(sorted({*cell, r})) for cell in bd] + [(r,)]
+    pieces = [tuple(sub.image_gens(t)) for t in sub.pieces_over(s)]
+    return fold_cells([cone_off, bd + pieces], sigma.rank)
+
+
 def compatible_refinement(fib: Fibration, sub: Subdivision) -> Subdivision:
     """Refine a subdivision of the fibration source until it is
-    pi-compatible (identity-on-compatible-input).
+    pi-compatible (identity-on-compatible-input).  The fibration's space
+    must be validated: its automorphisms then form a group.
 
-    Follows the inductive scheme: cone off the already-refined boundary of
-    each cone, intersect with the given pieces, transport all class
-    members to a representative, close under the automorphisms of the
-    representative, and transport back.
+    Follows the inductive scheme, one isomorphism class of cones at a
+    time in order of dimension: cover each member by the cone-off of its
+    already-refined boundary cut by its pieces, move every cover to the
+    class representative by its transport and by each automorphism of
+    the representative, take their common refinement, and move it back
+    to every member.
     """
     phi = fib.complex
-    n = phi.max_dim()
-    if not phi.is_pure(n):
+    if not phi.is_pure(phi.max_dim()):
         raise NotPureSource("fibration source is not pure")
-    flag, _ = is_pi_compatible(fib, sub)
-    if flag:
+    if is_pi_compatible(fib, sub)[0]:
         return sub
 
-    reps = iso_class_reps(fib.space)
+    classes = _classes(fib)
     refined = {}
-    for d in range(0, n + 1):
-        groups = {}
-        for p in sorted(phi.ids()):
-            if phi.dim(p) == d:
-                groups.setdefault(reps[fib.pi(p)], []).append(p)
-        for cls in sorted(groups):
-            members = groups[cls]
-            rep = members[0]
-            systems_at_rep = []
-            transports = {}
-            for s in members:
-                sigma = phi.cones[s]
-                # boundary cells: refined faces plus absent closure faces
-                bd = []
-                for f in phi.below(s):
-                    m = phi.facemap(f, s)
-                    bd.extend(_apply_cells(m, refined[f]))
-                bd.extend(_absent_closure_faces(phi, s))
-                # full covers of the closure: cone-off and the given pieces
-                if d == 0:
-                    cover = [()]
-                    sp_cells = [()]
-                else:
-                    r_s = sigma.interior_point()
-                    cone_off = list(bd)
-                    for cell in bd:
-                        cone_off.append(tuple(sorted(set(cell) | {r_s})))
-                    cone_off.append((r_s,))
-                    sp_cells = list(bd)
-                    for f in [s] + phi.below(s):
-                        m = phi.facemap(f, s) if f != s \
-                            else IntMatrix.identity(sigma.rank)
-                        for t in sub.pieces_over(f):
-                            cell = tuple(
-                                tuple((m @ sub.matrices[t]).apply(g))
-                                for g in sub.source.cones[t].closure_rays)
-                            sp_cells.append(cell)
-                    cover = fold_cells([cone_off, sp_cells], sigma.rank)
-                # transport member-cells to the representative
-                f_s = sorted(space_isos(fib.space, fib.pi(rep), fib.pi(s)),
-                             key=lambda m: m.entries)[0]
-                a_s = unimodular_inverse(fib.transforms[rep]) \
-                    @ unimodular_inverse(f_s) @ fib.transforms[s]
-                transports[s] = a_s
-                systems_at_rep.append(_apply_cells(a_s, cover))
-            rank = phi.dim(rep)
-            merged = fold_cells(systems_at_rep, rank) \
-                if systems_at_rep else [()]
-            # close under the automorphism group of the representative
-            autos = [unimodular_inverse(fib.transforms[rep]) @ a
-                     @ fib.transforms[rep]
-                     for a in space_isos(fib.space, fib.pi(rep),
-                                         fib.pi(rep))]
-            group = {IntMatrix.identity(rank).entries:
-                     IntMatrix.identity(rank)}
-            frontier = list(autos)
-            while frontier:
-                g = frontier.pop()
-                if g.entries in group:
-                    continue
-                group[g.entries] = g
-                for a in autos:
-                    frontier.append(a @ g)
-            for _ in range(len(group)):
-                stable = True
-                for g in group.values():
-                    moved = _apply_cells(g, merged)
-                    new = fold_cells([merged, moved], rank)
-                    if {cell_key(c) for c in new} != \
-                            {cell_key(c) for c in merged}:
-                        merged = new
-                        stable = False
-                if stable:
-                    break
-            for s in members:
-                back = unimodular_inverse(transports[s])
-                refined[s] = _apply_cells(back, merged)
+    for cls in sorted(classes, key=lambda c: (phi.dim(classes[c][0]), c)):
+        members = classes[cls]
+        rep = members[0]
+        to_rep = unimodular_inverse(fib.transforms[rep])
+        autos = [to_rep @ a @ fib.transforms[rep]
+                 for a in space_isos(fib.space, fib.pi(rep), fib.pi(rep))]
+        transports = {
+            s: to_rep @ unimodular_inverse(_first_iso(fib, rep, s))
+            @ fib.transforms[s] for s in members}
+        covers = {s: _cover(phi, sub, refined, s) for s in members}
+        merged = fold_cells([_apply_cells(g @ transports[s], covers[s])
+                             for s in members for g in autos], phi.dim(rep))
+        for s in members:
+            refined[s] = _apply_cells(unimodular_inverse(transports[s]),
+                                      merged)
     out = refine_assemble(phi, refined)
     rep = validate_subdivision(out)
     if not rep.ok:
@@ -373,7 +325,7 @@ def stability_pairs(fib: Fibration, sub: Subdivision, k):
         mapping = piece_bijection(fib, sub, p, q, f)
         if mapping is None:
             raise NotCompatible(
-                f"subdivision is not pi-compatible at ({p},{q})")
+                f"subdivision is not pi-compatible at {(p, q)}")
         for t, t2 in mapping.items():
             if sub.source.dim(t) == k and t != t2:
                 pairs.append((t, t2))
@@ -390,12 +342,10 @@ def is_equivariant(fib: Fibration, sub: Subdivision, omega: Weight):
 def equivariant_basis(fib: Fibration, k, sub: Subdivision) -> WeightLattice:
     """Z-basis of the pi-equivariant Minkowski weights on a compatible
     subdivision: balancing plus the stability permutations in one integer
-    kernel computation."""
+    kernel computation.  Raises NotCompatible when the subdivision is not
+    pi-compatible."""
     if fib.linear is None:
         raise FibrationError("equivariant weights need a linear source")
-    flag, witness = is_pi_compatible(fib, sub)
-    if not flag:
-        raise NotCompatible(f"subdivision is not pi-compatible at {witness}")
     classes = sub.source.classes(k)
     col = {t: i for i, t in enumerate(classes)}
     extra = []
@@ -411,7 +361,6 @@ def equivariant_basis(fib: Fibration, k, sub: Subdivision) -> WeightLattice:
 def fibration_from_complex(phi: PoicComplex,
                            lin: LinearStructure = None) -> Fibration:
     """A poic-complex viewed as the identity fibration over itself."""
-    from .spaces import space_from_complex
     space = space_from_complex(phi)
     return Fibration(
         complex=phi, space=space,

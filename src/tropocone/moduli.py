@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .cone import Poic, poic_new
-from .complexes import LinearStructure, PoicComplex, complex_new
+from .complexes import (
+    LinearStructure,
+    PoicComplex,
+    complex_new,
+    validate_linear,
+)
 from .graphs import (
     DiscreteGraph,
     GraphCategory,
@@ -213,7 +218,6 @@ def build_moduli(g, labels):
         maps = {cid: tree_distance_matrix(rep, data)
                 for cid, rep in cat.classes.items()}
         lin = LinearStructure(target_rank=data.rank, maps=maps)
-        from .complexes import validate_linear
         validate_linear(phi, lin)
         return ModuliComplex(category=cat, complex=phi, linear=lin,
                              distance=data)

@@ -14,12 +14,16 @@ from dataclasses import dataclass
 from .complexes import (
     LinearStructure,
     product_complex,
+    product_id,
+    product_linear,
     relint_complex,
 )
-from .cone import poic_new
+from .cone import NotIntoCodomain, check_morphism, poic_new
+from .cone import product as cone_product
 from .fibration import (
     Fibration,
     FibrationError,
+    composed_linear,
     is_equivariant,
     is_pi_compatible,
 )
@@ -31,13 +35,18 @@ from .graphs import (
     graph_new,
     st_join,
 )
-from .intlinalg import IntMatrix, block_diag, solve_integer
+from .intlinalg import (
+    IntMatrix,
+    block_diag,
+    solve_integer,
+    unimodular_inverse,
+)
 from .moduli import (
     DistanceData,
     build_moduli,
     distance_structure,
 )
-from .spaces import space_new
+from .spaces import space_from_complex, space_isos, space_new
 from .subdivision import (
     ComplexMorphism,
     Subdivision,
@@ -129,7 +138,6 @@ def spanning_tree_fibration(g, labels) -> STFibration:
 
     if g == 0:
         # the gluing set is empty, so the trees are the target
-        from .spaces import space_from_complex
         target = trees
         space = space_from_complex(trees.complex)
     else:
@@ -145,7 +153,6 @@ def spanning_tree_fibration(g, labels) -> STFibration:
             trees.category.classes[t_id], g, target_cat)
         tree_of_cone[pid] = t_id
     morphism_map = {}
-    from .intlinalg import unimodular_inverse
     for (p, q) in source.order:
         m = transforms[q] @ source.facemap(p, q) \
             @ unimodular_inverse(transforms[p])
@@ -222,7 +229,6 @@ def validate_fibration_morphism(fm: FibrationMorphism):
 def space_iso_lifting(fm: FibrationMorphism):
     """The lifting property of isomorphisms demanded of (weakly) proper
     morphisms of fibrations; returns (flag, witness)."""
-    from .spaces import space_isos
     sp_s, sp_t = fm.source.fibration.space, fm.target.fibration.space
     for s in sp_t.ids():
         for t in sp_t.ids():
@@ -413,9 +419,6 @@ def _align_space_matrices(src_fib, tgt_fib, space_map, raw_space_matrices,
 
     Returns (cone_map, matrices, twists).
     """
-    from .cone import NotIntoCodomain, check_morphism
-    from .intlinalg import unimodular_inverse
-    from .spaces import space_isos
     cone_map = {}
     matrices = {}
     twists = {}
@@ -543,12 +546,10 @@ class ProductFibration:
 
 
 def product_fibration(left: STFibration, right: STFibration):
-    from .complexes import product_id, product_linear
     f1, f2 = left.fibration, right.fibration
     source, pairs = product_complex(f1.complex, f2.complex)
     linear = product_linear(f1.complex, f1.linear, f2.complex, f2.linear,
                             pairs)
-    from .cone import product as cone_product
     objects = {}
     space_pairs = {}
     homs = {}
@@ -663,7 +664,6 @@ def fibration_pushforward(fm, sub_s: Subdivision, sub_t: Subdivision,
         raise FibrationMorphismError(
             f"target tower is not compatible at {wit}")
     result = pullback(sub_tp, pushed)
-    from .fibration import composed_linear
     lin = composed_linear(tgt_fib, tower)
     if not is_balanced(tower.source, lin, result):
         raise FibrationMorphismError("pushforward lost balancing")

@@ -23,6 +23,7 @@ from .cone import (
     chart_cone,
     check_morphism,
     closed_cone_contains,
+    closed_normals,
     dual_generators,
     faces,
     facets_from_rays,
@@ -165,13 +166,8 @@ def closed_cone_equal(gens_a, gens_b, rank):
 
 def intersect_cells(gens_a, gens_b, rank):
     """Generators of cone(gens_a) ∩ cone(gens_b)."""
-    fa, aa = facets_from_rays(list(gens_a), rank)
-    fb, ab = facets_from_rays(list(gens_b), rank)
-    normals = list(fa) + list(fb)
-    for a in aa + ab:
-        normals.append(a)
-        normals.append(tuple(-x for x in a))
-    return dual_generators(normals, rank)
+    return dual_generators(closed_normals(gens_a, rank)
+                           + closed_normals(gens_b, rank), rank)
 
 
 def fold_cells(systems, rank):
@@ -727,6 +723,7 @@ def cycle_equal(c1: Cycle, c2: Cycle) -> bool:
         return False
     k = c1.weight.dim
     common = common_refinement([c1.subdivision, c2.subdivision])
+    hdescs = {}   # (side, target cone) -> H-descriptions, formed once
     for r in common.source.ids():
         if common.source.dim(r) != k:
             continue
@@ -734,8 +731,10 @@ def cycle_equal(c1: Cycle, c2: Cycle) -> bool:
         w = tuple(common.matrices[r].apply(
             common.source.cones[r].interior_point()))
         vals = []
-        for c in (c1, c2):
-            found = c.subdivision.pieces_containing(y, w)
+        for i, c in enumerate((c1, c2)):
+            if (i, y) not in hdescs:
+                hdescs[i, y] = c.subdivision._image_hdescs(y)
+            found = _relint_members(hdescs[i, y], w)
             if not found:
                 raise IncomparableSubdivisions(
                     f"cannot locate witness {w} in a subdivision")

@@ -964,3 +964,29 @@ def test_faces_match_the_rank_ordered_walk():
     assert len(cones) > 300
     for sigma in cones:
         assert faces(sigma) == _reference_faces(sigma), sigma
+
+
+def _reference_pointed(sigma):
+    """Pointedness as the vanishing integer kernel of the facet normals."""
+    if not sigma.facets:
+        return sigma.rank == 0
+    return integer_kernel(
+        IntMatrix.from_rows(sigma.normals(), sigma.rank)).rows == 0
+
+
+def test_pointed_from_closure_rays_matches_the_kernel_rule():
+    """On the rank-0 cone and the seeded poics of ranks 1-4, reading
+    pointedness from ± pairs of closure rays agrees with the kernel
+    rule; both answers occur often."""
+    rng = random.Random(404)
+    sigmas = [poic_new(0, [])]
+    for seed in (5, 6, 7):
+        for rank, normals in _normal_sets(seed=seed):
+            try:
+                sigmas.append(poic_new(rank, [(n, rng.random() < 0.4)
+                                              for n in normals]))
+            except ConeError:
+                continue
+    answers = [sigma.pointed() for sigma in sigmas]
+    assert answers == [_reference_pointed(sigma) for sigma in sigmas]
+    assert min(answers.count(True), answers.count(False)) >= 50

@@ -3,11 +3,22 @@ import random
 
 import pytest
 
-from tropocone.cone import NotIntoCodomain, check_morphism, faces, poic_new
+from tropocone import io_json
+from tropocone.cone import (
+    NotIntoCodomain,
+    cell_key,
+    check_morphism,
+    faces,
+    poic_new,
+)
 from tropocone.complexes import LinearStructure, complex_new
 from tropocone.fibration import (
     Fibration,
+    FibrationError,
     NotCompatible,
+    NotPureSource,
+    _absent_closure_faces,
+    _apply_cells,
     compatible_refinement,
     equivariant_basis,
     fibration_from_complex,
@@ -28,7 +39,9 @@ from tropocone.spaces import (
 from tropocone.stfib import spanning_tree_fibration
 from tropocone.subdivision import (
     Report,
+    fold_cells,
     identity_subdivision,
+    refine_assemble,
     refine_by_walls,
     stellar,
     validate_subdivision,
@@ -398,3 +411,226 @@ def test_space_and_fibration_checks_match_reference(g, labels):
         if kind == "drop" and g > 0:
             # a lost automorphism breaks lifting, past the shape checks
             assert issues[0]["axiom"] == "lifting"
+
+
+# ---------------------------------------------------------------------------
+# reference: compatible_refinement with a breadth-first closure of the
+# automorphism group, stabilisation passes, and covers cut by the pieces
+# over every face as well
+
+def _reference_compatible_refinement(fib, sub):
+    phi = fib.complex
+    n = phi.max_dim()
+    if not phi.is_pure(n):
+        raise NotPureSource("fibration source is not pure")
+    flag, _ = is_pi_compatible(fib, sub)
+    if flag:
+        return sub
+
+    reps = iso_class_reps(fib.space)
+    refined = {}
+    for d in range(0, n + 1):
+        groups = {}
+        for p in sorted(phi.ids()):
+            if phi.dim(p) == d:
+                groups.setdefault(reps[fib.pi(p)], []).append(p)
+        for cls in sorted(groups):
+            members = groups[cls]
+            rep = members[0]
+            systems_at_rep = []
+            transports = {}
+            for s in members:
+                sigma = phi.cones[s]
+                # boundary cells: refined faces plus absent closure faces
+                bd = []
+                for f in phi.below(s):
+                    m = phi.facemap(f, s)
+                    bd.extend(_apply_cells(m, refined[f]))
+                bd.extend(_absent_closure_faces(phi, s))
+                # full covers of the closure: cone-off and the given pieces
+                if d == 0:
+                    cover = [()]
+                    sp_cells = [()]
+                else:
+                    r_s = sigma.interior_point()
+                    cone_off = list(bd)
+                    for cell in bd:
+                        cone_off.append(tuple(sorted(set(cell) | {r_s})))
+                    cone_off.append((r_s,))
+                    sp_cells = list(bd)
+                    for f in [s] + phi.below(s):
+                        m = phi.facemap(f, s) if f != s \
+                            else IntMatrix.identity(sigma.rank)
+                        for t in sub.pieces_over(f):
+                            cell = tuple(
+                                tuple((m @ sub.matrices[t]).apply(g))
+                                for g in sub.source.cones[t].closure_rays)
+                            sp_cells.append(cell)
+                    cover = fold_cells([cone_off, sp_cells], sigma.rank)
+                # transport member-cells to the representative
+                f_s = sorted(space_isos(fib.space, fib.pi(rep), fib.pi(s)),
+                             key=lambda m: m.entries)[0]
+                a_s = unimodular_inverse(fib.transforms[rep]) \
+                    @ unimodular_inverse(f_s) @ fib.transforms[s]
+                transports[s] = a_s
+                systems_at_rep.append(_apply_cells(a_s, cover))
+            rank = phi.dim(rep)
+            merged = fold_cells(systems_at_rep, rank) \
+                if systems_at_rep else [()]
+            # close under the automorphism group of the representative
+            autos = [unimodular_inverse(fib.transforms[rep]) @ a
+                     @ fib.transforms[rep]
+                     for a in space_isos(fib.space, fib.pi(rep),
+                                         fib.pi(rep))]
+            group = {IntMatrix.identity(rank).entries:
+                     IntMatrix.identity(rank)}
+            frontier = list(autos)
+            while frontier:
+                g = frontier.pop()
+                if g.entries in group:
+                    continue
+                group[g.entries] = g
+                for a in autos:
+                    frontier.append(a @ g)
+            for _ in range(len(group)):
+                stable = True
+                for g in group.values():
+                    moved = _apply_cells(g, merged)
+                    new = fold_cells([merged, moved], rank)
+                    if {cell_key(c) for c in new} != \
+                            {cell_key(c) for c in merged}:
+                        merged = new
+                        stable = False
+                if stable:
+                    break
+            for s in members:
+                back = unimodular_inverse(transports[s])
+                refined[s] = _apply_cells(back, merged)
+    out = refine_assemble(phi, refined)
+    rep = validate_subdivision(out)
+    if not rep.ok:
+        raise FibrationError(f"refinement failed validation: {rep.issues}")
+    flag, witness = is_pi_compatible(fib, out)
+    if not flag:
+        raise NotCompatible(f"refinement is not compatible at {witness}")
+    return out
+
+
+def swap_example():
+    """Two copies of the open quadrant over one copy with the coordinate
+    swap (the two-dimensional form of the working example)."""
+    quadrant = poic_new(2, [((1, 0), True), ((0, 1), True)])
+    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+    ident = IntMatrix.identity(2)
+    space = space_new({"x": quadrant}, {("x", "x"): (ident, swap)})
+    phi = complex_new({"c1": quadrant, "c2": quadrant}, set(), {})
+    return Fibration(complex=phi, space=space,
+                     object_map={"c1": "x", "c2": "x"},
+                     transforms={"c1": ident, "c2": ident},
+                     morphism_map={},
+                     linear=LinearStructure(2, {"c1": ident, "c2": ident}))
+
+
+def closed_swap_example():
+    """The closed quadrant with its rays a, b and apex 0 over one copy
+    of each, with the coordinate swap on the quadrant: the refinement
+    passes through cones with faces, down to rank 0."""
+    o, r = poic_new(0, []), poic_new(1, [((1,), False)])
+    q = poic_new(2, [((1, 0), False), ((0, 1), False)])
+    e1, e2 = IntMatrix.from_cols([(1, 0)]), IntMatrix.from_cols([(0, 1)])
+    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+    space = space_new({"o": o, "r": r, "q": q}, {
+        ("o", "o"): (IntMatrix.identity(0),),
+        ("r", "r"): (IntMatrix.identity(1),),
+        ("q", "q"): (IntMatrix.identity(2), swap),
+        ("o", "r"): (IntMatrix(1, 0, ()),), ("o", "q"): (IntMatrix(2, 0, ()),),
+        ("r", "q"): (e1, e2)})
+    fmaps = {("0", "a"): IntMatrix(1, 0, ()), ("0", "b"): IntMatrix(1, 0, ()),
+             ("0", "Q"): IntMatrix(2, 0, ()), ("a", "Q"): e1, ("b", "Q"): e2}
+    phi = complex_new({"0": o, "a": r, "b": r, "Q": q}, set(fmaps), fmaps)
+    return Fibration(complex=phi, space=space,
+                     object_map={"0": "o", "a": "r", "b": "r", "Q": "q"},
+                     transforms={p: IntMatrix.identity(phi.dim(p))
+                                 for p in phi.ids()},
+                     morphism_map=dict(fmaps))
+
+
+def _sheared(fib, shear):
+    """The fibration with copy c2 replaced by the preimage of its image
+    under ``shear``, which becomes its transform: the transports to c1
+    are then not automorphisms of the image."""
+    image = fib.space.objects[fib.pi("c2")]
+    cone = poic_new(image.rank, [(shear.transpose().apply(n), strict)
+                                 for n, strict in image.facets])
+    phi = complex_new({"c1": fib.complex.cones["c1"], "c2": cone},
+                      set(), {})
+    return dataclasses.replace(
+        fib, complex=phi, transforms={**fib.transforms, "c2": shear},
+        linear=LinearStructure(image.rank, {**fib.linear.maps,
+                                            "c2": shear}))
+
+
+def _cutting_wall(rng, rank, bound):
+    """A wall with entries in [-bound, bound] of both signs, so that it
+    cuts the open positive orthant of Z^rank."""
+    while True:
+        w = tuple(rng.randint(-bound, bound) for _ in range(rank))
+        if max(w) > 0 > min(w):
+            return w
+
+
+def _refinement_inputs():
+    """(name, fibration, subdivision) for 35 seeded inputs: swap quadrants
+    with 0-2 walls per copy, Z/3 octants with 0-1 walls per copy (every
+    second one with a sheared copy c2), the closed swap quadrant with
+    asymmetric walls, st fibrations with one wall on one top cone, and
+    identity fibrations of M_0,5 with one wall on one top cone (already
+    compatible)."""
+    rng = random.Random("compatible refinement")
+    shears = {2: IntMatrix.from_rows([[1, 0], [1, 1]]),
+              3: IntMatrix.from_rows([[1, 0, 0], [1, 1, 0], [0, 1, 1]])}
+    families = [(swap_example, 2, 2, 12), (working_example, 1, 1, 8)]
+    for build, walls, bound, count in families:
+        for i in range(count):
+            fib = build()
+            rank = fib.complex.max_dim()
+            if i % 2:
+                fib = _sheared(fib, shears[rank])
+            per_copy = {c: [_cutting_wall(rng, rank, bound)
+                            for _ in range(rng.randint(0, walls))]
+                        for c in ("c1", "c2")}
+            yield (f"{build.__name__} {i} {per_copy}", fib,
+                   refine_by_walls(fib.complex, per_copy))
+    fib = closed_swap_example()
+    for walls in ([(1, -2)], [(1, -1), (3, -1)], [(2, -1), (1, -3)]):
+        yield f"closed_swap_example {walls}", fib, \
+            refine_by_walls(fib.complex, {"Q": walls})
+    sts = [spanning_tree_fibration(g, labels).fibration
+           for g, labels in [(1, ["a"]), (1, ["a", "b"]), (2, [])]]
+    m05 = build_moduli(0, ["1", "2", "3", "4", "5"])
+    ids = [fibration_from_complex(m05.complex, m05.linear)] * 3
+    for fib in [f for f in sts for _ in range(3)] + ids:
+        phi = fib.complex
+        p = rng.choice([p for p in sorted(phi.ids())
+                        if phi.dim(p) == phi.max_dim()])
+        wall = _cutting_wall(rng, phi.dim(p), 1) if phi.dim(p) > 1 \
+            else (1,)
+        yield f"{sorted(fib.space.ids())} {p} {wall}", fib, \
+            refine_by_walls(phi, {p: [wall]})
+
+
+def test_compatible_refinement_matches_reference():
+    """One common refinement per isomorphism class, over each member's
+    cover moved by its transport and every automorphism, gives the bytes
+    of the reference's group closure and stabilisation passes."""
+    inputs = list(_refinement_inputs())
+    assert len(inputs) == 35
+    refined = 0
+    for name, fib, sub in inputs:
+        assert validate_fibration(fib).ok, name
+        out = compatible_refinement(fib, sub)
+        expected = _reference_compatible_refinement(fib, sub)
+        assert io_json.dumps(io_json.subdivision_to_json(out)) \
+            == io_json.dumps(io_json.subdivision_to_json(expected)), name
+        refined += out is not sub
+    assert refined >= 22

@@ -152,3 +152,23 @@ def test_every_imported_name_is_used():
         unused = sorted((line, name) for name, line in imported.items()
                         if name not in used)
         assert not unused, f"{info.name}: unused imports {unused}"
+
+
+def test_function_level_imports_defer_a_module():
+    """A function-level ``from .m import ...`` is there to defer loading
+    ``.m``, so it is allowed only in a module with no top-level import
+    from ``.m``; anywhere else it re-imports a module already loaded."""
+    for info in pkgutil.iter_modules(tropocone.__path__):
+        module = importlib.import_module(f"tropocone.{info.name}")
+        with open(module.__file__, encoding="utf-8") as src:
+            tree = ast.parse(src.read())
+        top = {node.module for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level}
+        redundant = sorted({
+            (node.lineno, node.module)
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, ast.ImportFrom) and node.level
+            and node.module in top})
+        assert not redundant, f"{info.name}: redundant imports {redundant}"

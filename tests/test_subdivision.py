@@ -1221,3 +1221,77 @@ def test_library_paths_make_no_rational_solve(monkeypatch):
     finally:
         monkeypatch.undo()
         _clear_memos()
+
+
+def _reference_cycle_equal(c1, c2):
+    """cycle_equal locating every witness with pieces_containing."""
+    if c1.base.cones != c2.base.cones:
+        raise subdivision.IncomparableSubdivisions(
+            "cycles live on different complexes")
+    if c1.weight.dim != c2.weight.dim:
+        return False
+    k = c1.weight.dim
+    common = common_refinement([c1.subdivision, c2.subdivision])
+    for r in common.source.ids():
+        if common.source.dim(r) != k:
+            continue
+        y = common.cone_map[r]
+        w = tuple(common.matrices[r].apply(
+            common.source.cones[r].interior_point()))
+        vals = []
+        for c in (c1, c2):
+            found = c.subdivision.pieces_containing(y, w)
+            if not found:
+                raise subdivision.IncomparableSubdivisions(
+                    f"cannot locate witness {w} in a subdivision")
+            p = found[0]
+            v = c.weight.values.get(p, 0) \
+                if c.subdivision.source.dim(p) == k else 0
+            vals.append(v)
+        if vals[0] != vals[1]:
+            return False
+    return True
+
+
+def test_cycle_equal_forms_hdescs_once_per_target(monkeypatch):
+    """On pullbacks of seeded weights of complete fans to stellar and ord
+    subdivisions, and on copies with one value changed, cycle_equal gives
+    the reference's answers and forms at most two H-description lists
+    (one per side) per target cone that carries a k-cone of the common
+    refinement."""
+    calls = []
+    real = ComplexMorphism._image_hdescs
+
+    def counted(self, s):
+        calls.append(s)
+        return real(self, s)
+
+    rng = random.Random(1717)
+    answers = []
+    for _ in range(5):
+        phi = _complete_fan(rng)
+        top = rng.choice(phi.classes(2))
+        g1, g2 = phi.cones[top].closure_rays[:2]
+        subs = [stellar(phi, top, vadd(g1, g2)), ord_subdivision(phi)]
+        for k in (1, 2):
+            omega = Weight(k, {p: rng.randint(1, 3)
+                               for p in phi.classes(k)})
+            pulled = [pullback(s, omega) for s in subs]
+            p = rng.choice(sorted(pulled[1].values))
+            bumped = Weight(k, {**pulled[1].values, p: pulled[1].values[p]
+                                + 1})
+            for w2 in (pulled[1], bumped):
+                c1 = Cycle(phi, subs[0], pulled[0])
+                c2 = Cycle(phi, subs[1], w2)
+                calls.clear()
+                monkeypatch.setattr(ComplexMorphism, "_image_hdescs",
+                                    counted)
+                got = cycle_equal(c1, c2)
+                monkeypatch.undo()
+                common = common_refinement(subs)
+                targets = {common.cone_map[r] for r in common.source.ids()
+                           if common.source.dim(r) == k}
+                assert len(calls) <= 2 * len(targets)
+                assert got == _reference_cycle_equal(c1, c2)
+                answers.append(got)
+    assert answers.count(True) == answers.count(False) == 10
