@@ -244,7 +244,7 @@ def cmd_equivariant(args):
     st = spanning_tree_fibration(args.genus, _marks(args.marks))
     k = args.k if args.k is not None else st.complex.max_dim()
     if args.subdivision:
-        sub = io_json.subdivision_from_json(_read_json(args.subdivision))
+        sub = _read_subdivision(args.subdivision)
         if sub.target.cones != st.complex.cones:
             raise SchemaError("the subdivision is not one of the fibration "
                               "source")

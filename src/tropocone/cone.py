@@ -29,7 +29,6 @@ from .intlinalg import (
     primitive,
     saturation,
     saturation_coordinates,
-    vadd,
 )
 
 
@@ -193,15 +192,18 @@ def strict_feasible(constraints, rank):
         if is_zero_vec(n) and s:
             return None
     gens = dual_generators(normals, rank)
-    witness = (0,) * rank
-    for g in gens:
-        witness = vadd(witness, g)
     for n, s in constraints:
         if not s or is_zero_vec(n):
             continue
         if not any(dot(n, g) > 0 for g in gens):
             return None
-    return witness
+    return _ray_sum(gens, rank)
+
+
+def _ray_sum(rays, rank):
+    """The sum of ``rays`` in Z^rank: a relative-interior point of the
+    closed cone they generate."""
+    return tuple(map(sum, zip((0,) * rank, *rays)))
 
 
 def _zero_sets(normals, rays):
@@ -252,17 +254,12 @@ class Poic:
     def dim(self):
         return self.rank
 
-    def normals(self, strict_only=None):
-        if strict_only is None:
-            return [n for n, _ in self.facets]
-        return [n for n, s in self.facets if s == strict_only]
+    def normals(self):
+        return [n for n, _ in self.facets]
 
     def interior_point(self):
         """An integer point of the relative interior."""
-        w = (0,) * self.rank
-        for g in self.closure_rays:
-            w = vadd(w, g)
-        return w
+        return _ray_sum(self.closure_rays, self.rank)
 
     def contains(self, point, strictly=False):
         """Exact membership; ``strictly`` tests the relative interior."""
@@ -379,10 +376,7 @@ class FaceEmbedding:
 
     def ambient_interior_point(self):
         """Integer relative-interior point of the face, in sup coordinates."""
-        w = (0,) * self.sup.rank
-        for g in self.gens_key:
-            w = vadd(w, g)
-        return w
+        return _ray_sum(self.gens_key, self.sup.rank)
 
 
 def _closed_facet_normals(sigma: Poic):
@@ -391,6 +385,18 @@ def _closed_facet_normals(sigma: Poic):
     normals = sigma.normals()
     return [n for n, top in zip(
         normals, _maximal(_zero_sets(normals, sigma.closure_rays))) if top]
+
+
+def closure_faces(sigma: Poic):
+    """The faces of sigma's closure, sorted, each as the sorted tuple of
+    the closure rays it contains: the whole closure and the intersections
+    of the closed facets' zero sets, closed one facet at a time."""
+    rays = sigma.closure_rays
+    masks = {(1 << len(rays)) - 1}
+    for z in _zero_sets(_closed_facet_normals(sigma), rays):
+        masks |= {m & z for m in masks}
+    return sorted(tuple(g for j, g in enumerate(rays) if m >> j & 1)
+                  for m in masks)
 
 
 def faces(sigma: Poic):
@@ -404,24 +410,12 @@ def faces(sigma: Poic):
 
 @lru_cache(maxsize=_FACES_MEMO_SIZE)
 def _faces(sigma: Poic):
-    facet_normals = _closed_facet_normals(sigma)
-    rays = sigma.closure_rays
-    seen = {}
-    n_facets = len(facet_normals)
-    for mask in range(1 << n_facets):
-        tight_set = [facet_normals[i] for i in range(n_facets) if mask >> i & 1]
-        gens = tuple(g for g in rays
-                     if all(dot(a, g) == 0 for a in tight_set))
-        if gens not in seen:
-            seen[gens] = tight_set
     out = []
-    for gens in sorted(seen):
-        witness = (0,) * sigma.rank
-        for g in gens:
-            witness = vadd(witness, g)
+    for gens in closure_faces(sigma):
+        witness = _ray_sum(gens, sigma.rank)
         if not all(dot(n, witness) > 0 for n, s in sigma.facets if s):
             continue  # dropped by strictness
-        if len(gens) == len(rays):
+        if len(gens) == len(sigma.closure_rays):
             # the improper face: sigma itself
             out.append(FaceEmbedding(sub=sigma, sup=sigma,
                                      matrix=IntMatrix.identity(sigma.rank),

@@ -16,8 +16,8 @@ from .cone import (
     NotIntoCodomain,
     check_morphism,
     closed_normals,
+    closure_faces,
     dual_generators,
-    faces,
     image_face,
 )
 from .complexes import LinearStructure, PoicComplex
@@ -242,8 +242,7 @@ def _absent_closure_faces(phi: PoicComplex, s):
     for f in phi.below(s):
         face = image_face(phi.facemap(f, s), phi.cones[f], sigma)
         realized.add(face.gens_key)
-    return [tuple(sorted(f.gens_key)) for f in faces(sigma.closure())
-            if f.gens_key not in realized]
+    return [f for f in closure_faces(sigma) if f not in realized]
 
 
 def _cover(phi: PoicComplex, sub: Subdivision, refined, s):

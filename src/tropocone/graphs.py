@@ -137,38 +137,48 @@ def graph_new(nflags, root, involution, marking) -> DiscreteGraph:
     return g
 
 
-def contract(g: DiscreteGraph, e) -> DiscreteGraph:
-    """Contract a non-loop edge; returns (graph, flag map old -> new)."""
-    h1, h2 = e
-    if g.inv[h1] != h2:
-        raise GraphError(f"{e} is not an edge")
-    v1, v2 = g.root[h1], g.root[h2]
-    if v1 == v2:
-        raise LoopContraction(f"edge {e} is a loop")
-    keep_v, drop_v = min(v1, v2), max(v1, v2)
-    removed = {h1, h2, drop_v}
+def _merge(g: DiscreteGraph, forest):
+    """Each vertex of g -> the least vertex of its component under the
+    edges ``forest``; raises LoopContraction when an edge closes a circuit
+    (loops included)."""
+    comp = {v: v for v in set(g.root)}
+    for e in {tuple(e) for e in forest}:
+        a, b = comp[g.root[e[0]]], comp[g.root[e[1]]]
+        if a == b:
+            raise LoopContraction(f"edge {e} closes a circuit")
+        lo, hi = min(a, b), max(a, b)
+        for v, c in comp.items():
+            if c == hi:
+                comp[v] = lo
+    return comp
+
+
+def _contract_forest(g: DiscreteGraph, forest):
+    """Contract a forest of edges in one pass; returns (graph, flag map
+    old -> new).  Each component keeps its least vertex and the other
+    flags keep their order, as when contracting edge by edge."""
+    forest = {tuple(e) for e in forest}
+    if not forest:
+        return g, {x: x for x in range(g.nflags)}
+    for a, b in forest:
+        if g.inv[a] != b:
+            raise GraphError(f"{(a, b)} is not an edge")
+    comp = _merge(g, forest)
+    removed = {x for e in forest for x in e}
+    removed |= {v for v, c in comp.items() if c != v}
     new_index = {}
-    k = 0
     for x in range(g.nflags):
         if x not in removed:
-            new_index[x] = k
-            k += 1
-
-    def image(x):
-        if x in (h1, h2, drop_v, keep_v):
-            return new_index[keep_v]
-        return new_index[x]
-
-    root = [0] * k
-    inv = [0] * k
-    for x in range(g.nflags):
-        if x in removed:
-            continue
-        root[new_index[x]] = image(g.root[x])
-        inv[new_index[x]] = image(g.inv[x])
+            new_index[x] = len(new_index)
+    root = [new_index[comp[g.root[x]]] for x in new_index]
+    inv = [new_index[g.inv[x]] for x in new_index]
     marking = {lab: new_index[f] for lab, f in g.marking}
-    out = graph_new(k, root, inv, marking)
-    return out, new_index
+    return graph_new(len(new_index), root, inv, marking), new_index
+
+
+def contract(g: DiscreteGraph, e) -> DiscreteGraph:
+    """Contract a non-loop edge; returns (graph, flag map old -> new)."""
+    return _contract_forest(g, [e])
 
 
 def contract_set(g: DiscreteGraph, edge_set):
@@ -177,18 +187,7 @@ def contract_set(g: DiscreteGraph, edge_set):
     The edge map sends each surviving edge of g to the corresponding edge
     of the contraction.
     """
-    current = g
-    flagmap = {x: x for x in range(g.nflags)}
-    todo = set(tuple(e) for e in edge_set)
-    while todo:
-        img = {}
-        for (a, b) in todo:
-            img[(a, b)] = (flagmap[a], flagmap[b])
-        e = sorted(todo)[0]
-        a, b = img[e]
-        current, step = contract(current, (min(a, b), max(a, b)))
-        flagmap = {x: step[y] for x, y in flagmap.items() if y in step}
-        todo.discard(e)
+    current, flagmap = _contract_forest(g, edge_set)
     edge_map = {}
     for (a, b) in g.edges():
         if a in flagmap and b in flagmap:
@@ -199,54 +198,24 @@ def contract_set(g: DiscreteGraph, edge_set):
 
 def is_forest(g: DiscreteGraph, edge_set):
     """True iff the edge subset spans no circuit (loops are circuits)."""
-    edge_set = set(tuple(e) for e in edge_set)
-    for e in edge_set:
-        if g.is_loop(e):
-            return False
-    parent = {}
-
-    def find(v):
-        parent.setdefault(v, v)
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for (a, b) in edge_set:
-        ra, rb = find(g.root[a]), find(g.root[b])
-        if ra == rb:
-            return False
-        parent[ra] = rb
+    try:
+        _merge(g, edge_set)
+    except LoopContraction:
+        return False
     return True
 
 
 def circuits(g: DiscreteGraph):
-    """All simple circuits as sorted edge tuples (loops are circuits)."""
+    """All simple circuits as sorted edge tuples (loops are circuits): the
+    edge sets that are not a forest while every one edge smaller is."""
     edges = g.edges()
     out = []
     for r in range(1, len(edges) + 1):
         for combo in itertools.combinations(edges, r):
-            deg = {}
-            for (a, b) in combo:
-                deg[g.root[a]] = deg.get(g.root[a], 0) + 1
-                deg[g.root[b]] = deg.get(g.root[b], 0) + 1
-            if any(d != 2 for d in deg.values()):
-                continue
-            verts = sorted(deg)
-            adj = {v: set() for v in verts}
-            for (a, b) in combo:
-                adj[g.root[a]].add(g.root[b])
-                adj[g.root[b]].add(g.root[a])
-            seen = {verts[0]}
-            stack = [verts[0]]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) == len(verts):
-                out.append(tuple(combo))
+            if not is_forest(g, combo) and all(
+                    is_forest(g, sub)
+                    for sub in itertools.combinations(combo, r - 1)):
+                out.append(combo)
     return out
 
 

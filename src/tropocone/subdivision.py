@@ -19,11 +19,13 @@ from .cone import (
     _carrier,
     _dd_start,
     _dd_step,
+    _ray_sum,
     cell_key,
     chart_cone,
     check_morphism,
     closed_cone_contains,
     closed_normals,
+    closure_faces,
     dual_generators,
     faces,
     facets_from_rays,
@@ -45,7 +47,6 @@ from .intlinalg import (
     sign_normalized,
     smith_normal_form,
     solve_integer_columns,
-    vadd,
 )
 from .weights import Weight
 
@@ -153,10 +154,7 @@ def identity_subdivision(phi: PoicComplex) -> Subdivision:
 # cell helpers (closed cells as tuples of generator vectors)
 
 def cell_witness(gens, rank):
-    w = (0,) * rank
-    for g in cell_key(gens):
-        w = vadd(w, g)
-    return w
+    return _ray_sum(cell_key(gens), rank)
 
 
 def closed_cone_equal(gens_a, gens_b, rank):
@@ -413,11 +411,6 @@ def validate_subdivision(sub: Subdivision) -> Report:
 # ---------------------------------------------------------------------------
 # stellar subdivision
 
-def _closure_face_cells(sigma: Poic):
-    closed = sigma.closure()
-    return [tuple(sorted(f.gens_key)) for f in faces(closed)]
-
-
 def stellar(phi: PoicComplex, s, ray) -> Subdivision:
     """Stellar subdivision at a primitive ray in the relative interior of
     Phi(s); cones above s are re-subdivided by coning from their faces."""
@@ -430,21 +423,16 @@ def stellar(phi: PoicComplex, s, ray) -> Subdivision:
     for t in phi.ids():
         sigma_t = phi.cones[t]
         if t not in above:
-            cells_per_cone[t] = _closure_face_cells(sigma_t)
+            cells_per_cone[t] = closure_faces(sigma_t)
             continue
         r_t = tuple(phi.facemap(s, t).apply(ray))
-        closed = sigma_t.closure()
+        carrier = set(_carrier(r_t, sigma_t))
         cells = []
-        for f in faces(closed):
-            gens = tuple(sorted(f.gens_key))
-            tight = [n for n, _ in closed.facets
-                     if all(dot(n, g) == 0 for g in gens)]
-            in_face = closed.contains(r_t) \
-                and all(dot(n, r_t) == 0 for n in tight)
-            if in_face:
-                continue
-            cells.append(gens)
-            cells.append(tuple(sorted(set(gens) | {r_t})))
+        for face in closure_faces(sigma_t):
+            if carrier <= set(face):
+                continue  # r_t lies in this face
+            cells.append(face)
+            cells.append(tuple(sorted({*face, r_t})))
         cells_per_cone[t] = cells
     return refine_assemble(phi, cells_per_cone)
 
@@ -470,7 +458,7 @@ def ord_subdivision(phi: PoicComplex) -> Subdivision:
         if sigma.rank == 0:
             cells_per_cone[s] = [()]
             continue
-        keys = [frozenset(f.gens_key) for f in faces(sigma.closure())]
+        keys = [frozenset(f) for f in closure_faces(sigma)]
         # the chains are grown downwards from the whole closure, so only
         # those ending there are built
         chains = [[frozenset(sigma.closure_rays)]]

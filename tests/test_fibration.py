@@ -3,15 +3,20 @@ import random
 
 import pytest
 
-from tropocone import io_json
+from tropocone import cone, io_json
 from tropocone.cone import (
     NotIntoCodomain,
+    Poic,
     cell_key,
     check_morphism,
     faces,
     poic_new,
 )
-from tropocone.complexes import LinearStructure, complex_new
+from tropocone.complexes import (
+    LinearStructure,
+    complex_new,
+    single_cone_complex,
+)
 from tropocone.fibration import (
     Fibration,
     FibrationError,
@@ -41,6 +46,7 @@ from tropocone.subdivision import (
     Report,
     fold_cells,
     identity_subdivision,
+    ord_subdivision,
     refine_assemble,
     refine_by_walls,
     stellar,
@@ -634,3 +640,54 @@ def test_compatible_refinement_matches_reference():
             == io_json.dumps(io_json.subdivision_to_json(expected)), name
         refined += out is not sub
     assert refined >= 22
+
+
+def test_absent_closure_faces_use_the_cone_s_own_closure_rays():
+    """A lined cone whose closure poic picks other ray representatives:
+    the cone and its two facets are realized, so only the line, on which
+    the strict normal vanishes, is absent."""
+    sigma = poic_new(3, [((-1, -1, 1), False), ((-1, 0, 0), True),
+                         ((0, 1, -1), False)])
+    assert sigma.closure().closure_rays != sigma.closure_rays
+    phi = single_cone_complex(sigma, "c")
+    assert _absent_closure_faces(phi, "c") == [((0, -1, -1), (0, 1, 1))]
+
+
+def _clear_memos():
+    for memo in (cone._dual_generators, cone._facets_from_rays,
+                 cone._poic_new, cone._faces, cone._check_morphism):
+        memo.cache_clear()
+
+
+def test_faces_are_listed_without_closure_poics(monkeypatch):
+    """stellar, ord and compatible_refinement give the same results with
+    Poic.closure raising (memos cleared, so nothing computed before is
+    reused): they read the closure faces off the cone's own rays."""
+    def run():
+        rng = random.Random("closure faces")
+        out = []
+        for phi in [build_moduli(0, list("12345")).complex,
+                    closed_swap_example().complex,
+                    spanning_tree_fibration(1, ["a", "b"]).complex]:
+            top = rng.choice(phi.classes(phi.max_dim()))
+            ray = tuple(map(sum, zip(*(
+                [rng.randint(1, 3) * x for x in g]
+                for g in phi.cones[top].closure_rays))))
+            for sub in (stellar(phi, top, ray), ord_subdivision(phi)):
+                out.append(io_json.dumps(io_json.subdivision_to_json(sub)))
+        for _, fib, sub in list(_refinement_inputs())[::4]:
+            out.append(io_json.dumps(io_json.subdivision_to_json(
+                compatible_refinement(fib, sub))))
+        return out
+
+    def refuse(self):
+        raise AssertionError("a closure poic built on a library path")
+
+    expected = run()
+    monkeypatch.setattr(Poic, "closure", refuse)
+    try:
+        _clear_memos()
+        assert run() == expected
+    finally:
+        monkeypatch.undo()
+        _clear_memos()

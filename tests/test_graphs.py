@@ -7,6 +7,7 @@ import pytest
 
 from tropocone.graphs import (
     BadInvolution,
+    GraphError,
     LoopContraction,
     MarkingNotBijective,
     UnstableParameters,
@@ -192,6 +193,153 @@ def test_circuits_and_forests():
     es = g.edges()
     assert is_forest(g, [es[0]])
     assert not is_forest(g, [es[0], es[1]])
+
+
+# ---------------------------------------------------------------------------
+# contraction, forests and circuits against the edge-by-edge code they
+# replaced
+
+def _reference_contract(g, e):
+    h1, h2 = e
+    if g.inv[h1] != h2:
+        raise GraphError(f"{e} is not an edge")
+    v1, v2 = g.root[h1], g.root[h2]
+    if v1 == v2:
+        raise LoopContraction(f"edge {e} is a loop")
+    keep_v, drop_v = min(v1, v2), max(v1, v2)
+    removed = {h1, h2, drop_v}
+    new_index = {}
+    k = 0
+    for x in range(g.nflags):
+        if x not in removed:
+            new_index[x] = k
+            k += 1
+
+    def image(x):
+        if x in (h1, h2, drop_v, keep_v):
+            return new_index[keep_v]
+        return new_index[x]
+
+    root = [0] * k
+    inv = [0] * k
+    for x in range(g.nflags):
+        if x in removed:
+            continue
+        root[new_index[x]] = image(g.root[x])
+        inv[new_index[x]] = image(g.inv[x])
+    marking = {lab: new_index[f] for lab, f in g.marking}
+    out = graph_new(k, root, inv, marking)
+    return out, new_index
+
+
+def _reference_contract_set(g, edge_set):
+    current = g
+    flagmap = {x: x for x in range(g.nflags)}
+    todo = set(tuple(e) for e in edge_set)
+    while todo:
+        img = {}
+        for (a, b) in todo:
+            img[(a, b)] = (flagmap[a], flagmap[b])
+        e = sorted(todo)[0]
+        a, b = img[e]
+        current, step = _reference_contract(current, (min(a, b), max(a, b)))
+        flagmap = {x: step[y] for x, y in flagmap.items() if y in step}
+        todo.discard(e)
+    edge_map = {}
+    for (a, b) in g.edges():
+        if a in flagmap and b in flagmap:
+            na, nb = flagmap[a], flagmap[b]
+            edge_map[(a, b)] = (min(na, nb), max(na, nb))
+    return current, edge_map
+
+
+def _reference_is_forest(g, edge_set):
+    edge_set = set(tuple(e) for e in edge_set)
+    for e in edge_set:
+        if g.is_loop(e):
+            return False
+    parent = {}
+
+    def find(v):
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for (a, b) in edge_set:
+        ra, rb = find(g.root[a]), find(g.root[b])
+        if ra == rb:
+            return False
+        parent[ra] = rb
+    return True
+
+
+def _reference_circuits(g):
+    edges = g.edges()
+    out = []
+    for r in range(1, len(edges) + 1):
+        for combo in itertools.combinations(edges, r):
+            deg = {}
+            for (a, b) in combo:
+                deg[g.root[a]] = deg.get(g.root[a], 0) + 1
+                deg[g.root[b]] = deg.get(g.root[b], 0) + 1
+            if any(d != 2 for d in deg.values()):
+                continue
+            verts = sorted(deg)
+            adj = {v: set() for v in verts}
+            for (a, b) in combo:
+                adj[g.root[a]].add(g.root[b])
+                adj[g.root[b]].add(g.root[a])
+            seen = {verts[0]}
+            stack = [verts[0]]
+            while stack:
+                v = stack.pop()
+                for w in adj[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            if len(seen) == len(verts):
+                out.append(tuple(combo))
+    return out
+
+
+def _outcome(f, *args):
+    """The result of f, or the type of the GraphError it raises."""
+    try:
+        return f(*args)
+    except GraphError as exc:
+        return type(exc)
+
+
+def test_contractions_forests_and_circuits_match_reference():
+    """On every edge subset of every class of six categories, and of a
+    relabelled copy of each class (vertices no longer last): the same
+    graphs, flag and edge maps, forests, circuits and errors."""
+    rng = random.Random(18)
+    graphs = list(ODD_GRAPHS)
+    for genus, marks in [(0, "12345"), (1, "12"), (1, "123"), (2, ""),
+                         (2, "1"), (3, "")]:
+        for rep in enumerate_category(genus, list(marks)).classes.values():
+            graphs += [rep, _relabeled(rep, rng)]
+    loops = circuit_sets = 0
+    for g in graphs:
+        assert circuits(g) == _reference_circuits(g)
+        circuit_sets += len(circuits(g))
+        edges = g.edges()
+        for e in edges:
+            assert _outcome(contract, g, e) == \
+                _outcome(_reference_contract, g, e)
+            loops += g.is_loop(e)
+        for r in range(len(edges) + 1):
+            for combo in itertools.combinations(edges, r):
+                assert is_forest(g, combo) == _reference_is_forest(g, combo)
+                assert _outcome(contract_set, g, combo) == \
+                    _outcome(_reference_contract_set, g, combo)
+    assert loops > 0 and circuit_sets > len(graphs)
+    not_an_edge = (theta_graph(), (0, 1))
+    assert _outcome(contract, *not_an_edge) is GraphError
+    assert _outcome(_reference_contract, *not_an_edge) is GraphError
 
 
 def test_cone_of_metrics_two_cycle():

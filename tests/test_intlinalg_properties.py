@@ -1,7 +1,9 @@
-"""Property tests of the Smith normal form, the integer kernel and the
-rational rank and solve against sympy's independent implementation, on
-small random integer (and rational) matrices."""
+"""Property tests of the Smith and Hermite normal forms, the integer
+kernel, quotients, lattice indices and the rational rank and solve against
+sympy's independent implementation, on small random integer (and
+rational) matrices."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,15 +14,21 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.matrices.normalforms import \
+    hermite_normal_form as sympy_hnf  # noqa: E402
+from sympy.matrices.normalforms import \
     smith_normal_form as sympy_snf  # noqa: E402
 
 from tropocone import intlinalg  # noqa: E402
 from tropocone.intlinalg import (  # noqa: E402
     IntMatrix,
+    Lattice,
     det,
     frac_rank,
     frac_solve,
+    hermite_row_basis,
     integer_kernel,
+    lattice_index,
+    quotient,
     smith_normal_form,
 )
 
@@ -186,3 +194,77 @@ def test_frac_solve_rejects_a_right_hand_side_of_the_wrong_length():
         frac_solve([(1, 0), (0, 1)], (1,))
     with pytest.raises(ValueError):
         frac_solve([(1, 0)], (1, 2))
+
+
+def _same_lattice(rows_a, rows_b, cols):
+    """Two generating sets of Z^cols span one lattice iff stacking them
+    keeps the rank and the product of the nonzero invariant factors of
+    each (the index of a lattice in its saturation)."""
+    def volume(rows):
+        d = [x for x in _sympy_diagonal(rows, cols) if x] if rows else []
+        return len(d), math.prod(d)
+    return volume(rows_a) == volume(rows_b) == volume(rows_a + rows_b)
+
+
+@st.composite
+def unimodular(draw, n):
+    """A product of elementary row operations on n rows."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 6)) if n else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            c = draw(st.integers(-3, 3))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return IntMatrix.from_rows(u, n)
+
+
+@PROPERTY
+@given(matrices())
+def test_hermite_rows_span_the_lattice_of_sympy_hnf_columns(data):
+    """sympy's HNF of A^T is column-style, so its columns are compared
+    with the rows of hermite_row_basis(A) as lattices."""
+    rows, cols = data
+    h = hermite_row_basis(IntMatrix.from_rows(rows, cols))
+    hs = sympy_hnf(_sympy_matrix(rows, cols).T) if rows and cols else None
+    sympy_rows = [[int(hs[i, j]) for i in range(hs.rows)]
+                  for j in range(hs.cols)] if hs is not None else []
+    assert h.rows == len(sympy_rows)
+    assert _same_lattice(h.to_rows(), sympy_rows, cols)
+    assert _same_lattice(h.to_rows(), rows, cols)
+
+
+@PROPERTY
+@given(st.data())
+def test_hermite_basis_is_invariant_under_unimodular_row_operations(data):
+    rows, cols = data.draw(matrices())
+    a = IntMatrix.from_rows(rows, cols)
+    u = data.draw(unimodular(len(rows)))
+    assert abs(det(u)) == 1
+    assert hermite_row_basis(u @ a) == hermite_row_basis(a)
+
+
+@PROPERTY
+@given(matrices())
+def test_quotient_torsion_is_sympy_invariant_factors_from_two(data):
+    rows, cols = data
+    q = quotient(cols, IntMatrix.from_rows(rows, cols))
+    diag = _sympy_diagonal(rows, cols) if rows else []
+    assert q.torsion_factors == tuple(x for x in diag if x >= 2)
+    assert q.free_rank == cols - sum(1 for x in diag if x)
+
+
+@PROPERTY
+@given(st.data())
+def test_lattice_index_is_the_determinant_of_the_coordinates(data):
+    n = data.draw(st.integers(1, 4))
+    r = data.draw(st.integers(1, n))
+    entries = st.integers(-6, 6)
+    basis = [[data.draw(entries) for _ in range(n)] for _ in range(r)]
+    coords = [[data.draw(entries) for _ in range(r)] for _ in range(r)]
+    hypothesis.assume(frac_rank(basis) == r and frac_rank(coords) == r)
+    sup = IntMatrix.from_rows(basis, n)
+    c = IntMatrix.from_rows(coords, r)
+    assert lattice_index(Lattice(n, sup), Lattice(n, c @ sup)) \
+        == abs(int(_sympy_matrix(coords, r).det()))

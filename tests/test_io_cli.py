@@ -476,6 +476,24 @@ def test_pushforward_and_cycle_eq_need_a_subdivision(tmp_path, capsys):
     assert "is not a subdivision" in capsys.readouterr().err
 
 
+def test_equivariant_needs_a_subdivision(tmp_path, capsys):
+    """The identity subdivision of st(1, {1, 2}) with the matrix of one
+    piece doubled fails two axioms; equivariant refuses it rather than
+    computing a lattice on it."""
+    st = spanning_tree_fibration(1, ["1", "2"])
+    sdoc = io_json.subdivision_to_json(identity_subdivision(st.complex))
+    m = sdoc["matrices"]["G0 x glue"]
+    m["entries"] = [str(2 * int(x)) for x in m["entries"]]
+    bad = _write(tmp_path / "doubled.json", sdoc)
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", "--subdivision", bad, "--out", str(out)]) == 0
+    axioms = json.loads(out.read_text())["axioms"]
+    assert axioms["lattice-iso"] == axioms["functorial"] == "fail"
+    assert cli.main(["equivariant", "--genus", "1", "--marks", "1,2",
+                     "--subdivision", bad]) == 1
+    assert "is not a subdivision" in capsys.readouterr().err
+
+
 _WRONG_TYPES = (None, "x", 1.5, True, [], {})
 
 
@@ -592,3 +610,86 @@ def test_revalued_m04_documents_never_escape_the_exit_codes(
     assert len(codes) >= 2
     if kind == "subdivision":
         assert tests
+
+
+# clutch sides g:A and forget (genus, marks, mark) that seed the command-line
+# fuzz: the first two of each fail validation today (exit 1)
+CLUTCH_SEEDS = [("0:1,2,3,c", "0:4,5,c"), ("1:1,c", "0:3,4,c"),
+                ("0:1,2,c", "0:3,4,c"), ("1:c", "0:1,2,c")]
+FORGET_SEEDS = [("2", "a", "a"), ("2", "a,b", "a"), ("1", "a,b,c", "a"),
+                ("0", "a,1,2,3", "a"), ("1", "a,b", "a")]
+
+
+def _side_mutants(side):
+    """One-side mutants of a clutch side g:A, by name."""
+    g, _, marks = side.partition(":")
+    return {"superscript-genus": f"²:{marks}",
+            "negative-genus": f"-1:{marks}",
+            "no-colon": g + marks,
+            "empty-marks": f"{g}:",
+            "repeated-mark": f"{g}:{marks},{marks.split(',')[0]}",
+            "gluing-mark": f"{g}:{marks},g1",
+            "starred-gluing-mark": f"{g}:{marks},g2*",
+            "no-shared-label": f"{g}:{marks.replace('c', 'd')}"}
+
+
+def _genus(text):
+    """The genus, with a text that is not an ASCII numeral read as 0."""
+    return int(text) if re.fullmatch("[0-9]+", text) else 0
+
+
+def _size(genus, marks):
+    """2g + #marks."""
+    return 2 * _genus(genus) + len(set(marks))
+
+
+def _clutch_argvs(rng):
+    for left, right in CLUTCH_SEEDS:
+        sides = [(left, right)]
+        for mutate in _side_mutants(left):
+            i = rng.randrange(2)
+            pair = [left, right]
+            pair[i] = _side_mutants(pair[i])[mutate]
+            sides.append(tuple(pair))
+        sides.append((f"{left},x", f"{right},x"))    # two shared labels
+        for pair in sides:
+            parsed = [(s.partition(":")[0], cli._marks(s.partition(":")[2]))
+                      for s in pair]
+            target = (str(sum(_genus(g) for g, _ in parsed)),
+                      set(parsed[0][1]) ^ set(parsed[1][1]))
+            if all(_size(g, m) <= 6 for g, m in parsed + [target]):
+                yield ["clutch", "--left", pair[0], "--right", pair[1]]
+
+
+def _forget_argvs(rng):
+    for genus, marks, mark in FORGET_SEEDS:
+        mutants = [(genus, marks, mark), ("²", marks, mark),
+                   ("-1", marks, mark), (genus, "", mark),
+                   (genus, f"{marks},{mark}", mark),
+                   (genus, f"{marks},g1", mark),
+                   (genus, f"{marks},g2*", mark), (genus, marks, "z")]
+        for g, m, k in [mutants[0]] + rng.sample(mutants[1:], 4):
+            if _size(g, cli._marks(m)) <= 6:
+                yield ["forget", "--genus", g, "--marks", m, "--mark", k]
+
+
+def test_clutch_and_forget_specs_never_escape_the_exit_codes(tmp_path,
+                                                            capsys):
+    """Seeded clutch and forget specs and their mutants (superscript or
+    negative genus, no colon, empty, repeated or gluing-named marks, zero
+    or two shared labels, a forgotten mark not among the marks), with
+    2g + #marks <= 6 on every side and target, run in-process: each
+    exits 0, 1 or 2 and none raises."""
+    rng = random.Random("clutch and forget")
+    argvs = [*_clutch_argvs(rng), *_forget_argvs(rng)]
+    assert len(argvs) >= 55
+    codes = set()
+    for argv in argvs:
+        try:
+            code = cli.main(argv + ["--out", str(tmp_path / "out.json")])
+        except SystemExit as exc:
+            code = exc.code    # argparse: --genus ², or a side like -1:c
+        assert code in (0, 1, 2), argv
+        codes.add(code)
+    assert "Traceback" not in capsys.readouterr().err
+    assert codes == {0, 1, 2}
