@@ -23,6 +23,7 @@ from .complexes import (
 from .graphs import (
     DiscreteGraph,
     GraphCategory,
+    _merge,
     circuits,
     contractions_from,
     enumerate_category,
@@ -132,22 +133,10 @@ def distance_structure(labels) -> DistanceData:
 
 def leg_side_of_edge(t: DiscreteGraph, edge):
     """Labels of the legs on the side of edge[0], with the edge removed."""
-    a, b = edge
-    blocked = {a, b}
-    start = t.root[a]
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for x in range(t.nflags):
-            if t.root[x] != v or x in blocked or t.inv[x] == x:
-                continue
-            w = t.root[t.inv[x]]
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+    comp = _merge(t, [e for e in t.edges() if set(e) != set(edge)])
+    side = comp[t.root[edge[0]]]
     return tuple(sorted(lab for lab, f in t.marking
-                        if t.root[f] in seen))
+                        if comp[t.root[f]] == side))
 
 
 def tree_distance_matrix(t: DiscreteGraph, data: DistanceData) -> IntMatrix:

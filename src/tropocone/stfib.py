@@ -28,6 +28,7 @@ from .fibration import (
     is_pi_compatible,
 )
 from .graphs import (
+    BadMarks,
     DiscreteGraph,
     UnstableParameters,
     check_marks,
@@ -467,7 +468,7 @@ def forgetful(g, labels, mark) -> FibrationMorphism:
     labels = check_marks(g, labels)
     mark = str(mark)
     if mark not in labels:
-        raise FibrationMorphismError(f"{mark} is not a mark")
+        raise BadMarks(f"{mark} is not a mark")
     rest = tuple(l for l in labels if l != mark)
     if 2 * g + len(rest) - 2 <= 0:
         raise UnstableAfterForgetting(

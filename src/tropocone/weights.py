@@ -2,9 +2,9 @@
 
 Balancing at a codimension-1 cone s demands that the weighted sum of
 normal vectors vanishes in the honest quotient N_X / X_s(N^s), torsion
-included.  The constraint is encoded as an integer linear system with
-auxiliary unknowns witnessing membership in X_s(N^s), so one integer
-kernel computation yields the exact weight lattice.
+included.  Each free coordinate of that quotient gives one integer
+equation on the weights and each torsion factor d one congruence mod d,
+so one Hermite normal form yields the exact weight lattice.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from .complexes import LinearStructure, PoicComplex, star1
 from .intlinalg import (
     IntMatrix,
     hermite_row_basis,
-    integer_kernel,
     quotient,
     solve_integer,
     vadd,
@@ -145,32 +144,19 @@ class WeightLattice:
         return len(self.basis)
 
 
-def _stacked_balancing_system(phi, lin, k, extra_rows=None):
-    """Integer matrix whose kernel (projected to the weight block) is the
-    Minkowski-weight lattice M_k."""
-    classes = phi.classes(k)
-    col_of = {t: i for i, t in enumerate(classes)}
-    lower = phi.classes(k - 1) if k >= 1 else []
-    aux_offset = {}
-    ncols = len(classes)
-    for s in lower:
-        aux_offset[s] = ncols
-        ncols += phi.dim(s)
-    rows = []
-    for s in lower:
-        lifts = {t: normal_vector_lift(phi, lin, s, t) for t in star1(phi, s)}
-        xs = lin.maps[s]
-        for i in range(lin.target_rank):
-            row = [0] * ncols
-            for t, lift in lifts.items():
-                row[col_of[t]] += lift[i]
-            for j in range(phi.dim(s)):
-                row[aux_offset[s] + j] -= xs.entry(i, j)
-            rows.append(row)
-    if extra_rows:
-        for r in extra_rows:
-            rows.append(list(r) + [0] * (ncols - len(classes)))
-    return IntMatrix.from_rows(rows, ncols), classes
+def _balancing_conditions(phi, lin, k):
+    """(coefficients, modulus) per balancing condition on k-weights: one
+    per free coordinate (modulus 0) and one per torsion factor d (modulus
+    d) of N_X / X_s(N^s), for each codim-1 class s.  The coefficient of a
+    class t > s is that coordinate of its normal vector's lift."""
+    for s in phi.classes(k - 1) if k >= 1 else ():
+        q = _quotient_at(phi, lin, s)
+        parts = {t: q.image(normal_vector_lift(phi, lin, s, t))
+                 for t in star1(phi, s)}
+        for i in range(q.free_rank):
+            yield {t: free[i] for t, (free, _) in parts.items()}, 0
+        for i, d in enumerate(q.torsion_factors):
+            yield {t: tors[i] for t, (_, tors) in parts.items()}, d
 
 
 def minkowski_basis(phi: PoicComplex, lin: LinearStructure, k,
@@ -179,23 +165,28 @@ def minkowski_basis(phi: PoicComplex, lin: LinearStructure, k,
 
     ``extra_rows`` appends additional integer conditions on the weight
     coordinates (used for equivariance constraints).
+
+    With the conditions as the columns of C, the rows of HNF([C^T | I])
+    that vanish on the C^T block are the HNF basis of the weights w with
+    C w = 0; a row d e_j in the C^T block makes condition j mod d.
     """
     classes = phi.classes(k)
-    if not classes:
-        return WeightLattice(dim=k, basis=())
-    system, classes = _stacked_balancing_system(phi, lin, k, extra_rows)
-    if system.rows == 0:
-        gens = IntMatrix.identity(len(classes))
-    else:
-        kern = integer_kernel(system)
-        proj = [kern.row(i)[:len(classes)] for i in range(kern.rows)]
-        gens = hermite_row_basis(IntMatrix.from_rows(proj, len(classes)))
-    basis = []
-    for i in range(gens.rows):
-        row = gens.row(i)
-        basis.append(Weight(k, {t: row[j] for j, t in enumerate(classes)
-                                if row[j] != 0}))
-    return WeightLattice(dim=k, basis=tuple(basis))
+    col_of = {t: i for i, t in enumerate(classes)}
+    conditions = list(_balancing_conditions(phi, lin, k))
+    conditions += [(dict(zip(classes, r)), 0) for r in extra_rows or ()]
+    m, width = len(conditions), len(conditions) + len(classes)
+    rows = [[0] * width for _ in classes]
+    for i, row in enumerate(rows):
+        row[m + i] = 1
+    for j, (coeffs, d) in enumerate(conditions):
+        for t, a in coeffs.items():
+            rows[col_of[t]][j] = a
+        if d:
+            rows.append([d if i == j else 0 for i in range(width)])
+    hnf = hermite_row_basis(IntMatrix.from_rows(rows, width))
+    basis = tuple(Weight(k, {t: a for t, a in zip(classes, row[m:]) if a})
+                  for row in hnf.to_rows() if not any(row[:m]))
+    return WeightLattice(dim=k, basis=basis)
 
 
 def cross_product(omega: Weight, eta: Weight, pairs) -> Weight:

@@ -436,6 +436,39 @@ def test_leg_side():
     assert 0 < len(side) < 4
 
 
+def _reference_leg_side_of_edge(t, edge):
+    """The tree walk that leg_side_of_edge replaced, kept verbatim."""
+    a, b = edge
+    blocked = {a, b}
+    start = t.root[a]
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for x in range(t.nflags):
+            if t.root[x] != v or x in blocked or t.inv[x] == x:
+                continue
+            w = t.root[t.inv[x]]
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return tuple(sorted(lab for lab, f in t.marking
+                        if t.root[f] in seen))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_leg_side_of_edge_matches_the_tree_walk(n):
+    cat = enumerate_category(0, [str(i) for i in range(1, n + 1)])
+    pairs = 0
+    for t in cat.classes.values():
+        for a, b in t.edges():
+            for edge in ((a, b), (b, a)):
+                assert leg_side_of_edge(t, edge) \
+                    == _reference_leg_side_of_edge(t, edge)
+                pairs += 1
+    assert pairs > 0
+
+
 def test_moduli_04_skeleton_origin():
     from tropocone.complexes import skeleton
     m = build_moduli(0, ["1", "2", "3", "4"])

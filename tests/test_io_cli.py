@@ -151,6 +151,14 @@ def test_cli_forget():
     assert doc["weakly_proper"]
 
 
+@pytest.mark.parametrize("marks", ["a,b,c", ""])
+def test_cli_forget_of_an_absent_mark_is_an_input_error(marks):
+    out = run_cli("forget", "--genus", "1", "--marks", marks, "--mark", "z")
+    assert out.returncode == 2
+    assert out.stderr.startswith("input error: z is not a mark")
+    assert "Traceback" not in out.stderr
+
+
 def test_cli_clutch():
     out = run_cli("clutch", "--left", "0:1,2,c", "--right", "0:3,4,c")
     assert out.returncode == 0

@@ -1,8 +1,14 @@
+import math
+import random
+import resource
+import subprocess
+import sys
 from math import comb
 
 import pytest
 
-from tropocone.cone import poic_new
+from tropocone import fibration
+from tropocone.cone import facets_from_rays, poic_new
 from tropocone.complexes import (
     LinearStructure,
     complex_new,
@@ -10,12 +16,28 @@ from tropocone.complexes import (
     product_linear,
     relint_complex,
     single_cone_complex,
+    star1,
 )
-from tropocone.intlinalg import IntMatrix
+from tropocone.fibration import (
+    Fibration,
+    compatible_refinement,
+    equivariant_basis,
+)
+from tropocone.intlinalg import (
+    IntMatrix,
+    hermite_row_basis,
+    integer_kernel,
+    primitive,
+)
 from tropocone.moduli import build_moduli
+from tropocone.spaces import space_new
+from tropocone.stfib import spanning_tree_fibration
+from tropocone.subdivision import identity_subdivision, refine_by_walls
 from tropocone.weights import (
     BadCodimension,
     Weight,
+    WeightLattice,
+    _quotient_at,
     cross_product,
     extend_by_zero,
     is_balanced,
@@ -281,3 +303,183 @@ def test_minkowski_ranks_of_m0n_are_keel_betti_numbers(n):
     ranks = [minkowski_basis(m.complex, m.linear, k).rank
              for k in range(n - 2)]
     assert ranks == [betti[n - 3 - k] for k in range(n - 2)]
+
+
+def test_minkowski_ranks_of_m07_are_keel_betti_numbers_within_one_gib():
+    """MW_0, MW_1 and MW_2 of M_0,7 (ranks 1, 42, 127; Keel's b_8, b_6,
+    b_4) under a 1 GiB address-space limit."""
+    assert _keel_betti(7) == [1, 42, 127, 42, 1]
+    code = ("from tropocone.moduli import build_moduli\n"
+            "from tropocone.weights import minkowski_basis\n"
+            "m = build_moduli(0, [str(i) for i in range(1, 8)])\n"
+            "print([minkowski_basis(m.complex, m.linear, k).rank"
+            " for k in range(3)])\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, preexec_fn=_limit_address_space)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[1, 42, 127]"
+
+
+def _limit_address_space():
+    gib = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
+
+
+def _reference_stacked_balancing_system(phi, lin, k, extra_rows=None):
+    """Integer matrix whose kernel (projected to the weight block) is the
+    Minkowski-weight lattice M_k."""
+    classes = phi.classes(k)
+    col_of = {t: i for i, t in enumerate(classes)}
+    lower = phi.classes(k - 1) if k >= 1 else []
+    aux_offset = {}
+    ncols = len(classes)
+    for s in lower:
+        aux_offset[s] = ncols
+        ncols += phi.dim(s)
+    rows = []
+    for s in lower:
+        lifts = {t: normal_vector_lift(phi, lin, s, t) for t in star1(phi, s)}
+        xs = lin.maps[s]
+        for i in range(lin.target_rank):
+            row = [0] * ncols
+            for t, lift in lifts.items():
+                row[col_of[t]] += lift[i]
+            for j in range(phi.dim(s)):
+                row[aux_offset[s] + j] -= xs.entry(i, j)
+            rows.append(row)
+    if extra_rows:
+        for r in extra_rows:
+            rows.append(list(r) + [0] * (ncols - len(classes)))
+    return IntMatrix.from_rows(rows, ncols), classes
+
+
+def _reference_minkowski_basis(phi, lin, k, extra_rows=None):
+    """The stacked-kernel minkowski_basis that the quotient-coordinate HNF
+    replaced, kept verbatim: auxiliary unknowns for X_s(N^s), one integer
+    kernel, and an HNF of its projection to the weight block."""
+    classes = phi.classes(k)
+    if not classes:
+        return WeightLattice(dim=k, basis=())
+    system, classes = _reference_stacked_balancing_system(
+        phi, lin, k, extra_rows)
+    if system.rows == 0:
+        gens = IntMatrix.identity(len(classes))
+    else:
+        kern = integer_kernel(system)
+        proj = [kern.row(i)[:len(classes)] for i in range(kern.rows)]
+        gens = hermite_row_basis(IntMatrix.from_rows(proj, len(classes)))
+    basis = []
+    for i in range(gens.rows):
+        row = gens.row(i)
+        basis.append(Weight(k, {t: row[j] for j, t in enumerate(classes)
+                                if row[j] != 0}))
+    return WeightLattice(dim=k, basis=tuple(basis))
+
+
+def _assert_matches_reference(phi, lin, k, extra_rows=None):
+    got = minkowski_basis(phi, lin, k, extra_rows)
+    ref = _reference_minkowski_basis(phi, lin, k, extra_rows)
+    assert got == ref, (k, got, ref)
+    assert [list(w.values) for w in got.basis] \
+        == [list(w.values) for w in ref.basis]
+    return got
+
+
+def _seeded_fan(rng):
+    """A complete fan in Z^2 (closed cones, coordinate rays plus up to two
+    more) embedded by a seeded matrix of determinant 1, 2 or 3, so the
+    quotients at the rays may carry torsion."""
+    rays = {(1, 0), (0, 1), (-1, 0), (0, -1)}
+    for _ in range(2):
+        v = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if v != (0, 0):
+            rays.add(primitive(v))
+    rays = sorted(rays, key=lambda r: math.atan2(r[1], r[0]))
+    a = IntMatrix.from_rows([[rng.randint(1, 3), rng.randint(-2, 2)],
+                             [0, 1]])
+    ray = poic_new(1, [((1,), False)])
+    cones = {"o": poic_new(0, [])}
+    fmaps = {}
+    maps = {"o": IntMatrix(2, 0, ())}
+    for i, r in enumerate(rays):
+        cones[f"r{i}"] = ray
+        fmaps[("o", f"r{i}")] = IntMatrix(1, 0, ())
+        maps[f"r{i}"] = a @ IntMatrix.from_cols([r])
+    for j in range(len(rays)):
+        pair = (rays[j], rays[(j + 1) % len(rays)])
+        facets, _ = facets_from_rays(list(pair), 2)
+        cones[f"c{j}"] = poic_new(2, [(f, False) for f in facets])
+        fmaps[("o", f"c{j}")] = IntMatrix(2, 0, ())
+        maps[f"c{j}"] = a
+        for i in (j, (j + 1) % len(rays)):
+            fmaps[(f"r{i}", f"c{j}")] = IntMatrix.from_cols([rays[i]])
+    return complex_new(cones, set(fmaps), fmaps), LinearStructure(2, maps)
+
+
+def _swap_quadrant():
+    """Two copies of the open quadrant over one, with the coordinate swap."""
+    quadrant = poic_new(2, [((1, 0), True), ((0, 1), True)])
+    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+    ident = IntMatrix.identity(2)
+    space = space_new({"x": quadrant}, {("x", "x"): (ident, swap)})
+    phi = complex_new({"c1": quadrant, "c2": quadrant}, set(), {})
+    return Fibration(complex=phi, space=space,
+                     object_map={"c1": "x", "c2": "x"},
+                     transforms={"c1": ident, "c2": ident},
+                     morphism_map={},
+                     linear=LinearStructure(2, {"c1": ident, "c2": ident}))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_minkowski_basis_matches_reference_on_m0n(n):
+    m = build_moduli(0, [str(i) for i in range(1, n + 1)])
+    ranks = [_assert_matches_reference(m.complex, m.linear, k).rank
+             for k in range(n - 1)]
+    assert ranks[-1] == 0 and ranks[0] == 1
+
+
+def test_minkowski_basis_matches_reference_with_torsion_and_fans():
+    phi, lin = torsion_complex()
+    for k in range(4):
+        _assert_matches_reference(phi, lin, k)
+    assert _assert_matches_reference(phi, lin, 2).rank == 2
+    rng = random.Random(1919)
+    torsion = 0
+    for _ in range(12):
+        phi, lin = _seeded_fan(rng)
+        torsion += any(_quotient_at(phi, lin, s).torsion_factors
+                       for s in phi.classes(1))
+        for k in range(4):
+            _assert_matches_reference(phi, lin, k)
+    assert torsion >= 3
+    fan, fan_lin = fan3_complex()
+    ray = relint_complex(poic_new(1, [((1,), True)]), "r")
+    ray_lin = LinearStructure(1, {"r": IntMatrix.identity(1)})
+    prod, pairs = product_complex(fan, ray)
+    plin = product_linear(fan, fan_lin, ray, ray_lin, pairs)
+    for k in range(4):
+        _assert_matches_reference(prod, plin, k)
+
+
+def test_equivariant_systems_match_reference(monkeypatch):
+    """equivariant_basis passes its stability rows as extra_rows; every
+    such system, on st(1,{a,b}), st(2,∅) and a refined swap quadrant,
+    gives the reference lattice."""
+    calls = []
+
+    def both(phi, lin, k, extra_rows=None):
+        calls.append(len(extra_rows or ()))
+        return _assert_matches_reference(phi, lin, k, extra_rows)
+
+    monkeypatch.setattr(fibration, "minkowski_basis", both)
+    cases = []
+    for g, labels in ((1, ["a", "b"]), (2, [])):
+        fib = spanning_tree_fibration(g, labels).fibration
+        cases.append((fib, identity_subdivision(fib.complex)))
+    swap = _swap_quadrant()
+    cases.append((swap, compatible_refinement(
+        swap, refine_by_walls(swap.complex, {"c1": [(1, -2)]}))))
+    for fib, sub in cases:
+        for k in range(sub.source.max_dim() + 1):
+            equivariant_basis(fib, k, sub)
+    assert len(calls) >= 9 and sum(calls) > 0
