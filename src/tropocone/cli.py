@@ -57,15 +57,14 @@ def _nonnegative(text):
 
 
 def _write_out(doc, path):
-    text = io_json.dumps(doc)
     if path:
         try:
             with open(path, "w") as fh:
-                fh.write(text)
+                io_json.dump(doc, fh)
         except OSError as exc:
             raise SchemaError(f"cannot write {path}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        io_json.dump(doc, sys.stdout)
 
 
 def _marks(text):

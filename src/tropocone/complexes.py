@@ -349,6 +349,8 @@ def skeletonize(objects, morphisms):
     for (s, t, m, inv) in iso_edges:
         rs, rt = find(s), find(t)
         if rs == rt:
+            if to_parent[t] @ m != to_parent[s]:
+                raise NotThin(f"non-identity automorphism at {rs}")
             continue
         # transport: rs -> s -> t -> rt; keep the lexicographically smaller id
         keep, drop = sorted((rs, rt))

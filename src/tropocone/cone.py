@@ -86,8 +86,6 @@ def _prune_generators(gens, normals, rank, pointed=False):
     full = (1 << len(normals)) - 1
     least = {}
     for g in gens:
-        if is_zero_vec(g):
-            continue
         g = primitive(g)
         tight = sum(1 << i for i, n in enumerate(normals) if dot(n, g) == 0)
         if tight != full and (tight not in least or g < least[tight]):

@@ -307,13 +307,12 @@ def _smith_normal_form(mat: IntMatrix):
             if clean:
                 return True
 
-    t = 0
-    while t < min(r, c):
+    for t in range(min(r, c)):
         if not reduce_at(t):
             break
-        t += 1
 
-    # enforce the divisibility chain
+    # enforce the divisibility chain; the nonzero pivots stay a prefix, as
+    # reduce_at fails only when the whole remaining block is zero
     changed = True
     while changed:
         changed = False
@@ -322,18 +321,9 @@ def _smith_normal_form(mat: IntMatrix):
             if dj != 0 and di != 0 and dj % di != 0:
                 _add_col(a, i, i + 1, 1)
                 _add_col(v, i, i + 1, 1)
-                k = i
-                while k < min(r, c):
+                for k in range(i, min(r, c)):
                     if not reduce_at(k):
                         break
-                    k += 1
-                changed = True
-                break
-            if di == 0 and dj != 0:
-                _swap_rows(a, i, i + 1)
-                _swap_rows(u, i, i + 1)
-                _swap_cols(a, i, i + 1)
-                _swap_cols(v, i, i + 1)
                 changed = True
                 break
 
@@ -377,54 +367,64 @@ def det(mat: IntMatrix):
     return sign * a[n - 1][n - 1]
 
 
-def hermite_row_basis(mat: IntMatrix) -> IntMatrix:
-    """Row-style Hermite normal form; rows are a canonical basis of the
-    integer row lattice of ``mat`` (zero rows dropped, pivots positive,
-    entries above pivots reduced)."""
-    rows = [list(mat.row(i)) for i in range(mat.rows)]
+def hermite_rows(rows):
+    """Row-style Hermite normal form of sparse integer rows, each a dict
+    from column to nonzero entry (left unmodified): the canonical basis of
+    their row lattice, in increasing pivot (least) column, with positive
+    pivots and the entries above each pivot in [0, pivot)."""
+    # Euclid on the rows whose least column is the least one present; a
+    # row that loses that column waits for its new least column
+    waiting = {}
+    for r in rows:
+        if r:
+            waiting.setdefault(min(r), []).append(r)
     out = []
-    col = 0
-    while col < mat.cols and rows:
-        live = [r for r in rows if r[col] != 0]
-        rest = [r for r in rows if r[col] == 0]
-        if not live:
-            col += 1
-            continue
+    while waiting:
+        col = min(waiting)
+        live = waiting.pop(col)
         while len(live) > 1:
             live.sort(key=lambda r: abs(r[col]))
-            base = live[0]
-            new_live = [base]
+            base, new_live = live[0], live[:1]
             for r in live[1:]:
-                q = r[col] // base[col]
-                rr = [x - q * y for x, y in zip(r, base)]
-                if rr[col] != 0:
+                rr = _sub_multiple(r, r[col] // base[col], base)
+                if col in rr:
                     new_live.append(rr)
-                elif any(rr):
-                    rest.append(rr)
-            if len(new_live) == len(live) and all(
-                    r[col] % new_live[0][col] == 0 for r in new_live[1:]):
-                base = new_live[0]
-                for r in new_live[1:]:
-                    q = r[col] // base[col]
-                    rr = [x - q * y for x, y in zip(r, base)]
-                    if any(rr):
-                        rest.append(rr)
-                new_live = [base]
+                elif rr:
+                    waiting.setdefault(min(rr), []).append(rr)
             live = new_live
         piv = live[0]
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        out.append((col, piv))
-        rows = [r for r in rest if any(r)]
-    # reduce above pivots
-    for k in range(len(out)):
-        ck, rk = out[k]
-        for i in range(k):
-            _, ri = out[i]
-            q = ri[ck] // rk[ck]
+        out.append((col, piv if piv[col] > 0 else
+                    {j: -x for j, x in piv.items()}))
+    # reduce above pivots: each row, from the last one up, against the rows
+    # below it in pivot order; those rows are reduced already
+    for i in reversed(range(len(out))):
+        ci, ri = out[i]
+        for ck, rk in out[i + 1:]:
+            q = ri.get(ck, 0) // rk[ck]
             if q:
-                out[i] = (out[i][0], [x - q * y for x, y in zip(ri, rk)])
-    return IntMatrix.from_rows([r for _, r in out], mat.cols)
+                ri = _sub_multiple(ri, q, rk)
+        out[i] = (ci, ri)
+    return [r for _, r in out]
+
+
+def _sub_multiple(r, q, base):
+    """The sparse row r - q * base, for q != 0."""
+    out = dict(r)
+    for j, y in base.items():
+        x = out.get(j, 0) - q * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return out
+
+
+def hermite_row_basis(mat: IntMatrix) -> IntMatrix:
+    """``hermite_rows`` of the rows of ``mat``, as an IntMatrix."""
+    hnf = hermite_rows([{j: x for j, x in enumerate(mat.row(i)) if x}
+                        for i in range(mat.rows)])
+    return IntMatrix(len(hnf), mat.cols,
+                     tuple(r.get(j, 0) for r in hnf for j in range(mat.cols)))
 
 
 def integer_kernel(mat: IntMatrix) -> IntMatrix:

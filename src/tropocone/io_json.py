@@ -199,6 +199,13 @@ def dumps(doc):
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
+def dump(doc, fh):
+    """Write ``dumps(doc)`` to the text file ``fh`` chunk by chunk, without
+    holding the whole text."""
+    fh.writelines(json.JSONEncoder(sort_keys=True, indent=1).iterencode(doc))
+    fh.write("\n")
+
+
 def loads(text):
     try:
         return json.loads(text)

@@ -218,10 +218,6 @@ def build_moduli(g, labels):
             for mapping in out_of_y.get(x, ()):
                 mats.append(_contraction_matrix(
                     cat.classes[x], cat.classes[y], mapping))
-            if x == y:
-                ident = IntMatrix.identity(len(cat.classes[x].edges()))
-                if ident not in mats:
-                    mats.append(ident)
             if mats:
                 homs[(x, y)] = tuple(mats)
     space = space_new(cones, homs)

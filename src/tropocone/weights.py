@@ -4,7 +4,9 @@ Balancing at a codimension-1 cone s demands that the weighted sum of
 normal vectors vanishes in the honest quotient N_X / X_s(N^s), torsion
 included.  Each free coordinate of that quotient gives one integer
 equation on the weights and each torsion factor d one congruence mod d,
-so one Hermite normal form yields the exact weight lattice.
+so one Hermite normal form yields the exact weight lattice.  Each
+equation involves only the classes above one codimension-1 cone, so the
+rows are kept sparse throughout the elimination.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from dataclasses import dataclass
 
 from .complexes import LinearStructure, PoicComplex, star1
 from .intlinalg import (
-    IntMatrix,
-    hermite_row_basis,
+    hermite_rows,
     quotient,
     solve_integer,
     vadd,
@@ -77,10 +78,7 @@ class NormalVector:
 
 
 def _quotient_at(phi: PoicComplex, lin: LinearStructure, s):
-    xs = lin.maps[s]
-    gens = IntMatrix.from_rows(
-        [xs.col(j) for j in range(xs.cols)], lin.target_rank)
-    return quotient(lin.target_rank, gens)
+    return quotient(lin.target_rank, lin.maps[s].transpose())
 
 
 def normal_vector_lift(phi: PoicComplex, lin: LinearStructure, s, t):
@@ -88,8 +86,7 @@ def normal_vector_lift(phi: PoicComplex, lin: LinearStructure, s, t):
     if phi.dim(t) != phi.dim(s) + 1:
         raise BadCodimension(f"{s} -> {t} is not a codimension-1 relation")
     m = phi.facemap(s, t)
-    q = quotient(phi.dim(t), IntMatrix.from_rows(
-        [m.col(j) for j in range(m.cols)], phi.dim(t)))
+    q = quotient(phi.dim(t), m.transpose())
     if q.free_rank != 1 or q.torsion_factors:
         raise WeightError(f"face lattice of {s} in {t} is not saturated")
     pi = q.projection
@@ -166,26 +163,26 @@ def minkowski_basis(phi: PoicComplex, lin: LinearStructure, k,
     ``extra_rows`` appends additional integer conditions on the weight
     coordinates (used for equivariance constraints).
 
-    With the conditions as the columns of C, the rows of HNF([C^T | I])
-    that vanish on the C^T block are the HNF basis of the weights w with
-    C w = 0; a row d e_j in the C^T block makes condition j mod d.
+    With m conditions, class i is the sparse row with 1 in column m + i
+    and its coefficient in condition j in column j, and a congruence mod
+    d of condition j is the row d e_j.  The Hermite rows whose least
+    column is at least m are the HNF basis of the weights w with C w = 0.
     """
     classes = phi.classes(k)
-    col_of = {t: i for i, t in enumerate(classes)}
     conditions = list(_balancing_conditions(phi, lin, k))
     conditions += [(dict(zip(classes, r)), 0) for r in extra_rows or ()]
-    m, width = len(conditions), len(conditions) + len(classes)
-    rows = [[0] * width for _ in classes]
-    for i, row in enumerate(rows):
-        row[m + i] = 1
+    m = len(conditions)
+    rows = {t: {m + i: 1} for i, t in enumerate(classes)}
+    congruences = []
     for j, (coeffs, d) in enumerate(conditions):
         for t, a in coeffs.items():
-            rows[col_of[t]][j] = a
+            if a:
+                rows[t][j] = a
         if d:
-            rows.append([d if i == j else 0 for i in range(width)])
-    hnf = hermite_row_basis(IntMatrix.from_rows(rows, width))
-    basis = tuple(Weight(k, {t: a for t, a in zip(classes, row[m:]) if a})
-                  for row in hnf.to_rows() if not any(row[:m]))
+            congruences.append({j: d})
+    basis = tuple(Weight(k, {classes[c - m]: a for c, a in sorted(r.items())})
+                  for r in hermite_rows([*rows.values(), *congruences])
+                  if min(r) >= m)
     return WeightLattice(dim=k, basis=basis)
 
 

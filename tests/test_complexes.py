@@ -165,6 +165,25 @@ def test_skeletonize_not_thin():
         skeletonize(objects, mors)
 
 
+def test_skeletonize_rejects_isomorphisms_that_disagree():
+    """Two isomorphisms a -> b, or a loop a -> b -> a, that differ by the
+    swap S give a non-identity automorphism, as does S alone at a."""
+    q = poic_new(2, [((1, 0), True), ((0, 1), True)])
+    objects = {"a": q, "b": q}
+    ident, swap = IntMatrix.identity(2), IntMatrix.from_rows([[0, 1], [1, 0]])
+    for mors in ([("a", "b", ident), ("a", "b", swap)],
+                 [("a", "b", ident), ("b", "a", swap)],
+                 [("b", "a", ident), ("a", "b", swap)],
+                 [("a", "a", swap)]):
+        with pytest.raises(NotThin):
+            skeletonize(objects, mors)
+    for mors in ([("a", "b", swap), ("b", "a", swap)],
+                 [("b", "a", swap), ("a", "b", swap), ("b", "b", ident)]):
+        out, equiv = skeletonize(objects, mors)
+        assert out.ids() == ["a"]
+        assert equiv["b"] == ("a", swap)
+
+
 def test_conify_point():
     phi, lin, ids = conify([PolyhedralCell("pt", ((0,),), ())])
     # closed mode: the ray over the point plus the adjoined origin

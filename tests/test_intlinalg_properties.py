@@ -26,6 +26,7 @@ from tropocone.intlinalg import (  # noqa: E402
     frac_rank,
     frac_solve,
     hermite_row_basis,
+    hermite_rows,
     integer_kernel,
     lattice_index,
     quotient,
@@ -243,6 +244,96 @@ def test_hermite_basis_is_invariant_under_unimodular_row_operations(data):
     u = data.draw(unimodular(len(rows)))
     assert abs(det(u)) == 1
     assert hermite_row_basis(u @ a) == hermite_row_basis(a)
+
+
+def _reference_hermite_row_basis(mat: IntMatrix) -> IntMatrix:
+    """Row-style Hermite normal form; rows are a canonical basis of the
+    integer row lattice of ``mat`` (zero rows dropped, pivots positive,
+    entries above pivots reduced)."""
+    rows = [list(mat.row(i)) for i in range(mat.rows)]
+    out = []
+    col = 0
+    while col < mat.cols and rows:
+        live = [r for r in rows if r[col] != 0]
+        rest = [r for r in rows if r[col] == 0]
+        if not live:
+            col += 1
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            base = live[0]
+            new_live = [base]
+            for r in live[1:]:
+                q = r[col] // base[col]
+                rr = [x - q * y for x, y in zip(r, base)]
+                if rr[col] != 0:
+                    new_live.append(rr)
+                elif any(rr):
+                    rest.append(rr)
+            if len(new_live) == len(live) and all(
+                    r[col] % new_live[0][col] == 0 for r in new_live[1:]):
+                base = new_live[0]
+                for r in new_live[1:]:
+                    q = r[col] // base[col]
+                    rr = [x - q * y for x, y in zip(r, base)]
+                    if any(rr):
+                        rest.append(rr)
+                new_live = [base]
+            live = new_live
+        piv = live[0]
+        if piv[col] < 0:
+            piv = [-x for x in piv]
+        out.append((col, piv))
+        rows = [r for r in rest if any(r)]
+    # reduce above pivots
+    for k in range(len(out)):
+        ck, rk = out[k]
+        for i in range(k):
+            _, ri = out[i]
+            q = ri[ck] // rk[ck]
+            if q:
+                out[i] = (out[i][0], [x - q * y for x, y in zip(ri, rk)])
+    return IntMatrix.from_rows([r for _, r in out], mat.cols)
+
+
+@PROPERTY
+@given(matrices())
+def test_hermite_row_basis_matches_the_dense_reference(data):
+    rows, cols = data
+    a = IntMatrix.from_rows(rows, cols)
+    assert hermite_row_basis(a) == _reference_hermite_row_basis(a)
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ([], 0), ([], 3), ([[], []], 0),               # no rows, no columns
+    ([[0, 0, 0], [0, 0, 0]], 3),                    # all zero
+    ([[0, 0, 0], [0, 2, 4], [0, 0, 0]], 3),         # zero rows and column
+    ([[0, 3, 0, 1], [0, 5, 0, 0]], 4),              # zero columns
+    ([[-2, 1], [0, -3]], 2),                        # negative pivots
+    ([[-4, 7, 1], [0, 0, -5], [-6, 2, 0]], 3),
+    ([[3, 1, 0], [-3, 0, 1], [3, 2, 2]], 3),        # tied absolute values
+    ([[2, 5], [-2, 1], [2, -7], [-2, 0]], 2),
+    ([[6, 4, 0, 9], [-4, 6, 0, 3], [10, 0, 0, -2]], 4),
+])
+def test_hermite_row_basis_matches_the_reference_on_edge_cases(rows, cols):
+    a = IntMatrix.from_rows(rows, cols)
+    assert hermite_row_basis(a) == _reference_hermite_row_basis(a)
+
+
+@PROPERTY
+@given(matrices(max_side=6))
+def test_hermite_rows_take_sparse_rows_in_any_column_order(data):
+    """Dict rows whose columns are inserted from last to first give the
+    reference basis, with no zero entry stored, and are left unmodified."""
+    rows, cols = data
+    sparse = [{j: r[j] for j in reversed(range(cols)) if r[j]} for r in rows]
+    before = [dict(r) for r in sparse]
+    hnf = hermite_rows(sparse)
+    assert sparse == before
+    assert all(all(hnf_row.values()) for hnf_row in hnf)
+    dense = [[r.get(j, 0) for j in range(cols)] for r in hnf]
+    assert IntMatrix.from_rows(dense, cols) \
+        == _reference_hermite_row_basis(IntMatrix.from_rows(rows, cols))
 
 
 @PROPERTY

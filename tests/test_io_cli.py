@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import re
@@ -54,6 +55,19 @@ def test_subdivision_roundtrip():
     doc = io_json.subdivision_to_json(sub)
     again = io_json.subdivision_from_json(doc)
     assert io_json.subdivision_to_json(again) == doc
+
+
+def test_dump_streams_the_text_of_dumps():
+    m = build_moduli(0, ["1", "2", "3", "4", "5"])
+    phi = single_cone_complex(
+        poic_new(2, [((1, 0), False), ((0, 1), False)]), "q")
+    for doc in (io_json.complex_to_json(m.complex, m.linear),
+                io_json.subdivision_to_json(stellar(phi, phi.classes(2)[0],
+                                                    (1, 1))),
+                {}, [], "text", 7):
+        buf = io.StringIO()
+        io_json.dump(doc, buf)
+        assert buf.getvalue() == io_json.dumps(doc)
 
 
 def test_graph_roundtrip():

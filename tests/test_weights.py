@@ -320,6 +320,20 @@ def test_minkowski_ranks_of_m07_are_keel_betti_numbers_within_one_gib():
     assert done.stdout.strip() == "[1, 42, 127]"
 
 
+def test_minkowski_ranks_of_m07_in_codimension_three_and_four_within_one_gib():
+    """MW_3 and MW_4 of M_0,7 (ranks 42 and 1; Keel's b_2 and b_0) under
+    a 1 GiB address-space limit."""
+    code = ("from tropocone.moduli import build_moduli\n"
+            "from tropocone.weights import minkowski_basis\n"
+            "m = build_moduli(0, [str(i) for i in range(1, 8)])\n"
+            "print([minkowski_basis(m.complex, m.linear, k).rank"
+            " for k in (3, 4)])\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, preexec_fn=_limit_address_space)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[42, 1]"
+
+
 def _limit_address_space():
     gib = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
