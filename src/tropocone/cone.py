@@ -23,6 +23,7 @@ from .intlinalg import (
     dot,
     frac_rank,
     frac_solve,
+    hermite_row_basis,
     integer_kernel,
     is_zero_vec,
     lattice_index,
@@ -97,23 +98,23 @@ def _prune_generators(gens, normals, rank, pointed=False):
 
 
 def dual_generators(normals, rank):
-    """Generators of the closed cone {x in R^rank : n.x >= 0 for all n}.
-
-    Returns ±(basis of the lineality space) together with one primitive
-    representative per extreme ray, sorted.
-    """
-    return _dual_generators(cell_key(normals), rank)
+    """Generators of the closed cone {x in R^rank : n.x >= 0 for all n}:
+    its ``cell_key``, sorted, whatever the order, scaling or repetition of
+    the normals."""
+    gens, pointed = _dual_generators(
+        frozenset(primitive(n) for n in normals if not is_zero_vec(n)), rank)
+    return gens if pointed else tuple(sorted(cell_key(gens)))
 
 
 @lru_cache(maxsize=_DD_MEMO_SIZE)
 def _dual_generators(normals, rank):
-    """Double description of ``dual_generators`` for a frozenset of
-    primitive nonzero normals."""
+    """Double description for a frozenset of primitive nonzero normals:
+    the sorted pruned generators, and whether the cone is pointed."""
     gens, inserted, pointed = _dd_start(rank), [], False
     for a in sorted(normals):
         inserted.append(a)
         gens, pointed = _dd_step(gens, inserted, rank, pointed)
-    return tuple(sorted(gens))
+    return tuple(sorted(gens)), pointed
 
 
 def _dd_start(rank):
@@ -173,8 +174,9 @@ def _facets_from_rays(gens, rank):
     generators: the annihilator basis depends on their order."""
     ann_mat = integer_kernel(IntMatrix.from_rows(gens, rank))
     ann = tuple(ann_mat.row(i) for i in range(ann_mat.rows))
-    # dual generators in ker G = span(ann) are equalities, reported as ann
-    facets = {a for a in dual_generators(gens, rank)  # {a : g.a >= 0}
+    # dual generators in ker G = span(ann) are equalities, reported as ann;
+    # the others are facets, in any representatives modulo ker G
+    facets = {a for a in _dual_generators(frozenset(gens), rank)[0]
               if not all(dot(g, a) == 0 for g in gens)}
     return tuple(sorted(facets)), ann
 
@@ -231,10 +233,27 @@ def _minimal(constraints, rays):
 
 
 def cell_key(gens):
-    """The primitive nonzero generators of a closed cell, as a set: the
-    key under which cells and images of cones are compared, and sets of
-    normals are memoized."""
-    return frozenset(primitive(g) for g in gens if not is_zero_vec(g))
+    """The canonical key of a closed cell, from generators holding ± a
+    basis of its lineality space and one per extreme ray: the primitive
+    generators of a pointed cell; for a cell with a line, ± the Hermite
+    basis of the saturated lattice its ± pairs span, and its other
+    generators with that basis's pivot columns cleared, made primitive.
+    Clearing projects linearly along the line space, so neither the
+    representatives nor the basis show."""
+    key = frozenset(primitive(g) for g in gens if not is_zero_vec(g))
+    line = [g for g in key if tuple(-x for x in g) in key]
+    if not line:
+        return key
+    hnf = hermite_row_basis(saturation(IntMatrix.from_rows(line)))
+    basis = [hnf.row(i) for i in range(hnf.rows)]
+    out = {v for h in basis for v in (h, tuple(-x for x in h))}
+    for g in key.difference(line):
+        for h in basis:
+            c = next(j for j, x in enumerate(h) if x)
+            g = tuple(h[c] * x - g[c] * y for x, y in zip(g, h))
+        if not is_zero_vec(g):
+            out.add(primitive(g))
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +265,7 @@ class Poic:
 
     rank: int
     facets: tuple          # ((normal, strict), ...), minimal, sorted
-    closure_rays: tuple    # generators of the closure (± lineality + extremes)
+    closure_rays: tuple    # the closure's cell_key, sorted
 
     @property
     def dim(self):

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 from .cone import (
     NotIntoCodomain,
+    cell_key,
     check_morphism,
-    closed_normals,
     closure_faces,
-    dual_generators,
     image_face,
 )
 from .complexes import LinearStructure, PoicComplex
@@ -151,18 +150,13 @@ def validate_fibration(fib: Fibration) -> Report:
 # ---------------------------------------------------------------------------
 # pi-compatibility
 
-def _canonical_closed_key(gens, rank):
-    return frozenset(dual_generators(closed_normals(gens, rank), rank))
-
-
 def _piece_keys(fib: Fibration, sub: Subdivision, p, transport=None):
     """Closed keys of the subdivision pieces of cone p, pushed to the
     space cone of p (optionally further through ``transport``)."""
     m = fib.transforms[p]
     if transport is not None:
         m = transport @ m
-    return {t: _canonical_closed_key([tuple(m.apply(g))
-                                      for g in sub.image_gens(t)], m.rows)
+    return {t: cell_key(m.apply(g) for g in sub.image_gens(t))
             for t in sub.pieces_over(p)}
 
 

@@ -23,7 +23,6 @@ from .cone import (
     cell_key,
     chart_cone,
     check_morphism,
-    closed_cone_contains,
     closed_normals,
     closure_faces,
     dual_generators,
@@ -155,11 +154,6 @@ def identity_subdivision(phi: PoicComplex) -> Subdivision:
 
 def cell_witness(gens, rank):
     return _ray_sum(cell_key(gens), rank)
-
-
-def closed_cone_equal(gens_a, gens_b, rank):
-    return (closed_cone_contains(gens_b, gens_a, rank)
-            and closed_cone_contains(gens_a, gens_b, rank))
 
 
 def intersect_cells(gens_a, gens_b, rank):
@@ -296,12 +290,7 @@ def arrangement_cells(sigma: Poic, walls):
 
     def rec(i, constraints, gens, inserted, pointed):
         if i == len(levels):
-            # a pointed cone's primitive extreme rays are unique, but the
-            # lineality basis of a cell with a line depends on the order
-            # its normals were inserted in, so such a cell is described
-            # from scratch
-            key = frozenset(gens) if pointed else cell_key(dual_generators(
-                [n for n, _ in constraints], rank))
+            key = cell_key(gens)
             cells.setdefault(key, tuple(sorted(key)))
             return
         for branch in levels[i]:
@@ -414,10 +403,10 @@ def validate_subdivision(sub: Subdivision) -> Report:
 def stellar(phi: PoicComplex, s, ray) -> Subdivision:
     """Stellar subdivision at a primitive ray in the relative interior of
     Phi(s); cones above s are re-subdivided by coning from their faces."""
-    ray = primitive(tuple(int(x) for x in ray))
-    sigma = phi.cones[s]
-    if not sigma.contains(ray, strictly=True):
+    ray = tuple(int(x) for x in ray)
+    if is_zero_vec(ray) or not phi.cones[s].contains(ray, strictly=True):
         raise RayNotInterior(f"ray {ray} is not interior to {s}")
+    ray = primitive(ray)
     above = [s] + [t for t in phi.above(s)]
     cells_per_cone = {}
     for t in phi.ids():
@@ -551,10 +540,8 @@ def is_weakly_proper(mor: ComplexMorphism):
             tau_gens = [tuple(embed.apply(f.matrix.apply(g)))
                         for g in f.sub.closure_rays]
             codim = d - f.dim
-            if not any(closed_cone_equal(_image(m @ src.facemap(q, s),
-                                                src.cones[q]),
-                                         tau_gens, target_cone.rank)
-                       for q in src.below(s)
+            if not any(cell_key(_image(m @ src.facemap(q, s), src.cones[q]))
+                       == cell_key(tau_gens) for q in src.below(s)
                        if src.dim(s) - src.dim(q) == codim):
                 return False, (s, tuple(tau_gens))
     return True, None
@@ -645,8 +632,7 @@ def pfine_matching(mor: ComplexMorphism, sub: Subdivision, dims=None):
         for t in sub.pieces_over(y):
             if sub.source.dim(t) != mor.source.dim(s):
                 continue
-            if closed_cone_equal(gens, sub.image_gens(t),
-                                 mor.target.dim(y)):
+            if cell_key(gens) == cell_key(sub.image_gens(t)):
                 found = t
                 break
         if found is None:

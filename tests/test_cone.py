@@ -9,6 +9,7 @@ from tropocone.cone import (
     NotFullDimensional,
     NotIntoCodomain,
     Poic,
+    cell_key,
     chart_cone,
     check_morphism,
     dual_generators,
@@ -538,11 +539,19 @@ def _normal_sets(seed=2024, count=200):
         yield rank, normals
 
 
+def _canonical(gens):
+    """A reference double description in the canonical form: sorted, and
+    unchanged when pointed; a lined one through its cell key, as the
+    reference keeps the least representatives of its rays."""
+    return tuple(sorted(cell_key(gens)))
+
+
 def test_dual_generators_matches_reference():
     lineality_cases = 0
     for rank, normals in _normal_sets():
         assert dual_generators(normals, rank) == \
-            _reference_dual_generators(normals, rank), (rank, normals)
+            _canonical(_reference_dual_generators(normals, rank)), \
+            (rank, normals)
         distinct = sorted({primitive(n) for n in normals
                            if not is_zero_vec(n)})
         if (len(distinct) >= 2 and integer_kernel(IntMatrix.from_rows(
@@ -564,7 +573,54 @@ def test_dual_generators_ignores_duplicates_scaling_and_order():
         variant += [(0,) * rank]
         rng.shuffle(variant)
         assert dual_generators(variant, rank) == base
-        assert _reference_dual_generators(variant, rank) == base
+        assert _canonical(_reference_dual_generators(variant, rank)) == base
+
+
+def _scaled(rng, v):
+    k = rng.randint(1, 3)
+    return tuple(k * x for x in v)
+
+
+def _combination(coeffs, vectors, rank):
+    return tuple(sum(c * v[j] for c, v in zip(coeffs, vectors))
+                 for j in range(rank))
+
+
+def test_cell_key_is_canonical():
+    """A double description is its own cell key, for every order, scaling
+    and repetition of the normals.  The key of a cell with a line ignores
+    the order and scaling of the generators, integer lineality added to
+    the rays and a unimodular change of the lineality basis.  A pointed
+    cell is keyed by its primitive generators."""
+    rng = random.Random(4242)
+    seen = {"lined": 0, "pointed": 0}
+    for rank, normals in _normal_sets(seed=11, count=240):
+        gens = dual_generators(normals, rank)
+        assert cell_key(gens) == set(gens)
+        variant = [_scaled(rng, n) for n in normals]
+        variant += rng.sample(normals, len(normals) // 2)
+        rng.shuffle(variant)
+        assert dual_generators(variant, rank) == gens
+        scaled = [_scaled(rng, g) for g in gens]
+        rng.shuffle(scaled)
+        line = [g for g in gens if tuple(-x for x in g) in gens]
+        if not line:
+            seen["pointed"] += 1
+            assert cell_key(scaled) == frozenset(map(primitive, scaled))
+            continue
+        seen["lined"] += 1
+        basis = [g for g in line if g > tuple(-x for x in g)]
+        rays = [g for g in gens if g not in line]
+        pm = [*basis, *(tuple(-x for x in b) for b in basis)]
+        shifted = [vadd(g, _combination([rng.randint(-2, 2) for _ in basis],
+                                        basis, rank)) for g in rays]
+        u = _unimodular(rng, len(basis))
+        rebased = [_combination(u.row(i), basis, rank) for i in range(u.rows)]
+        rebased += [tuple(-x for x in b) for b in rebased]
+        for cell in (scaled, pm + shifted, rebased + rays,
+                     [_scaled(rng, g) for g in rebased + shifted][::-1]):
+            assert cell_key(cell) == set(gens), (rank, gens, cell)
+    assert min(seen.values()) >= 60, seen
 
 
 def _check_poic_new_against_reference(strict_share):
@@ -578,7 +634,8 @@ def _check_poic_new_against_reference(strict_share):
         except ConeError as exc:
             assert type(exc) is expected, (rank, facets)
             continue
-        assert (sigma.facets, sigma.closure_rays) == expected, (rank, facets)
+        assert (sigma.facets, sigma.closure_rays) == \
+            (expected[0], _canonical(expected[1])), (rank, facets)
         assert cone._minimal(list(sigma.facets), sigma.closure_rays) == \
             _reference_minimal(list(sigma.facets), rank)
         assert cone._closed_facet_normals(sigma) == \

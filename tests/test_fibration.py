@@ -643,12 +643,12 @@ def test_compatible_refinement_matches_reference():
 
 
 def test_absent_closure_faces_use_the_cone_s_own_closure_rays():
-    """A lined cone whose closure poic picks other ray representatives:
-    the cone and its two facets are realized, so only the line, on which
-    the strict normal vanishes, is absent."""
+    """A lined cone, whose closure poic has the same canonical closure
+    rays: the cone and its two facets are realized, so only the line, on
+    which the strict normal vanishes, is absent."""
     sigma = poic_new(3, [((-1, -1, 1), False), ((-1, 0, 0), True),
                          ((0, 1, -1), False)])
-    assert sigma.closure().closure_rays != sigma.closure_rays
+    assert sigma.closure().closure_rays == sigma.closure_rays
     phi = single_cone_complex(sigma, "c")
     assert _absent_closure_faces(phi, "c") == [((0, -1, -1), (0, 1, 1))]
 

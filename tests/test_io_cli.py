@@ -198,6 +198,22 @@ def _quadrant_subdivision(tmp_path):
         identity_subdivision(QUADRANT)))
 
 
+def test_cli_stellar_of_a_cone_with_a_line_verifies(tmp_path):
+    """subdivide --stellar on a closed half-space of R^3, whose closure has
+    a plane of lineality, writes a subdivision that verify passes on every
+    axiom."""
+    half = single_cone_complex(poic_new(3, [((1, -1, 2), False)]), "c")
+    path = _write(tmp_path / "half.json", io_json.complex_to_json(half))
+    spath = str(tmp_path / "sub.json")
+    out = run_cli("subdivide", "--complex", path, "--stellar", "c",
+                  "--ray=-3,-3,1", "--out", spath)
+    assert out.returncode == 0, out.stderr
+    out = run_cli("verify", "--subdivision", spath)
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["ok"] and set(doc["axioms"].values()) == {"pass"}
+
+
 def _no_target_rank(tmp_path):
     m = build_moduli(0, ["1", "2", "3", "4"])
     doc = io_json.complex_to_json(m.complex, m.linear)

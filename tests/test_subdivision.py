@@ -133,6 +133,54 @@ def test_stellar_ray_not_interior():
         stellar(phi, top, (1, 0))
 
 
+def test_stellar_at_the_zero_ray_is_not_interior():
+    phi = single_cone_complex(poic_new(3, []), "c")
+    with pytest.raises(RayNotInterior):
+        stellar(phi, "c", (0, 0, 0))
+
+
+HALF_SPACE = poic_new(3, [((1, -1, 2), False)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: refine_by_walls(single_cone_complex(poic_new(3, []), "c"),
+                            {"c": [(-1, 2, 0), (0, 1, 1)]}),
+    lambda: refine_by_walls(single_cone_complex(HALF_SPACE, "c"),
+                            {"c": [(-1, 1, 2), (-1, 1, -2)]}),
+    lambda: stellar(single_cone_complex(HALF_SPACE, "c"), "c", (-3, -3, 1)),
+    lambda: stellar(relint_complex(poic_new(3, [
+        ((0, 1, 0), True), ((0, 0, 1), False)]), "c"), "c", (-1, 2, 1)),
+], ids=["walls-in-R3", "walls-in-a-half-space", "stellar-half-space",
+        "stellar-open-wedge"])
+def test_refinements_of_cones_with_a_line_glue(build):
+    """Wall and stellar refinements of rank-3 cones with a line: the cells
+    of neighbouring pieces meet in faces with one key, so every face of a
+    piece is a piece and the subdivision validates."""
+    report = validate_subdivision(build())
+    assert report.ok, report.issues
+
+
+def test_seeded_refinements_of_cones_with_a_line_validate():
+    rng = random.Random(2718)
+    lined = 0
+    while lined < 12:
+        sigma = _random_cone(rng, 2 + lined % 3)
+        if sigma.pointed():
+            continue
+        lined += 1
+        for phi in (single_cone_complex(sigma, "c"),
+                    relint_complex(sigma, "c")):
+            walls = [_vec(rng, sigma.rank) for _ in range(2)]
+            subs = [refine_by_walls(phi, {"c": walls})]
+            if sigma.facets:  # a linear space has no face to cone from
+                # a positive combination of all closure rays
+                subs.append(stellar(phi, "c", vadd(
+                    sigma.interior_point(), rng.choice(sigma.closure_rays))))
+            for sub in subs:
+                report = validate_subdivision(sub)
+                assert report.ok, (sigma, walls, report.issues)
+
+
 def test_validate_catches_overlap():
     # two overlapping sectors of the quadrant: A = [e1,(1,1)], B = [(2,1),e2]
     phi = quadrant_complex()
@@ -765,8 +813,8 @@ def test_refine_assemble_matches_the_pair_scan(monkeypatch):
 
 def test_arrangement_walk_runs_no_from_scratch_description(monkeypatch):
     """The walk makes each cone one double-description step from its
-    parent: no strict_feasible call, and a from-scratch dual_generators
-    call only at a leaf whose cell has a line.  Every leaf of a walk in a
+    parent: no strict_feasible call and no from-scratch dual_generators
+    call, also at a leaf whose cell has a line.  Every leaf of a walk in a
     space without facets is a distinct cell, unless an empty node (one
     whose older strict normal an equation has made zero) is walked on."""
     octant = poic_new(3, [((1, 0, 0), False), ((0, 1, 0), True),
@@ -794,11 +842,9 @@ def test_arrangement_walk_runs_no_from_scratch_description(monkeypatch):
     for sigma, walls, count in ((plane, [(1, 2)], 3),
                                 (space, [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
                                  13)):
-        calls["dual_generators"].clear()
-        assert len(arrangement_cells(sigma, walls)) == count
-        assert not calls["strict_feasible"]
-        assert len(calls["dual_generators"]) == count
-        assert all(_lined(set(g)) for g in calls["dual_generators"])
+        cells = arrangement_cells(sigma, walls)
+        assert len(cells) == count and all(_lined(set(c)) for c in cells)
+        assert calls == {"strict_feasible": [], "dual_generators": []}
 
 
 # ---------------------------------------------------------------------------
@@ -1066,12 +1112,7 @@ def _membership_subdivisions():
     """Stellar, ord and P-fine subdivisions of 40 seeded complete fans, the
     ord subdivisions of M_0,4/5/6, wall refinements of cones with
     lineality, partially open cones and rank-0 cones, and mutants of
-    these whose axiom 2 fails with covering counts 0 and 2.
-
-    Rank-3 cones with lineality get no walls: ``refine_assemble`` does not
-    yet glue cells whose ray representatives modulo a line differ (it
-    raises MissingFace), a fault of the wall refinement, not of the
-    membership test."""
+    these whose axiom 2 fails with covering counts 0 and 2."""
     rng = random.Random(1618)
     for _ in range(40):
         phi = _complete_fan(rng)
@@ -1090,9 +1131,7 @@ def _membership_subdivisions():
     for sigma in cones:
         for phi in (single_cone_complex(sigma, "c"),
                     relint_complex(sigma, "c")):
-            walls = _random_walls(rng, sigma) \
-                if sigma.rank < 3 or sigma.pointed() else []
-            yield refine_by_walls(phi, {"c": walls})
+            yield refine_by_walls(phi, {"c": _random_walls(rng, sigma)})
     rng = random.Random(1619)
     for sub in (stellar(quadrant_complex(), "q", (1, 1)),
                 ord_subdivision(_complete_fan(rng)),
