@@ -18,7 +18,7 @@ from .complexes import (
     product_linear,
     relint_complex,
 )
-from .cone import NotIntoCodomain, check_morphism, poic_new
+from .cone import poic_new
 from .cone import product as cone_product
 from .fibration import (
     Fibration,
@@ -93,11 +93,11 @@ class STFibration:
         return self.fibration.space
 
 
-def _unit_rows(graph, col):
-    """eta with one unit row per edge of graph, at that edge's column."""
-    edges, n = graph.edges(), len(col)
-    return IntMatrix(len(edges), n, tuple(
-        int(col[e] == j) for e in edges for j in range(n)))
+def _unit_rows(keys, col):
+    """One unit row per key, at that key's column."""
+    n = len(col)
+    return IntMatrix(len(keys), n, tuple(
+        int(col[k] == j) for k in keys for j in range(n)))
 
 
 def _st_edge_matrix(tree_rep: DiscreteGraph, g: int, cat):
@@ -111,7 +111,7 @@ def _st_edge_matrix(tree_rep: DiscreteGraph, g: int, cat):
     for i in range(1, g + 1):
         fa, fb = marking[f"g{i}"], marking[f"g{i}*"]
         col[(min(fa, fb), max(fa, fb))] = len(col)
-    return _class_and_matrix(cat, image, _unit_rows(image, col))
+    return _class_and_matrix(cat, image, _unit_rows(image.edges(), col))
 
 
 def spanning_tree_fibration(g, labels) -> STFibration:
@@ -184,7 +184,6 @@ class FibrationMorphism:
     int_matrix: IntMatrix
     space_map: dict
     space_matrices: dict
-    twists: dict = None   # per-cone automorphism of the target object
 
     def complex_morphism(self) -> ComplexMorphism:
         return ComplexMorphism(
@@ -205,11 +204,12 @@ def validate_fibration_morphism(fm: FibrationMorphism):
         x = src.pi(p)
         if tgt.pi(fm.cone_map[p]) != fm.space_map[x]:
             raise FibrationMorphismError(f"fibration square fails at {p}")
+        # source and target fix their charts independently, so the square
+        # commutes up to an automorphism of the target object
         lhs = tgt.transforms[fm.cone_map[p]] @ fm.matrices[p]
         rhs = fm.space_matrices[x] @ src.transforms[p]
-        if fm.twists is not None and p in fm.twists:
-            rhs = fm.twists[p] @ rhs
-        if lhs != rhs:
+        if not any(u @ rhs == lhs for u in space_isos(
+                tgt.space, fm.space_map[x], fm.space_map[x])):
             raise FibrationMorphismError(
                 f"space transform square fails at {p}")
     # functoriality on space homs
@@ -406,63 +406,6 @@ def _class_and_matrix(cat, graph, eta):
     return cls, IntMatrix(len(rep_edges), eta.cols, entries)
 
 
-def _align_space_matrices(src_fib, tgt_fib, space_map, raw_space_matrices,
-                          int_matrix):
-    """Derive cone matrices from the space surgery matrices.
-
-    Independently skeletonized fibrations fix their chart isomorphisms
-    separately, so the fibration square may only commute after twisting
-    by an automorphism of the target object; the twist is searched per
-    cone, recorded, and validated.  mat_p is the unique matrix with
-    eta_rho(F p) ∘ mat_p = u_p ∘ m_{pi(p)} ∘ eta_pi(p); among the charts
-    accepting the cone geometrically, the one compatible with the
-    distance structures (the linear square) is selected.
-
-    Returns (cone_map, matrices, twists).
-    """
-    cone_map = {}
-    matrices = {}
-    twists = {}
-    tgt_by_object = {}
-    for q in tgt_fib.complex.ids():
-        tgt_by_object.setdefault(tgt_fib.pi(q), []).append(q)
-
-    def auto_order(m):
-        ident = IntMatrix.identity(m.rows)
-        return (m != ident, m.entries)
-
-    for x in sorted(src_fib.space.ids()):
-        over = [p for p in src_fib.complex.ids() if src_fib.pi(p) == x]
-        m_x = raw_space_matrices[x]
-        autos = sorted(space_isos(tgt_fib.space, space_map[x], space_map[x]),
-                       key=auto_order)
-        for pid in over:
-            found = None
-            for u in autos:
-                comp = u @ m_x @ src_fib.transforms[pid]
-                for q in sorted(tgt_by_object.get(space_map[x], [])):
-                    mat = unimodular_inverse(
-                        tgt_fib.transforms[q]) @ comp
-                    try:
-                        check_morphism(mat, src_fib.complex.cones[pid],
-                                       tgt_fib.complex.cones[q])
-                    except NotIntoCodomain:
-                        continue
-                    lhs = int_matrix @ src_fib.linear.maps[pid]
-                    rhs = tgt_fib.linear.maps[q] @ mat
-                    if lhs != rhs:
-                        continue
-                    found = (q, mat, u)
-                    break
-                if found:
-                    break
-            if found is None:
-                raise FibrationMorphismError(
-                    f"no chart of the target fibration accepts cone {pid}")
-            cone_map[pid], matrices[pid], twists[pid] = found
-    return cone_map, matrices, twists
-
-
 def forgetful(g, labels, mark) -> FibrationMorphism:
     """The weakly proper morphism of fibrations st_{g,A} -> st_{g,A\\a}."""
     labels = check_marks(g, labels)
@@ -482,12 +425,23 @@ def forgetful(g, labels, mark) -> FibrationMorphism:
         space_map[x], space_matrices[x] = _class_and_matrix(
             tgt.moduli_category, ft_graph, eta)
     int_matrix = distance_forget_matrix(src.distance, tgt.distance, mark)
-    cone_map, matrices, twists = _align_space_matrices(
-        src.fibration, tgt.fibration, space_map, space_matrices, int_matrix)
+    # forget the mark on each source tree; an edge dropped together with a
+    # gluing leg adds its length to that leg's gluing coordinate
+    glue_row = {lab: i // 2 for i, lab in enumerate(gluing_labels(g))}
+    cone_map = {}
+    matrices = {}
+    for pid, t_id in src.tree_of_cone.items():
+        tree, eta, hit = forget_leg(src.trees.category.classes[t_id], mark)
+        cls, eta = _class_and_matrix(tgt.trees.category, tree, eta)
+        cone_map[pid] = product_id(cls, "glue")
+        rows = block_diag(eta, IntMatrix.identity(g)).to_rows()
+        if hit is not None and hit[0] in glue_row:
+            rows[eta.rows + glue_row[hit[0]]][hit[1]] = 1
+        matrices[pid] = IntMatrix.from_rows(rows, eta.cols + g)
     fm = FibrationMorphism(source=src, target=tgt, cone_map=cone_map,
                            matrices=matrices, int_matrix=int_matrix,
                            space_map=space_map,
-                           space_matrices=space_matrices, twists=twists)
+                           space_matrices=space_matrices)
     validate_fibration_morphism(fm)
     return fm
 
@@ -582,17 +536,24 @@ def product_fibration(left: STFibration, right: STFibration):
                             pairs=pairs, space_pairs=space_pairs)
 
 
-def _clutch_edge_matrix(gL, gR, joined, index_map, cat):
-    """Class of the joined graph in cat and the edge matrix
-    sigma_L x sigma_R -> sigma_{joined-rep}."""
+def _clutch_edge_matrix(gL, gR, joined, index_map, cat, glue=(0, 0)):
+    """Class of the joined graph in cat and the matrix
+    sigma_L x R^glue[0] x sigma_R x R^glue[1] -> sigma_{joined-rep} x
+    R^(glue[0] + glue[1]): edges go to edges, and the gluing lengths of
+    the left then the right side to the gluing rows."""
     # clutch_graphs keeps each flag's side, so every edge of the joined
     # graph is a left edge or a right edge
-    col = {}
-    for side, graph in (("a", gL), ("b", gR)):
+    col, lengths = {}, []
+    for side, graph, n in (("a", gL, glue[0]), ("b", gR, glue[1])):
         for (x, y) in graph.edges():
             a, b = index_map[(side, x)], index_map[(side, y)]
             col[(min(a, b), max(a, b))] = len(col)
-    return _class_and_matrix(cat, joined, _unit_rows(joined, col))
+        for i in range(n):
+            col[(side, i)] = len(col)
+            lengths.append((side, i))
+    cls, eta = _class_and_matrix(cat, joined, _unit_rows(joined.edges(), col))
+    return cls, IntMatrix.from_rows(
+        eta.to_rows() + _unit_rows(lengths, col).to_rows(), len(col))
 
 
 def clutching(g, labels_a, h, labels_b) -> FibrationMorphism:
@@ -624,13 +585,22 @@ def clutching(g, labels_a, h, labels_b) -> FibrationMorphism:
         distance_structure([shift.get(lab, lab)
                             for lab in right.distance.labels]),
         target.distance, c)
-    cone_map, matrices, twists = _align_space_matrices(
-        prod.fibration, target.fibration, space_map, space_matrices,
-        int_matrix)
+    # join each pair of source trees at c, the right one renamed by shift
+    cone_map = {}
+    matrices = {}
+    for pid, (p1, p2) in prod.pairs.items():
+        t1 = left.trees.category.classes[left.tree_of_cone[p1]]
+        t2 = right.trees.category.classes[right.tree_of_cone[p2]]
+        t2 = graph_new(t2.nflags, t2.root, t2.inv,
+                       {shift.get(lab, lab): f for lab, f in t2.marking})
+        joined, index_map = clutch_graphs(t1, t2, c)
+        cls, matrices[pid] = _clutch_edge_matrix(
+            t1, t2, joined, index_map, target.trees.category, (g, h))
+        cone_map[pid] = product_id(cls, "glue")
     cm = FibrationMorphism(source=prod, target=target, cone_map=cone_map,
                            matrices=matrices, int_matrix=int_matrix,
                            space_map=space_map,
-                           space_matrices=space_matrices, twists=twists)
+                           space_matrices=space_matrices)
     validate_fibration_morphism(cm)
     return cm
 

@@ -406,6 +406,9 @@ def stellar(phi: PoicComplex, s, ray) -> Subdivision:
     ray = tuple(int(x) for x in ray)
     if is_zero_vec(ray) or not phi.cones[s].contains(ray, strictly=True):
         raise RayNotInterior(f"ray {ray} is not interior to {s}")
+    if not phi.cones[s].facets:
+        raise SubdivisionError(
+            f"{s} is a linear space: it has no face to cone from")
     ray = primitive(ray)
     above = [s] + [t for t in phi.above(s)]
     cells_per_cone = {}

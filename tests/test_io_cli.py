@@ -165,6 +165,12 @@ def test_cli_forget():
     assert doc["weakly_proper"]
 
 
+def test_cli_forget_at_genus_two():
+    out = run_cli("forget", "--genus", "2", "--marks", "a", "--mark", "a")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["weakly_proper"] is True
+
+
 @pytest.mark.parametrize("marks", ["a,b,c", ""])
 def test_cli_forget_of_an_absent_mark_is_an_input_error(marks):
     out = run_cli("forget", "--genus", "1", "--marks", marks, "--mark", "z")
@@ -651,7 +657,7 @@ def test_revalued_m04_documents_never_escape_the_exit_codes(
 
 
 # clutch sides g:A and forget (genus, marks, mark) that seed the command-line
-# fuzz: the first two of each fail validation today (exit 1)
+# fuzz: the first two clutch seeds fail validation today (exit 1)
 CLUTCH_SEEDS = [("0:1,2,3,c", "0:4,5,c"), ("1:1,c", "0:3,4,c"),
                 ("0:1,2,c", "0:3,4,c"), ("1:c", "0:1,2,c")]
 FORGET_SEEDS = [("2", "a", "a"), ("2", "a,b", "a"), ("1", "a,b,c", "a"),

@@ -1,5 +1,6 @@
 import pytest
 
+from tropocone.cone import NotIntoCodomain, check_morphism
 from tropocone.fibration import (
     FibrationError,
     composed_linear,
@@ -8,7 +9,8 @@ from tropocone.fibration import (
     validate_fibration,
 )
 from tropocone.graphs import canonical_form, graph_new, st_join
-from tropocone.intlinalg import IntMatrix, solve_integer
+from tropocone.intlinalg import IntMatrix, solve_integer, unimodular_inverse
+from tropocone.moduli import distance_structure
 from tropocone.spaces import is_space_iso, space_isos
 from tropocone.stfib import (
     BadLabelIntersection,
@@ -545,3 +547,140 @@ def test_clutch_edge_matrix_matches_reference(labels_a, labels_b):
             assert _clutch_edge_matrix(g1, g2, joined, index_map, cat) == \
                 _reference_clutch_edge_matrix(g1, g2, joined, index_map,
                                               cat, 0, 0)
+
+
+# The per-cone search that chose each source cone's target chart and matrix
+# before they came from the tree surgery: (automorphism of the target object)
+# x (target chart), each candidate tried with check_morphism.
+
+def _reference_align_space_matrices(src_fib, tgt_fib, space_map,
+                                    raw_space_matrices, int_matrix):
+    """Derive cone matrices from the space surgery matrices.
+
+    Independently skeletonized fibrations fix their chart isomorphisms
+    separately, so the fibration square may only commute after twisting
+    by an automorphism of the target object; the twist is searched per
+    cone, recorded, and validated.  mat_p is the unique matrix with
+    eta_rho(F p) ∘ mat_p = u_p ∘ m_{pi(p)} ∘ eta_pi(p); among the charts
+    accepting the cone geometrically, the one compatible with the
+    distance structures (the linear square) is selected.
+
+    Returns (cone_map, matrices, twists).
+    """
+    cone_map = {}
+    matrices = {}
+    twists = {}
+    tgt_by_object = {}
+    for q in tgt_fib.complex.ids():
+        tgt_by_object.setdefault(tgt_fib.pi(q), []).append(q)
+
+    def auto_order(m):
+        ident = IntMatrix.identity(m.rows)
+        return (m != ident, m.entries)
+
+    for x in sorted(src_fib.space.ids()):
+        over = [p for p in src_fib.complex.ids() if src_fib.pi(p) == x]
+        m_x = raw_space_matrices[x]
+        autos = sorted(space_isos(tgt_fib.space, space_map[x], space_map[x]),
+                       key=auto_order)
+        for pid in over:
+            found = None
+            for u in autos:
+                comp = u @ m_x @ src_fib.transforms[pid]
+                for q in sorted(tgt_by_object.get(space_map[x], [])):
+                    mat = unimodular_inverse(
+                        tgt_fib.transforms[q]) @ comp
+                    try:
+                        check_morphism(mat, src_fib.complex.cones[pid],
+                                       tgt_fib.complex.cones[q])
+                    except NotIntoCodomain:
+                        continue
+                    lhs = int_matrix @ src_fib.linear.maps[pid]
+                    rhs = tgt_fib.linear.maps[q] @ mat
+                    if lhs != rhs:
+                        continue
+                    found = (q, mat, u)
+                    break
+                if found:
+                    break
+            if found is None:
+                raise FibrationMorphismError(
+                    f"no chart of the target fibration accepts cone {pid}")
+            cone_map[pid], matrices[pid], twists[pid] = found
+    return cone_map, matrices, twists
+
+
+FORGET_CASES = [
+    (0, ["a", "1", "2", "3"], "a"), (0, ["a", "b", "1", "2", "3"], "a"),
+    (0, ["a", "b", "1", "2", "3"], "b"), (1, ["a", "b"], "a"),
+    (1, ["a", "b", "c"], "a"), (1, ["a", "b", "c"], "b"),
+    (1, ["a", "b", "c", "d"], "a")]
+CLUTCH_CASES = [
+    (0, ["1", "2", "c"], 0, ["3", "4", "c"]),
+    (0, ["1", "2", "c"], 0, ["3", "goat", "c"]),
+    (1, ["c"], 0, ["1", "2", "c"]), (0, ["1", "2", "c"], 1, ["c"]),
+    (1, ["c"], 1, ["c"])]
+
+
+@pytest.mark.parametrize("build, args", [
+    *[(forgetful, case) for case in FORGET_CASES],
+    *[(clutching, case) for case in CLUTCH_CASES]])
+def test_tree_surgery_matches_the_chart_search(build, args):
+    fm = build(*args)
+    cone_map, matrices, _ = _reference_align_space_matrices(
+        fm.source.fibration, fm.target.fibration, fm.space_map,
+        fm.space_matrices, fm.int_matrix)
+    assert fm.cone_map == cone_map
+    assert fm.matrices == matrices
+
+
+@pytest.mark.parametrize("labels", [["a"], ["a", "b"]])
+def test_forgetful_at_genus_two_validates(labels):
+    fm = forgetful(2, labels, "a")
+    assert validate_fibration_morphism(fm)
+    assert is_weakly_proper(fm.complex_morphism())[0]
+
+
+def _compose(outer, inner):
+    cone_map = {p: outer.cone_map[inner.cone_map[p]]
+                for p in inner.source.complex.ids()}
+    matrices = {p: outer.matrices[inner.cone_map[p]] @ inner.matrices[p]
+                for p in inner.source.complex.ids()}
+    return cone_map, matrices, outer.int_matrix @ inner.int_matrix
+
+
+@pytest.mark.parametrize("g, labels", [(2, ["a", "b"]), (1, ["a", "b", "c"])])
+def test_forgetting_two_marks_commutes(g, labels):
+    """Forgetting a then b equals forgetting b then a: cone maps, matrices
+    and lattice maps."""
+    def forget_both(first, second):
+        rest = [lab for lab in labels if lab != first]
+        return _compose(forgetful(g, rest, second),
+                        forgetful(g, labels, first))
+
+    assert forget_both("a", "b") == forget_both("b", "a")
+
+
+@pytest.mark.parametrize("left, right", [
+    ((0, ["1", "2", "3", "c"]), (0, ["4", "5", "c"])),
+    ((1, ["1", "c"]), (0, ["3", "4", "c"]))])
+def test_unequal_clutching_fails_the_linear_square(left, right):
+    with pytest.raises(FibrationMorphismError, match="linear square"):
+        clutching(*left, *right)
+
+
+def test_clutching_sends_a_split_relation_to_a_nonzero_split():
+    """Why unequal clutching has no lattice map: the splits {1,2}, {1,3},
+    {2,3} of 1,2,3,c sum to 0 in N_dist, but the splits they become after
+    joining 4,5 at c sum to the split {4,5}, which is not 0.  So no
+    linear map sends every split to its joined split."""
+    def total(data, sides):
+        vecs = [data.split_in_basis(side) for side in sides]
+        return tuple(sum(col) for col in zip(*vecs))
+
+    sides = [("1", "2"), ("1", "3"), ("2", "3")]
+    left = distance_structure(["1", "2", "3", "c"])
+    joined = distance_structure(["1", "2", "3", "4", "5"])
+    assert total(left, sides) == (0,) * left.rank
+    split_45 = tuple(joined.split_in_basis(("4", "5")))
+    assert total(joined, sides) == split_45 != (0,) * joined.rank

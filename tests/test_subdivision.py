@@ -172,10 +172,13 @@ def test_seeded_refinements_of_cones_with_a_line_validate():
                     relint_complex(sigma, "c")):
             walls = [_vec(rng, sigma.rank) for _ in range(2)]
             subs = [refine_by_walls(phi, {"c": walls})]
-            if sigma.facets:  # a linear space has no face to cone from
+            if sigma.facets:
                 # a positive combination of all closure rays
                 subs.append(stellar(phi, "c", vadd(
                     sigma.interior_point(), rng.choice(sigma.closure_rays))))
+            else:  # a linear space has no face to cone from
+                with pytest.raises(SubdivisionError, match="c is a linear"):
+                    stellar(phi, "c", sigma.closure_rays[0])
             for sub in subs:
                 report = validate_subdivision(sub)
                 assert report.ok, (sigma, walls, report.issues)
