@@ -120,20 +120,15 @@ def cmd_build_moduli(args):
 
 
 def cmd_weights(args):
-    from .weights import is_balanced_at, minkowski_basis
+    from .weights import certified_minkowski_basis
     phi, lin = io_json.complex_from_json(_read_json(args.complex))
     if lin is None:
         raise SchemaError("complex document carries no linear structure")
-    lat = minkowski_basis(phi, lin, args.k)
-    certificates = {}
-    for i, w in enumerate(lat.basis):
-        per_class = {}
-        for s in phi.classes(args.k - 1):
-            flag, lam = is_balanced_at(phi, lin, w, s)
-            per_class[s] = {"balanced": flag,
-                            "lambda": [str(x) for x in lam]
-                            if lam is not None else None}
-        certificates[f"basis{i}"] = per_class
+    lat, certs = certified_minkowski_basis(phi, lin, args.k)
+    certificates = {f"basis{i}": {
+        s: {"balanced": lam is not None,
+            "lambda": None if lam is None else [str(x) for x in lam]}
+        for s, lam in cert.items()} for i, cert in enumerate(certs)}
     return {"k": args.k, "rank": lat.rank,
             "basis": [io_json.weight_to_json(w) for w in lat.basis],
             "certificates": certificates}

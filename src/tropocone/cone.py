@@ -161,13 +161,6 @@ def facets_from_rays(gens, rank):
         tuple(primitive(g) for g in gens if not is_zero_vec(g)), rank)
 
 
-def closed_normals(gens, rank):
-    """Normals n with cone(gens) = {x : n.x >= 0 for all n}: the facet
-    normals and ± each annihilator row."""
-    facets, ann = facets_from_rays(list(gens), rank)
-    return [*facets, *ann, *(tuple(-x for x in a) for a in ann)]
-
-
 @lru_cache(maxsize=_DD_MEMO_SIZE)
 def _facets_from_rays(gens, rank):
     """``facets_from_rays`` for an ordered tuple of primitive nonzero
@@ -340,8 +333,8 @@ def _poic_new(rank, constraints):
     if frac_rank(list(gens) or [(0,) * rank]) != rank and rank > 0:
         raise NotFullDimensional(
             "closure span is a proper subspace; re-coordinate first")
-    minimal = _minimal(constraints, gens)
-    return tuple(minimal), dual_generators([n for n, _ in minimal], rank)
+    # the minimal constraints cut out the same closure, keyed by gens
+    return tuple(_minimal(constraints, gens)), gens
 
 
 def chart_cone(gens, rank, ambient):

@@ -10,6 +10,7 @@ structure composed with the projection away from the gluing factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .complexes import (
     LinearStructure,
@@ -39,7 +40,7 @@ from .graphs import (
 from .intlinalg import (
     IntMatrix,
     block_diag,
-    solve_integer,
+    solve_integer_columns,
     unimodular_inverse,
 )
 from .moduli import (
@@ -251,75 +252,26 @@ def space_iso_lifting(fm: FibrationMorphism):
 
 
 # ---------------------------------------------------------------------------
-# distance-lattice functoriality helpers
+# the lattice map of a morphism: each split goes to the split it becomes
 
-def free_section(pres):
-    cols = []
-    for j in range(pres.free_rank):
-        e = tuple(1 if i == j else 0 for i in range(pres.free_rank))
-        x = solve_integer(pres.projection, e)
-        if x is None:
-            raise FibrationMorphismError("free projection has no section")
-        cols.append(x)
-    return IntMatrix.from_cols(cols, pres.source_rank)
-
-
-def _basis_level(small: DistanceData, p_free: IntMatrix,
-                 basis: IntMatrix) -> IntMatrix:
-    """The lattice map in basis coordinates: each row of the source basis
-    (free coordinates) through p_free, solved in the basis of small."""
-    small_t = small.basis.transpose()
-    cols = []
-    for i in range(basis.rows):
-        x = solve_integer(small_t, p_free.apply(basis.row(i)))
-        if x is None:
-            raise FibrationMorphismError(
-                "distance lattice does not map into the target lattice")
-        cols.append(x)
-    return IntMatrix.from_cols(cols, small.rank)
-
-
-def distance_forget_matrix(big: DistanceData, small: DistanceData,
-                           label) -> IntMatrix:
-    """N_dist(X) -> N_dist(X \\ label) induced by dropping coordinates."""
-    rows = []
-    big_index = {p: i for i, p in enumerate(big.pairs)}
-    for p in small.pairs:
-        row = [0] * len(big.pairs)
-        row[big_index[p]] = 1
-        rows.append(row)
-    raw = IntMatrix.from_rows(rows, len(big.pairs))
-    p_free = small.free_projection.projection @ raw \
-        @ free_section(big.free_projection)
-    return _basis_level(small, p_free, big.basis)
-
-
-def distance_clutch_matrix(data_a: DistanceData, data_b: DistanceData,
-                           data_c: DistanceData, shared) -> IntMatrix:
-    """N_dist(X1) ⊕ N_dist(X2) -> N_dist(X1 Δ X2) for X1 ∩ X2 = {shared}."""
-    na, nb = len(data_a.pairs), len(data_b.pairs)
-    ia = {p: i for i, p in enumerate(data_a.pairs)}
-    ib = {p: i for i, p in enumerate(data_b.pairs)}
-    set_a = set(data_a.labels) - {shared}
-    rows = []
-    for (x, y) in data_c.pairs:
-        row = [0] * (na + nb)
-        if x in set_a and y in set_a:
-            row[ia[tuple(sorted((x, y)))]] = 1
-        elif x not in set_a and y not in set_a:
-            row[na + ib[tuple(sorted((x, y)))]] = 1
-        else:
-            a_lab = x if x in set_a else y
-            b_lab = y if x in set_a else x
-            row[ia[tuple(sorted((a_lab, shared)))]] = 1
-            row[na + ib[tuple(sorted((b_lab, shared)))]] = 1
-        rows.append(row)
-    raw = IntMatrix.from_rows(rows, na + nb)
-    sec = block_diag(free_section(data_a.free_projection),
-                     free_section(data_b.free_projection))
-    p_free = data_c.free_projection.projection @ raw @ sec
-    return _basis_level(data_c, p_free,
-                        block_diag(data_a.basis, data_b.basis))
+def _split_map(sources, image, target: DistanceData):
+    """The lattice map from the sum of the N_dist of ``sources`` to
+    N_dist(target) that sends the split of each side of source i to the
+    target split of image(i, side).  The splits generate the source
+    lattice, so the map is unique when it exists."""
+    splits = reduce(block_diag, [IntMatrix.from_rows(
+        list(data.split_coords.values()), data.rank) for data in sources])
+    images = IntMatrix.from_rows(
+        [target.split_in_basis(image(i, side))
+         for i, data in enumerate(sources) for side in data.split_coords],
+        target.rank)
+    x = solve_integer_columns(splits, images)
+    if x is None:
+        raise FibrationMorphismError(
+            "linear square fails: no lattice map sends each split of "
+            + " and ".join("{%s}" % ",".join(d.labels) for d in sources)
+            + " to the split it becomes in {%s}" % ",".join(target.labels))
+    return x.transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +376,8 @@ def forgetful(g, labels, mark) -> FibrationMorphism:
         ft_graph, eta, _ = forget_leg(src.moduli_category.classes[x], mark)
         space_map[x], space_matrices[x] = _class_and_matrix(
             tgt.moduli_category, ft_graph, eta)
-    int_matrix = distance_forget_matrix(src.distance, tgt.distance, mark)
+    int_matrix = _split_map([src.distance], lambda _, side: side - {mark},
+                            tgt.distance)
     # forget the mark on each source tree; an edge dropped together with a
     # gluing leg adds its length to that leg's gluing coordinate
     glue_row = {lab: i // 2 for i, lab in enumerate(gluing_labels(g))}
@@ -565,9 +518,22 @@ def clutching(g, labels_a, h, labels_b) -> FibrationMorphism:
     if len(shared) != 1:
         raise BadLabelIntersection("label sets must share exactly one mark")
     c = shared.pop()
-    delta = tuple(sorted((set(labels_a) | set(labels_b)) - {c}))
     left = spanning_tree_fibration(g, labels_a)
     right = spanning_tree_fibration(h, labels_b)
+    delta = check_marks(g + h, (set(labels_a) | set(labels_b)) - {c})
+    # the right side's gluing labels g1.. become g(g+1).. in the target,
+    # and each split of a side the split of its part without c; unequal
+    # sides fail here, before the target is built
+    shift = dict(zip(gluing_labels(h), gluing_labels(g + h)[2 * g:]))
+
+    def part(i, side):
+        data, rename = ((left.distance, {}), (right.distance, shift))[i]
+        side = side if c not in side else set(data.labels) - side
+        return {rename.get(lab, lab) for lab in side}
+
+    int_matrix = _split_map(
+        [left.distance, right.distance], part,
+        distance_structure(delta + tuple(gluing_labels(g + h))))
     target = spanning_tree_fibration(g + h, delta)
     prod = product_fibration(left, right)
     space_map = {}
@@ -578,13 +544,6 @@ def clutching(g, labels_a, h, labels_b) -> FibrationMorphism:
         joined, index_map = clutch_graphs(g1, g2, c)
         space_map[xid], space_matrices[xid] = _clutch_edge_matrix(
             g1, g2, joined, index_map, target.moduli_category)
-    # the right side's gluing labels g1.. become g(g+1).. in the target
-    shift = dict(zip(gluing_labels(h), gluing_labels(g + h)[2 * g:]))
-    int_matrix = distance_clutch_matrix(
-        left.distance,
-        distance_structure([shift.get(lab, lab)
-                            for lab in right.distance.labels]),
-        target.distance, c)
     # join each pair of source trees at c, the right one renamed by shift
     cone_map = {}
     matrices = {}

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import cone
 from .cone import (
     Poic,
     _carrier,
@@ -23,7 +24,6 @@ from .cone import (
     cell_key,
     chart_cone,
     check_morphism,
-    closed_normals,
     closure_faces,
     dual_generators,
     faces,
@@ -157,9 +157,13 @@ def cell_witness(gens, rank):
 
 
 def intersect_cells(gens_a, gens_b, rank):
-    """Generators of cone(gens_a) ∩ cone(gens_b)."""
-    return dual_generators(closed_normals(gens_a, rank)
-                           + closed_normals(gens_b, rank), rank)
+    """Generators of cone(gens_a) ∩ cone(gens_b), cut out by generators of
+    both dual cones: their memoized double descriptions, without the
+    cell_key that ``dual_generators`` computes on every call."""
+    duals = [cone._dual_generators(frozenset(
+        primitive(g) for g in gens if not is_zero_vec(g)), rank)[0]
+        for gens in (gens_a, gens_b)]
+    return dual_generators(duals[0] + duals[1], rank)
 
 
 def fold_cells(systems, rank):

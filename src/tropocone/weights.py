@@ -106,6 +106,15 @@ def normal_vector(phi: PoicComplex, lin: LinearStructure, s, t) -> NormalVector:
                         free=q.free_part(lift), torsion=q.torsion_part(lift))
 
 
+def _certificate(lin: LinearStructure, s, lifts, omega: Weight):
+    """lambda with sum_t omega(t) lifts[t] = X_s(lambda) for the lifts of
+    the star of s, or None when omega is not balanced at s."""
+    total = (0,) * lin.target_rank
+    for t, lift in lifts.items():
+        total = vadd(total, vscale(omega[t], lift))
+    return solve_integer(lin.maps[s], total)
+
+
 def is_balanced_at(phi: PoicComplex, lin: LinearStructure, omega: Weight, s):
     """Balancing verdict at the codim-1 class s, with certificate.
 
@@ -115,11 +124,8 @@ def is_balanced_at(phi: PoicComplex, lin: LinearStructure, omega: Weight, s):
     if phi.dim(s) != omega.dim - 1:
         raise BadCodimension(
             f"cone {s} has dimension {phi.dim(s)}, weight has {omega.dim}")
-    total = (0,) * lin.target_rank
-    for t in star1(phi, s):
-        lift = normal_vector_lift(phi, lin, s, t)
-        total = vadd(total, vscale(omega[t], lift))
-    lam = solve_integer(lin.maps[s], total)
+    lam = _certificate(lin, s, {
+        t: normal_vector_lift(phi, lin, s, t) for t in star1(phi, s)}, omega)
     return (lam is not None), lam
 
 
@@ -141,35 +147,41 @@ class WeightLattice:
         return len(self.basis)
 
 
-def _balancing_conditions(phi, lin, k):
-    """(coefficients, modulus) per balancing condition on k-weights: one
-    per free coordinate (modulus 0) and one per torsion factor d (modulus
-    d) of N_X / X_s(N^s), for each codim-1 class s.  The coefficient of a
-    class t > s is that coordinate of its normal vector's lift."""
-    for s in phi.classes(k - 1) if k >= 1 else ():
-        q = _quotient_at(phi, lin, s)
-        parts = {t: q.image(normal_vector_lift(phi, lin, s, t))
-                 for t in star1(phi, s)}
-        for i in range(q.free_rank):
-            yield {t: free[i] for t, (free, _) in parts.items()}, 0
-        for i, d in enumerate(q.torsion_factors):
-            yield {t: tors[i] for t, (_, tors) in parts.items()}, d
-
-
 def minkowski_basis(phi: PoicComplex, lin: LinearStructure, k,
                     extra_rows=None) -> WeightLattice:
     """Z-basis of the lattice of X-balanced k-weights.
 
     ``extra_rows`` appends additional integer conditions on the weight
     coordinates (used for equivariance constraints).
-
-    With m conditions, class i is the sparse row with 1 in column m + i
-    and its coefficient in condition j in column j, and a congruence mod
-    d of condition j is the row d e_j.  The Hermite rows whose least
-    column is at least m are the HNF basis of the weights w with C w = 0.
     """
+    return certified_minkowski_basis(phi, lin, k, extra_rows)[0]
+
+
+def certified_minkowski_basis(phi: PoicComplex, lin: LinearStructure, k,
+                              extra_rows=None):
+    """``minkowski_basis``, and an iterator over its basis weights of
+    their balancing certificates at each codim-1 class, as
+    ``is_balanced_at`` gives them: one pass of lifts serves both.
+
+    Each codim-1 class s gives one condition per free coordinate and one
+    congruence mod d per torsion factor d of N_X / X_s(N^s), whose
+    coefficient of a class t > s is that coordinate of its lift.  With m
+    conditions, class i is the sparse row with 1 in column m + i and its
+    coefficient in condition j in column j, and a congruence mod d of
+    condition j is the row d e_j.  The Hermite rows whose least column is
+    at least m are the HNF basis of the weights w with C w = 0.
+    """
+    lifts = {s: {t: normal_vector_lift(phi, lin, s, t) for t in star1(phi, s)}
+             for s in phi.classes(k - 1)}
     classes = phi.classes(k)
-    conditions = list(_balancing_conditions(phi, lin, k))
+    conditions = []
+    for s, star in lifts.items():
+        q = _quotient_at(phi, lin, s)
+        parts = {t: q.image(lift) for t, lift in star.items()}
+        conditions += [({t: free[i] for t, (free, _) in parts.items()}, 0)
+                       for i in range(q.free_rank)]
+        conditions += [({t: tors[i] for t, (_, tors) in parts.items()}, d)
+                       for i, d in enumerate(q.torsion_factors)]
     conditions += [(dict(zip(classes, r)), 0) for r in extra_rows or ()]
     m = len(conditions)
     rows = {t: {m + i: 1} for i, t in enumerate(classes)}
@@ -180,10 +192,11 @@ def minkowski_basis(phi: PoicComplex, lin: LinearStructure, k,
                 rows[t][j] = a
         if d:
             congruences.append({j: d})
-    basis = tuple(Weight(k, {classes[c - m]: a for c, a in sorted(r.items())})
-                  for r in hermite_rows([*rows.values(), *congruences])
-                  if min(r) >= m)
-    return WeightLattice(dim=k, basis=basis)
+    lat = WeightLattice(dim=k, basis=tuple(
+        Weight(k, {classes[c - m]: a for c, a in sorted(r.items())})
+        for r in hermite_rows([*rows.values(), *congruences]) if min(r) >= m))
+    return lat, ({s: _certificate(lin, s, star, w)
+                  for s, star in lifts.items()} for w in lat.basis)
 
 
 def cross_product(omega: Weight, eta: Weight, pairs) -> Weight:

@@ -1,5 +1,6 @@
 import pytest
 
+from tropocone import stfib
 from tropocone.cone import NotIntoCodomain, check_morphism
 from tropocone.fibration import (
     FibrationError,
@@ -8,8 +9,18 @@ from tropocone.fibration import (
     is_pi_compatible,
     validate_fibration,
 )
-from tropocone.graphs import canonical_form, graph_new, st_join
-from tropocone.intlinalg import IntMatrix, solve_integer, unimodular_inverse
+from tropocone.graphs import (
+    canonical_form,
+    gluing_labels,
+    graph_new,
+    st_join,
+)
+from tropocone.intlinalg import (
+    IntMatrix,
+    block_diag,
+    solve_integer,
+    unimodular_inverse,
+)
 from tropocone.moduli import distance_structure
 from tropocone.spaces import is_space_iso, space_isos
 from tropocone.stfib import (
@@ -21,11 +32,9 @@ from tropocone.stfib import (
     _st_edge_matrix,
     clutch_graphs,
     clutching,
-    distance_forget_matrix,
     fibration_pushforward,
     forget_leg,
     forgetful,
-    free_section,
     product_fibration,
     space_iso_lifting,
     spanning_tree_fibration,
@@ -307,9 +316,8 @@ def test_space_isos_of_one_object_match_the_per_matrix_test():
                 m for m in space.hom(x, x) if is_space_iso(space, x, x, m)]
 
 
-# Reference copies of the relabeling and lattice steps as they were written
-# out per caller, before they shared _rep_edges, one forget_leg row builder
-# and one _basis_level.
+# Reference copies of the relabeling steps as they were written out per
+# caller, before they shared _rep_edges and one forget_leg row builder.
 
 def _reference_st_edge_matrix(tree_rep, g, target_rep, phi):
     inv_phi = [0] * len(phi)
@@ -485,27 +493,6 @@ def _reference_forget_leg(g, label):
     return out, eta, glue_hit
 
 
-def _reference_distance_forget_matrix(big, small, label):
-    rows = []
-    big_index = {p: i for i, p in enumerate(big.pairs)}
-    for p in small.pairs:
-        row = [0] * len(big.pairs)
-        row[big_index[p]] = 1
-        rows.append(row)
-    raw = IntMatrix.from_rows(rows, len(big.pairs))
-    p_free = small.free_projection.projection @ raw \
-        @ free_section(big.free_projection)
-    cols = []
-    for i in range(big.basis.rows):
-        u = p_free.apply(big.basis.row(i))
-        x = solve_integer(small.basis.transpose(), u)
-        if x is None:
-            raise FibrationMorphismError(
-                "distance lattice does not map into the target lattice")
-        cols.append(x)
-    return IntMatrix.from_cols(cols, small.rank)
-
-
 @pytest.mark.parametrize("g, labels", [
     (0, ["1", "2", "3", "4", "5"]), (1, ["a", "b"]), (2, [])])
 def test_relabeling_and_forget_match_reference(g, labels):
@@ -520,9 +507,6 @@ def test_relabeling_and_forget_match_reference(g, labels):
     for mark in labels:
         small = spanning_tree_fibration(
             g, [lab for lab in labels if lab != mark])
-        assert distance_forget_matrix(st.distance, small.distance, mark) \
-            == _reference_distance_forget_matrix(st.distance,
-                                                 small.distance, mark)
         for x in cat.ids():
             out, eta, hit = forget_leg(cat.classes[x], mark)
             ref_out, ref_eta, ref_hit = _reference_forget_leg(
@@ -684,3 +668,136 @@ def test_clutching_sends_a_split_relation_to_a_nonzero_split():
     assert total(left, sides) == (0,) * left.rank
     split_45 = tuple(joined.split_in_basis(("4", "5")))
     assert total(joined, sides) == split_45 != (0,) * joined.rank
+
+
+# The lattice maps as they were computed before they came from the splits:
+# free sections of the quotient presentations, a raw map on pair
+# coordinates, and one solve per basis row.
+
+def _reference_free_section(pres):
+    cols = []
+    for j in range(pres.free_rank):
+        e = tuple(1 if i == j else 0 for i in range(pres.free_rank))
+        x = solve_integer(pres.projection, e)
+        if x is None:
+            raise FibrationMorphismError("free projection has no section")
+        cols.append(x)
+    return IntMatrix.from_cols(cols, pres.source_rank)
+
+
+def _reference_basis_level(small, p_free, basis):
+    """The lattice map in basis coordinates: each row of the source basis
+    (free coordinates) through p_free, solved in the basis of small."""
+    small_t = small.basis.transpose()
+    cols = []
+    for i in range(basis.rows):
+        x = solve_integer(small_t, p_free.apply(basis.row(i)))
+        if x is None:
+            raise FibrationMorphismError(
+                "distance lattice does not map into the target lattice")
+        cols.append(x)
+    return IntMatrix.from_cols(cols, small.rank)
+
+
+def _reference_distance_forget_matrix(big, small, label):
+    """N_dist(X) -> N_dist(X \\ label) induced by dropping coordinates."""
+    rows = []
+    big_index = {p: i for i, p in enumerate(big.pairs)}
+    for p in small.pairs:
+        row = [0] * len(big.pairs)
+        row[big_index[p]] = 1
+        rows.append(row)
+    raw = IntMatrix.from_rows(rows, len(big.pairs))
+    p_free = small.free_projection.projection @ raw \
+        @ _reference_free_section(big.free_projection)
+    return _reference_basis_level(small, p_free, big.basis)
+
+
+def _reference_distance_clutch_matrix(data_a, data_b, data_c, shared):
+    """N_dist(X1) ⊕ N_dist(X2) -> N_dist(X1 Δ X2) for X1 ∩ X2 = {shared}."""
+    na, nb = len(data_a.pairs), len(data_b.pairs)
+    ia = {p: i for i, p in enumerate(data_a.pairs)}
+    ib = {p: i for i, p in enumerate(data_b.pairs)}
+    set_a = set(data_a.labels) - {shared}
+    rows = []
+    for (x, y) in data_c.pairs:
+        row = [0] * (na + nb)
+        if x in set_a and y in set_a:
+            row[ia[tuple(sorted((x, y)))]] = 1
+        elif x not in set_a and y not in set_a:
+            row[na + ib[tuple(sorted((x, y)))]] = 1
+        else:
+            a_lab = x if x in set_a else y
+            b_lab = y if x in set_a else x
+            row[ia[tuple(sorted((a_lab, shared)))]] = 1
+            row[na + ib[tuple(sorted((b_lab, shared)))]] = 1
+        rows.append(row)
+    raw = IntMatrix.from_rows(rows, na + nb)
+    sec = block_diag(_reference_free_section(data_a.free_projection),
+                     _reference_free_section(data_b.free_projection))
+    p_free = data_c.free_projection.projection @ raw @ sec
+    return _reference_basis_level(data_c, p_free,
+                                  block_diag(data_a.basis, data_b.basis))
+
+
+@pytest.mark.parametrize("g, labels, mark", [
+    *FORGET_CASES, *[(0, ["1", "2", "3", "4", "5"], m) for m in "12345"],
+    (1, ["a", "b"], "b"), (2, ["a"], "a"), (2, ["a", "b"], "a"),
+    (2, ["a", "b"], "b")])
+def test_forget_lattice_map_matches_the_free_section_reference(g, labels,
+                                                               mark):
+    fm = forgetful(g, labels, mark)
+    assert fm.int_matrix == _reference_distance_forget_matrix(
+        fm.source.distance, fm.target.distance, mark)
+
+
+@pytest.mark.parametrize("g, labels_a, h, labels_b", CLUTCH_CASES)
+def test_clutch_lattice_map_matches_the_free_section_reference(
+        g, labels_a, h, labels_b):
+    cm = clutching(g, labels_a, h, labels_b)
+    shift = dict(zip(gluing_labels(h), gluing_labels(g + h)[2 * g:]))
+    renamed = distance_structure(
+        [shift.get(lab, lab) for lab in cm.source.right.distance.labels])
+    assert cm.int_matrix == _reference_distance_clutch_matrix(
+        cm.source.left.distance, renamed, cm.target.distance, "c")
+
+
+def _clutch_sides(names):
+    """The clutch sides (g, A) with g <= 1, c in A and #A <= 4, the other
+    marks taken from names in order."""
+    return [(g, [*names[:n], "c"]) for g in (0, 1) for n in range(4)
+            if 2 * g + n + 1 >= 3]
+
+
+def test_unequal_clutching_fails_before_any_cone_matrix(monkeypatch):
+    """Every pair of sides with g <= 1 and #A <= 4 but the four whose
+    distance lattices both have rank 0 has no lattice map sending each
+    split to its joined split, and clutching says so after building only
+    the two sides: no target, no product and no cone matrix."""
+    built = {}
+    build_side = stfib.spanning_tree_fibration
+
+    def side_once(g, labels):
+        key = (g, tuple(labels))
+        if key not in built:
+            built[key] = build_side(g, labels)
+        return built[key]
+
+    def never(*args):
+        raise AssertionError("built past the lattice map")
+
+    monkeypatch.setattr(stfib, "spanning_tree_fibration", side_once)
+    monkeypatch.setattr(stfib, "product_fibration", never)
+    monkeypatch.setattr(stfib, "_clutch_edge_matrix", never)
+    left_sides = _clutch_sides(["1", "2", "3"])
+    right_sides = _clutch_sides(["4", "5", "6"])
+    unequal = [(a, b) for a in left_sides for b in right_sides
+               if 2 * a[0] + len(a[1]) > 3 or 2 * b[0] + len(b[1]) > 3]
+    assert len(unequal) == 32
+    for (g, labels_a), (h, labels_b) in unequal:
+        with pytest.raises(FibrationMorphismError, match=(
+                r"linear square fails: no lattice map sends each split of "
+                r"\{[^}]*\} and \{[^}]*\}")):
+            clutching(g, labels_a, h, labels_b)
+    sides = {(g, tuple(sorted(a))) for g, a in left_sides + right_sides}
+    assert set(built) <= sides

@@ -54,6 +54,7 @@ from tropocone.subdivision import (
     cycle_equal,
     honest_subdivision_refine,
     identity_subdivision,
+    intersect_cells,
     is_weakly_proper,
     ord_subdivision,
     pfine_refinement,
@@ -1337,3 +1338,44 @@ def test_cycle_equal_forms_hdescs_once_per_target(monkeypatch):
                 assert got == _reference_cycle_equal(c1, c2)
                 answers.append(got)
     assert answers.count(True) == answers.count(False) == 10
+
+
+def _reference_closed_normals(gens, rank):
+    """Normals n with cone(gens) = {x : n.x >= 0 for all n}: the facet
+    normals and ± each annihilator row."""
+    facets, ann = facets_from_rays(list(gens), rank)
+    return [*facets, *ann, *(tuple(-x for x in a) for a in ann)]
+
+
+def _random_cell(rng, rank, shared=()):
+    """A seeded generator list in Z^rank, with part of ``shared``, and
+    sometimes the negative of its first generator."""
+    gens = [tuple(rng.randint(-2, 2) for _ in range(rank))
+            for _ in range(rng.randint(0, rank + 2))]
+    gens += [g for g in shared if rng.random() < 0.6]
+    if gens and rng.random() < 0.4:
+        gens.append(tuple(-x for x in gens[0]))
+    return gens
+
+
+def test_intersect_cells_matches_the_facet_normal_reference():
+    """Intersecting through the dual cones gives the cell that the facet
+    normals and ± annihilator rows of both cells give, on seeded pairs of
+    cells of ranks 1-4 (the second sharing part of the first), with zero,
+    lower-dimensional, full and lined intersections."""
+    rng = random.Random(2203)
+    kinds = {"zero": 0, "lower": 0, "full": 0, "lined": 0}
+    for i in range(400):
+        rank = 1 + i % 4
+        a = _random_cell(rng, rank)
+        b = _random_cell(rng, rank, a)
+        out = intersect_cells(a, b, rank)
+        assert out == dual_generators(
+            _reference_closed_normals(a, rank)
+            + _reference_closed_normals(b, rank), rank), (a, b)
+        dim = frac_rank(list(out) or [(0,) * rank])
+        kinds["zero"] += dim == 0
+        kinds["lower"] += 0 < dim < rank
+        kinds["full"] += dim == rank
+        kinds["lined"] += any(tuple(-x for x in g) in out for g in out)
+    assert min(kinds.values()) >= 40, kinds
