@@ -8,8 +8,6 @@ presentations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .cone import (
@@ -28,6 +26,7 @@ from .intlinalg import (
     solve_integer_columns,
     unimodular_inverse,
 )
+from .value import Value, set_field
 
 
 class ComplexError(ValueError):
@@ -62,15 +61,17 @@ class NotPolyhedralComplex(ComplexError):
     pass
 
 
-@dataclass(frozen=True)
-class PoicComplex:
+class PoicComplex(Value):
     """Skeletonized poic-complex: a strict poset of cone ids with one
     face-embedding matrix per relation (relations are transitively closed).
     """
 
-    cones: dict
-    order: frozenset
-    face_maps: dict
+    _fields = ("cones", "order", "face_maps")
+
+    def __init__(self, cones: dict, order: frozenset, face_maps: dict):
+        set_field(self, "cones", cones)
+        set_field(self, "order", order)
+        set_field(self, "face_maps", face_maps)
 
     def ids(self):
         return sorted(self.cones)
@@ -266,13 +267,15 @@ def star1(phi: PoicComplex, s):
     return [t for t in phi.above(s) if phi.dim(t) == d + 1]
 
 
-@dataclass(frozen=True)
-class LinearStructure:
+class LinearStructure(Value):
     """Per-cone integer matrices into a fixed lattice N_X, natural with
     respect to all face maps."""
 
-    target_rank: int
-    maps: dict
+    __slots__ = _fields = ("target_rank", "maps")
+
+    def __init__(self, target_rank: int, maps: dict):
+        set_field(self, "target_rank", target_rank)
+        set_field(self, "maps", maps)
 
     def map(self, p):
         return self.maps[p]
@@ -398,16 +401,19 @@ def skeletonize(objects, morphisms):
 # ---------------------------------------------------------------------------
 # conification of rational polyhedral complexes
 
-@dataclass(frozen=True)
-class PolyhedralCell:
+class PolyhedralCell(Value):
     """V-representation of a rational polyhedron: vertices and rays."""
 
-    name: str
-    vertices: tuple
-    rays: tuple
+    __slots__ = _fields = ("name", "vertices", "rays")
+
+    def __init__(self, name: str, vertices: tuple, rays: tuple):
+        set_field(self, "name", name)
+        set_field(self, "vertices", vertices)
+        set_field(self, "rays", rays)
 
 
 def _cell_cone_gens(cell: PolyhedralCell):
+    from fractions import Fraction
     den = math.lcm(*(Fraction(x).denominator
                      for v in cell.vertices for x in v))
     gens = [tuple(int(Fraction(x) * den) for x in v) + (den,)

@@ -13,8 +13,6 @@ implied by the others, with strictness semantics).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .intlinalg import (
@@ -31,6 +29,7 @@ from .intlinalg import (
     saturation,
     saturation_coordinates,
 )
+from .value import Value, set_field
 
 
 class ConeError(ValueError):
@@ -252,13 +251,19 @@ def cell_key(gens):
 # ---------------------------------------------------------------------------
 # the Poic type
 
-@dataclass(frozen=True)
-class Poic:
-    """Validated partially open integral cone, full-dimensional in Z^rank."""
+class Poic(Value):
+    """Validated partially open integral cone, full-dimensional in Z^rank.
 
-    rank: int
-    facets: tuple          # ((normal, strict), ...), minimal, sorted
-    closure_rays: tuple    # the closure's cell_key, sorted
+    ``facets`` is the minimal sorted tuple of (normal, strict) pairs, and
+    ``closure_rays`` the closure's ``cell_key``, sorted.
+    """
+
+    __slots__ = _fields = ("rank", "facets", "closure_rays")
+
+    def __init__(self, rank: int, facets: tuple, closure_rays: tuple):
+        set_field(self, "rank", rank)
+        set_field(self, "facets", facets)
+        set_field(self, "closure_rays", closure_rays)
 
     @property
     def dim(self):
@@ -367,18 +372,21 @@ def product(sigma: Poic, xi: Poic) -> Poic:
 # ---------------------------------------------------------------------------
 # faces
 
-@dataclass(frozen=True)
-class FaceEmbedding:
+class FaceEmbedding(Value):
     """A face of ``sup`` re-coordinated to its own saturated lattice.
 
     ``matrix`` maps N^sub into N^sup; its image lattice is Lin_N(face).
     ``gens_key`` is the set of closure rays of sup tight on the face.
     """
 
-    sub: Poic
-    sup: Poic
-    matrix: IntMatrix
-    gens_key: tuple
+    __slots__ = _fields = ("sub", "sup", "matrix", "gens_key")
+
+    def __init__(self, sub: Poic, sup: Poic, matrix: IntMatrix,
+                 gens_key: tuple):
+        set_field(self, "sub", sub)
+        set_field(self, "sup", sup)
+        set_field(self, "matrix", matrix)
+        set_field(self, "gens_key", gens_key)
 
     @property
     def dim(self):
@@ -460,14 +468,21 @@ def poic_equal_sets(a: Poic, b: Poic):
 # ---------------------------------------------------------------------------
 # morphisms
 
-@dataclass(frozen=True)
-class PoicMorphism:
-    matrix: IntMatrix
-    domain: Poic
-    codomain: Poic
-    injective: bool
-    face_embedding: bool
-    face: FaceEmbedding    # the face of codomain equal to the image, or None
+class PoicMorphism(Value):
+    """A checked lattice map of cones; ``face`` is the face of codomain
+    equal to the image, or None."""
+
+    __slots__ = _fields = ("matrix", "domain", "codomain", "injective",
+                           "face_embedding", "face")
+
+    def __init__(self, matrix: IntMatrix, domain: Poic, codomain: Poic,
+                 injective: bool, face_embedding: bool, face: FaceEmbedding):
+        set_field(self, "matrix", matrix)
+        set_field(self, "domain", domain)
+        set_field(self, "codomain", codomain)
+        set_field(self, "injective", injective)
+        set_field(self, "face_embedding", face_embedding)
+        set_field(self, "face", face)
 
 
 def _image_in_cone(matrix, sigma, xi):
@@ -562,6 +577,7 @@ def rational_preimage(matrix: IntMatrix, point):
     if len(point) != matrix.rows:
         raise ValueError("point length does not match the rows")
     if not matrix.rows:
+        from fractions import Fraction
         return (Fraction(0),) * matrix.cols
     rows = [tuple(matrix.row(i)) for i in range(matrix.rows)]
     return frac_solve(rows, point)

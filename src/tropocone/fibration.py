@@ -10,8 +10,6 @@ permutations of subdivision pieces, appended to the balancing system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cone import (
     NotIntoCodomain,
     cell_key,
@@ -30,6 +28,7 @@ from .subdivision import (
     validate_subdivision,
 )
 from .weights import Weight, WeightLattice, minkowski_basis
+from .value import Value, set_field
 
 
 class FibrationError(ValueError):
@@ -44,14 +43,24 @@ class NotPureSource(FibrationError):
     pass
 
 
-@dataclass(frozen=True)
-class Fibration:
-    complex: PoicComplex
-    space: PoicSpace
-    object_map: dict      # cone id -> space object id
-    transforms: dict      # cone id -> IntMatrix: sigma_p -> X(pi(p))
-    morphism_map: dict    # (p, q) -> IntMatrix in hom(pi p, pi q)
-    linear: LinearStructure = None
+class Fibration(Value):
+    """A poic-fibration: ``object_map`` sends a cone id to a space object
+    id, ``transforms`` a cone id to its IntMatrix sigma_p -> X(pi(p)), and
+    ``morphism_map`` a relation (p, q) to an IntMatrix in
+    hom(pi p, pi q)."""
+
+    __slots__ = _fields = ("complex", "space", "object_map", "transforms",
+                           "morphism_map", "linear")
+
+    def __init__(self, complex: PoicComplex, space: PoicSpace,
+                 object_map: dict, transforms: dict, morphism_map: dict,
+                 linear: LinearStructure = None):
+        set_field(self, "complex", complex)
+        set_field(self, "space", space)
+        set_field(self, "object_map", object_map)
+        set_field(self, "transforms", transforms)
+        set_field(self, "morphism_map", morphism_map)
+        set_field(self, "linear", linear)
 
     def pi(self, p):
         return self.object_map[p]

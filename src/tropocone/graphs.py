@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import cached_property
+
+from .value import Value, set_field
 
 
 class GraphError(ValueError):
@@ -45,12 +46,18 @@ class BadMarks(GraphError):
     label; an input error rather than a failed construction."""
 
 
-@dataclass(frozen=True)
-class DiscreteGraph:
-    nflags: int
-    root: tuple
-    inv: tuple
-    marking: tuple  # sorted ((label, flag), ...)
+class DiscreteGraph(Value):
+    """A graph on flags 0..nflags-1: ``root`` sends a flag to its vertex
+    flag, ``inv`` is the edge involution, and ``marking`` the sorted
+    ((label, flag), ...) pairs."""
+
+    _fields = ("nflags", "root", "inv", "marking")
+
+    def __init__(self, nflags: int, root: tuple, inv: tuple, marking: tuple):
+        set_field(self, "nflags", nflags)
+        set_field(self, "root", root)
+        set_field(self, "inv", inv)
+        set_field(self, "marking", marking)
 
     # -- basic sets ------------------------------------------------------
     def vertices(self):
@@ -443,15 +450,23 @@ def st_join(t: DiscreteGraph, g: int) -> DiscreteGraph:
     return graph_new(t.nflags, t.root, inv, keep)
 
 
-@dataclass(frozen=True)
-class GraphCategory:
-    """A skeleton of the category of stable genus-g A-marked graphs."""
+class GraphCategory(Value):
+    """A skeleton of the category of stable genus-g A-marked graphs.
 
-    genus: int
-    labels: tuple
-    classes: dict          # id -> canonical representative graph
-    automorphisms: dict    # id -> tuple of flag permutations
-    maximal: tuple         # ids of the trivalent classes
+    ``classes`` maps an id to its canonical representative graph,
+    ``automorphisms`` an id to its tuple of flag permutations, and
+    ``maximal`` holds the ids of the trivalent classes.
+    """
+
+    _fields = ("genus", "labels", "classes", "automorphisms", "maximal")
+
+    def __init__(self, genus: int, labels: tuple, classes: dict,
+                 automorphisms: dict, maximal: tuple):
+        set_field(self, "genus", genus)
+        set_field(self, "labels", labels)
+        set_field(self, "classes", classes)
+        set_field(self, "automorphisms", automorphisms)
+        set_field(self, "maximal", maximal)
 
     def ids(self):
         return sorted(self.classes)

@@ -8,11 +8,11 @@ values.  No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
+
+from .value import Value, set_field
 
 
 class ZeroVector(ValueError):
@@ -67,17 +67,17 @@ def sign_normalized(v):
 # ---------------------------------------------------------------------------
 # matrices
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Value):
     """Immutable integer matrix, row-major entries."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match the stated shape")
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "entries", entries)
 
     @staticmethod
     def from_rows(rows, cols=None):
@@ -220,6 +220,7 @@ def frac_solve(a_rows, b):
     pivots = _eliminate(m, ncols, full=True)
     if any(r[ncols] for r in m[len(pivots):]):
         return None
+    from fractions import Fraction
     x = [Fraction(0)] * ncols
     for r, col in enumerate(pivots):
         x[col] = Fraction(m[r][ncols], m[r][col])
@@ -502,18 +503,18 @@ def saturation_coordinates(generators: IntMatrix):
 # ---------------------------------------------------------------------------
 # lattices and quotients
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Value):
     """A sublattice of an ambient Z^n, given by basis rows."""
 
-    ambient_rank: int
-    basis: IntMatrix
+    __slots__ = _fields = ("ambient_rank", "basis")
 
-    def __post_init__(self):
-        if self.basis.cols != self.ambient_rank:
+    def __init__(self, ambient_rank: int, basis: IntMatrix):
+        if basis.cols != ambient_rank:
             raise ValueError("basis width disagrees with ambient rank")
-        if frac_rank(self.basis.to_rows()) != self.basis.rows:
+        if frac_rank(basis.to_rows()) != basis.rows:
             raise ValueError("basis rows are rationally dependent")
+        set_field(self, "ambient_rank", ambient_rank)
+        set_field(self, "basis", basis)
 
     @staticmethod
     def standard(n):
@@ -552,19 +553,24 @@ def lattice_index(sup: Lattice, sub: Lattice):
     return idx
 
 
-@dataclass(frozen=True)
-class QuotientPresentation:
+class QuotientPresentation(Value):
     """Presentation of Z^n / L for a subgroup L, with full torsion data.
 
     free projection: Z^n -> Z^free_rank; torsion projections come with
     their moduli (the invariant factors >= 2, each dividing the next).
     """
 
-    source_rank: int
-    free_rank: int
-    torsion_factors: tuple
-    projection: IntMatrix
-    torsion_projection: IntMatrix
+    __slots__ = _fields = ("source_rank", "free_rank", "torsion_factors",
+                           "projection", "torsion_projection")
+
+    def __init__(self, source_rank: int, free_rank: int,
+                 torsion_factors: tuple, projection: IntMatrix,
+                 torsion_projection: IntMatrix):
+        set_field(self, "source_rank", source_rank)
+        set_field(self, "free_rank", free_rank)
+        set_field(self, "torsion_factors", torsion_factors)
+        set_field(self, "projection", projection)
+        set_field(self, "torsion_projection", torsion_projection)
 
     def free_part(self, v):
         return self.projection.apply(v)

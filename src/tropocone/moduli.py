@@ -10,7 +10,6 @@ poic-space whose hom-sets are the contraction and automorphism matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .cone import Poic, poic_new
@@ -36,6 +35,7 @@ from .intlinalg import (
     solve_integer_columns,
 )
 from .spaces import PoicSpace, space_new
+from .value import Value, set_field
 
 
 class ModuliError(ValueError):
@@ -65,17 +65,32 @@ def cone_of_metrics(g: DiscreteGraph) -> Poic:
 # ---------------------------------------------------------------------------
 # the distance structure on rational moduli
 
-@dataclass(frozen=True)
-class DistanceData:
-    labels: tuple
-    pairs: tuple
-    m_matrix: IntMatrix        # rows = pairs, cols = labels
-    free_projection: object    # QuotientPresentation of Z^pairs mod im(M_A)
-    basis: IntMatrix           # rows: basis of N_dist in free coordinates
-    rank: int
-    # split side without labels[0] -> its coordinates in the basis
-    split_coords: dict = field(default_factory=dict, compare=False,
-                               repr=False)
+class DistanceData(Value):
+    """The distance lattice N_dist of genus-zero curves on ``labels``.
+
+    ``m_matrix`` has a row per pair and a column per label,
+    ``free_projection`` is the QuotientPresentation of Z^pairs mod
+    im(M_A), and the rows of ``basis`` are a basis of N_dist in its free
+    coordinates.  ``split_coords`` maps a split side without labels[0] to
+    its coordinates in the basis, a table that ``split_in_basis`` reads
+    first; it is left out of ``==``, ``hash`` and the repr.
+    """
+
+    _fields = ("labels", "pairs", "m_matrix", "free_projection", "basis",
+               "rank")
+    __slots__ = _fields + ("split_coords",)
+
+    def __init__(self, labels: tuple, pairs: tuple, m_matrix: IntMatrix,
+                 free_projection: object, basis: IntMatrix, rank: int,
+                 split_coords: dict = None):
+        set_field(self, "labels", labels)
+        set_field(self, "pairs", pairs)
+        set_field(self, "m_matrix", m_matrix)
+        set_field(self, "free_projection", free_projection)
+        set_field(self, "basis", basis)
+        set_field(self, "rank", rank)
+        set_field(self, "split_coords",
+                  {} if split_coords is None else split_coords)
 
     def split_vector(self, side):
         """Raw distance vector of the split with the given label side."""
@@ -151,22 +166,27 @@ def tree_distance_matrix(t: DiscreteGraph, data: DistanceData) -> IntMatrix:
 # ---------------------------------------------------------------------------
 # moduli objects
 
-@dataclass(frozen=True)
-class ModuliComplex:
+class ModuliComplex(Value):
     """The genus-zero moduli object: a linear poic-complex of trees."""
 
-    category: GraphCategory
-    complex: PoicComplex
-    linear: LinearStructure
-    distance: DistanceData
+    __slots__ = _fields = ("category", "complex", "linear", "distance")
+
+    def __init__(self, category: GraphCategory, complex: PoicComplex,
+                 linear: LinearStructure, distance: DistanceData):
+        set_field(self, "category", category)
+        set_field(self, "complex", complex)
+        set_field(self, "linear", linear)
+        set_field(self, "distance", distance)
 
 
-@dataclass(frozen=True)
-class ModuliSpace:
+class ModuliSpace(Value):
     """The positive-genus moduli object: a poic-space of stable graphs."""
 
-    category: GraphCategory
-    space: PoicSpace
+    __slots__ = _fields = ("category", "space")
+
+    def __init__(self, category: GraphCategory, space: PoicSpace):
+        set_field(self, "category", category)
+        set_field(self, "space", space)
 
 
 def _contraction_matrix(small: DiscreteGraph, big: DiscreteGraph, mapping):

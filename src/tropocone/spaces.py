@@ -8,21 +8,25 @@ uniquely up to isomorphism) are verified exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cone import check_morphism, faces
 from .complexes import PoicComplex
 from .intlinalg import IntMatrix
+from .value import Value, set_field
 
 
 class SpaceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PoicSpace:
-    objects: dict   # id -> Poic
-    homs: dict      # (x, y) -> tuple of IntMatrix
+class PoicSpace(Value):
+    """A poic-space: ``objects`` maps an id to its Poic, and ``homs`` a
+    pair (x, y) to the tuple of its IntMatrix morphisms."""
+
+    __slots__ = _fields = ("objects", "homs")
+
+    def __init__(self, objects: dict, homs: dict):
+        set_field(self, "objects", objects)
+        set_field(self, "homs", homs)
 
     def ids(self):
         return sorted(self.objects)

@@ -9,7 +9,6 @@ structure composed with the projection away from the gluing factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .complexes import (
@@ -57,6 +56,7 @@ from .subdivision import (
     pushforward,
     validate_complex_morphism,
 )
+from .value import Value, set_field
 from .weights import Weight, is_balanced, pullback
 
 
@@ -75,15 +75,24 @@ class BadLabelIntersection(FibrationMorphismError):
 # ---------------------------------------------------------------------------
 # the spanning-tree fibration
 
-@dataclass(frozen=True)
-class STFibration:
-    genus: int
-    labels: tuple
-    fibration: Fibration
-    trees: object          # ModuliComplex of (A ⊔ g)-marked trees
-    moduli_category: object
-    tree_of_cone: dict     # source cone id -> tree class id
-    distance: DistanceData
+class STFibration(Value):
+    """The spanning-tree fibration of genus-g A-marked graphs: ``trees``
+    is the ModuliComplex of (A ⊔ g)-marked trees, and ``tree_of_cone``
+    maps a source cone id to its tree class id."""
+
+    __slots__ = _fields = ("genus", "labels", "fibration", "trees",
+                           "moduli_category", "tree_of_cone", "distance")
+
+    def __init__(self, genus: int, labels: tuple, fibration: Fibration,
+                 trees: object, moduli_category: object, tree_of_cone: dict,
+                 distance: DistanceData):
+        set_field(self, "genus", genus)
+        set_field(self, "labels", labels)
+        set_field(self, "fibration", fibration)
+        set_field(self, "trees", trees)
+        set_field(self, "moduli_category", moduli_category)
+        set_field(self, "tree_of_cone", tree_of_cone)
+        set_field(self, "distance", distance)
 
     @property
     def complex(self):
@@ -174,17 +183,23 @@ def spanning_tree_fibration(g, labels) -> STFibration:
 # ---------------------------------------------------------------------------
 # morphisms of fibrations
 
-@dataclass(frozen=True)
-class FibrationMorphism:
+class FibrationMorphism(Value):
     """A morphism of poic-fibrations.  Source and target are anything with
     a .fibration: an STFibration, or a ProductFibration for clutching."""
-    source: object
-    target: object
-    cone_map: dict
-    matrices: dict
-    int_matrix: IntMatrix
-    space_map: dict
-    space_matrices: dict
+
+    __slots__ = _fields = ("source", "target", "cone_map", "matrices",
+                           "int_matrix", "space_map", "space_matrices")
+
+    def __init__(self, source: object, target: object, cone_map: dict,
+                 matrices: dict, int_matrix: IntMatrix, space_map: dict,
+                 space_matrices: dict):
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "cone_map", cone_map)
+        set_field(self, "matrices", matrices)
+        set_field(self, "int_matrix", int_matrix)
+        set_field(self, "space_map", space_map)
+        set_field(self, "space_matrices", space_matrices)
 
     def complex_morphism(self) -> ComplexMorphism:
         return ComplexMorphism(
@@ -444,13 +459,21 @@ def clutch_graphs(g1: DiscreteGraph, g2: DiscreteGraph,
     return graph_new(k, root, inv, marking), new_index
 
 
-@dataclass(frozen=True)
-class ProductFibration:
-    fibration: Fibration
-    left: STFibration
-    right: STFibration
-    pairs: dict        # cone id -> (left cone, right cone)
-    space_pairs: dict  # space object id -> (left object, right object)
+class ProductFibration(Value):
+    """The product of two spanning-tree fibrations: ``pairs`` maps a cone
+    id to its (left cone, right cone), and ``space_pairs`` a space object
+    id to its (left object, right object)."""
+
+    __slots__ = _fields = ("fibration", "left", "right", "pairs",
+                           "space_pairs")
+
+    def __init__(self, fibration: Fibration, left: STFibration,
+                 right: STFibration, pairs: dict, space_pairs: dict):
+        set_field(self, "fibration", fibration)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+        set_field(self, "pairs", pairs)
+        set_field(self, "space_pairs", space_pairs)
 
 
 def product_fibration(left: STFibration, right: STFibration):

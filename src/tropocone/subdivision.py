@@ -11,7 +11,6 @@ assembles the refined poic-complex together with the subdivision map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import cone
@@ -47,6 +46,7 @@ from .intlinalg import (
     smith_normal_form,
     solve_integer_columns,
 )
+from .value import Value, set_field
 from .weights import Weight
 
 
@@ -70,16 +70,19 @@ class IncomparableSubdivisions(SubdivisionError):
     pass
 
 
-@dataclass(frozen=True)
-class ComplexMorphism:
+class ComplexMorphism(Value):
     """A morphism of poic-complexes: a target cone and a lattice map per
     source cone.  Subdivisions are the morphisms that satisfy the three
     subdivision axioms (``validate_subdivision``)."""
 
-    source: PoicComplex
-    target: PoicComplex
-    cone_map: dict
-    matrices: dict
+    _fields = ("source", "target", "cone_map", "matrices")
+
+    def __init__(self, source: PoicComplex, target: PoicComplex,
+                 cone_map: dict, matrices: dict):
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "cone_map", cone_map)
+        set_field(self, "matrices", matrices)
 
     @cached_property
     def _pieces_by_target(self):
@@ -169,15 +172,14 @@ def intersect_cells(gens_a, gens_b, rank):
 def fold_cells(systems, rank):
     """Common refinement of closed-cell systems that each cover one cone:
     the distinct intersections of one cell from every system, as sorted
-    generator tuples."""
+    generator tuples.  ``intersect_cells`` already returns the sorted
+    ``cell_key`` of each intersection (the key of a double-description
+    output is its own key), so the intersections are compared as they
+    are."""
     current = [tuple(sorted(cell_key(c))) for c in systems[0]]
     for nxt in systems[1:]:
-        merged = {}
-        for c1 in current:
-            for c2 in nxt:
-                key = cell_key(intersect_cells(c1, c2, rank))
-                merged.setdefault(key, tuple(sorted(key)))
-        current = list(merged.values())
+        current = list(dict.fromkeys(intersect_cells(c1, c2, rank)
+                                     for c1 in current for c2 in nxt))
     return current
 
 
@@ -314,12 +316,17 @@ def arrangement_cells(sigma: Poic, walls):
 # ---------------------------------------------------------------------------
 # validation
 
-@dataclass
-class Report:
+class Report(Value):
     """Outcome of an exact axiom check: one issue per violation, each
-    naming its axiom, a message and a witness."""
+    naming its axiom, a message and a witness.  Mutable, so unhashable."""
 
-    issues: list = field(default_factory=list)
+    __slots__ = _fields = ("issues",)
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, issues: list = None):
+        self.issues = [] if issues is None else issues
 
     @property
     def ok(self):
@@ -687,13 +694,16 @@ def proper_probe(mor: ComplexMorphism, subdivisions):
 # ---------------------------------------------------------------------------
 # cycles
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Value):
     """A weight on a subdivision of a base complex, up to refinement."""
 
-    base: PoicComplex
-    subdivision: Subdivision
-    weight: Weight
+    __slots__ = _fields = ("base", "subdivision", "weight")
+
+    def __init__(self, base: PoicComplex, subdivision: Subdivision,
+                 weight: Weight):
+        set_field(self, "base", base)
+        set_field(self, "subdivision", subdivision)
+        set_field(self, "weight", weight)
 
 
 def cycle_equal(c1: Cycle, c2: Cycle) -> bool:

@@ -11,8 +11,6 @@ rows are kept sparse throughout the elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import LinearStructure, PoicComplex, star1
 from .intlinalg import (
     hermite_rows,
@@ -21,6 +19,7 @@ from .intlinalg import (
     vadd,
     vscale,
 )
+from .value import Value, set_field
 
 
 class WeightError(ValueError):
@@ -39,12 +38,14 @@ class NotSubcomplexWeight(WeightError):
     pass
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Value):
     """Integer function on the k-dimensional isomorphism classes."""
 
-    dim: int
-    values: dict
+    __slots__ = _fields = ("dim", "values")
+
+    def __init__(self, dim: int, values: dict):
+        set_field(self, "dim", dim)
+        set_field(self, "values", values)
 
     def __getitem__(self, cls):
         return self.values.get(cls, 0)
@@ -62,19 +63,22 @@ class Weight:
         return {k: v for k, v in self.values.items() if v != 0}
 
 
-@dataclass(frozen=True)
-class NormalVector:
+class NormalVector(Value):
     """Normal vector u^X_{[s->t]} as an element of N_X / X_s(N^s).
 
     ``lift`` is an integer representative in N_X; ``free`` and ``torsion``
     are its coordinates in the quotient presentation.
     """
 
-    at: str
-    toward: str
-    lift: tuple
-    free: tuple
-    torsion: tuple
+    __slots__ = _fields = ("at", "toward", "lift", "free", "torsion")
+
+    def __init__(self, at: str, toward: str, lift: tuple, free: tuple,
+                 torsion: tuple):
+        set_field(self, "at", at)
+        set_field(self, "toward", toward)
+        set_field(self, "lift", lift)
+        set_field(self, "free", free)
+        set_field(self, "torsion", torsion)
 
 
 def _quotient_at(phi: PoicComplex, lin: LinearStructure, s):
@@ -137,10 +141,15 @@ def is_balanced(phi, lin, omega):
     return True
 
 
-@dataclass(frozen=True)
-class WeightLattice:
-    dim: int
-    basis: tuple  # of Weight
+class WeightLattice(Value):
+    """A lattice of ``dim``-weights, with a tuple of Weights as its
+    basis."""
+
+    __slots__ = _fields = ("dim", "basis")
+
+    def __init__(self, dim: int, basis: tuple):
+        set_field(self, "dim", dim)
+        set_field(self, "basis", basis)
 
     @property
     def rank(self):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -366,8 +365,10 @@ def _mutants(fib, rng):
     key, gone = rng.choice(autos or used)
     homs = dict(space.homs)
     homs[key] = tuple(m for m in homs[key] if m != gone)
-    yield "drop", homs, dataclasses.replace(fib, space=PoicSpace(
-        objects=space.objects, homs={k: v for k, v in homs.items() if v}))
+    yield "drop", homs, Fibration(
+        fib.complex, PoicSpace(objects=space.objects,
+                               homs={k: v for k, v in homs.items() if v}),
+        fib.object_map, fib.transforms, fib.morphism_map, fib.linear)
     mats = sorted({m for ms in space.homs.values() for m in ms},
                   key=lambda m: (m.rows, m.cols, m.entries))
     swap = [(rel, m) for rel, old in sorted(fib.morphism_map.items())
@@ -379,16 +380,18 @@ def _mutants(fib, rng):
                   if fib.complex.dim(rel[0]) > 0
                   and fib.complex.above(rel[1])]
     rel, new = rng.choice(composable or swap)
-    yield "swap", space.homs, dataclasses.replace(
-        fib, morphism_map={**fib.morphism_map, rel: new})
+    yield "swap", space.homs, Fibration(
+        fib.complex, fib.space, fib.object_map, fib.transforms,
+        {**fib.morphism_map, rel: new}, fib.linear)
     p = rng.choice([p for p in sorted(fib.complex.ids())
                     if fib.complex.dim(p) > 0])
     eta = fib.transforms[p]
     flipped = IntMatrix.from_cols(
         [tuple(-x for x in eta.col(0))]
         + [eta.col(j) for j in range(1, eta.cols)], eta.rows)
-    yield "transform", space.homs, dataclasses.replace(
-        fib, transforms={**fib.transforms, p: flipped})
+    yield "transform", space.homs, Fibration(
+        fib.complex, fib.space, fib.object_map,
+        {**fib.transforms, p: flipped}, fib.morphism_map, fib.linear)
 
 
 @pytest.mark.parametrize("g,labels", [(0, ["1", "2", "3", "4", "5"]),
@@ -570,10 +573,10 @@ def _sheared(fib, shear):
                                  for n, strict in image.facets])
     phi = complex_new({"c1": fib.complex.cones["c1"], "c2": cone},
                       set(), {})
-    return dataclasses.replace(
-        fib, complex=phi, transforms={**fib.transforms, "c2": shear},
-        linear=LinearStructure(image.rank, {**fib.linear.maps,
-                                            "c2": shear}))
+    return Fibration(
+        phi, fib.space, fib.object_map, {**fib.transforms, "c2": shear},
+        fib.morphism_map, LinearStructure(image.rank, {**fib.linear.maps,
+                                                       "c2": shear}))
 
 
 def _cutting_wall(rng, rank, bound):

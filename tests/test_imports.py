@@ -49,15 +49,23 @@ EXPORTS = {
 NAMES = sorted(n for names in EXPORTS.values() for n in names)
 
 
+# standard modules whose import costs a command more than its own work:
+# ``dataclasses`` brings ``inspect`` (and with it ``ast``, ``dis`` and
+# ``tokenize``), and ``fractions`` brings ``decimal``
+HEAVY = {"dataclasses", "inspect", "fractions"}
+
+
 def _modules_after(code):
     """The ``tropocone`` submodules a fresh interpreter holds after
-    running ``code``."""
+    running ``code``, and which of the ``HEAVY`` modules it holds."""
     report = ("import sys\nprint(*sorted(m.partition('.')[2] for m in "
-              "sys.modules if m.startswith('tropocone.')))")
+              "sys.modules if m.startswith('tropocone.')))\n"
+              f"print(*sorted(sys.modules.keys() & {HEAVY!r}))")
     out = subprocess.run([sys.executable, "-c", f"{code}\n{report}"],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    return set(out.stdout.split())
+    package, heavy = out.stdout.split("\n")[-3:-1]
+    return set(package.split()), set(heavy.split())
 
 
 def test_exported_names():
@@ -86,7 +94,7 @@ def test_from_imports_of_names_and_modules():
 
 
 def test_import_tropocone_loads_no_module():
-    assert _modules_after("import tropocone") == set()
+    assert _modules_after("import tropocone")[0] == set()
 
 
 def test_build_moduli_and_weights_load_only_their_modules(tmp_path):
@@ -96,19 +104,21 @@ def test_build_moduli_and_weights_load_only_their_modules(tmp_path):
                                                           m.linear)))
     run = ("from tropocone import cli\n"
            "assert cli.main({!r}) == 0")
-    built = _modules_after(run.format(
+    built, heavy = _modules_after(run.format(
         ["build-moduli", "--genus", "0", "--marks", "1,2,3,4,5",
          "--out", str(tmp_path / "built.json")]))
     assert "moduli" in built
     assert not built & {"subdivision", "weights", "fibration", "stfib"}
+    assert not heavy
     assert (tmp_path / "built.json").read_text() == path.read_text()
 
-    weighed = _modules_after(run.format(
+    weighed, heavy = _modules_after(run.format(
         ["weights", "--complex", str(path), "--k", "2",
          "--out", str(tmp_path / "w.json")]))
     assert "weights" in weighed
     assert not weighed & {"graphs", "moduli", "spaces", "subdivision",
                           "fibration", "stfib"}
+    assert not heavy
 
 
 def test_every_memo_is_bounded():

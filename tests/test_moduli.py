@@ -1,7 +1,6 @@
 """The moduli face posets and hom-sets built by construction, checked
 against the all-pairs search they replace."""
 
-import dataclasses
 import itertools
 import random
 
@@ -19,6 +18,7 @@ from tropocone.graphs import (
 )
 from tropocone.intlinalg import IntMatrix, solve_integer, unimodular_inverse
 from tropocone.moduli import (
+    DistanceData,
     ModuliError,
     _contraction_matrix,
     build_moduli,
@@ -277,7 +277,8 @@ def test_a_side_outside_the_table_keeps_the_solve_and_its_error():
     data = distance_structure(["1", "2", "3", "4", "5"])
     doubled = IntMatrix(data.basis.rows, data.basis.cols,
                         tuple(2 * x for x in data.basis.entries))
-    broken = dataclasses.replace(data, basis=doubled, split_coords={})
+    broken = DistanceData(data.labels, data.pairs, data.m_matrix,
+                          data.free_projection, doubled, data.rank, {})
     assert broken.split_in_basis(("1",)) == (0,) * data.rank
     with pytest.raises(ModuliError, match="escapes"):
         broken.split_in_basis(("2", "3"))

@@ -1379,3 +1379,72 @@ def test_intersect_cells_matches_the_facet_normal_reference():
         kinds["full"] += dim == rank
         kinds["lined"] += any(tuple(-x for x in g) in out for g in out)
     assert min(kinds.values()) >= 40, kinds
+
+
+def test_cell_key_is_idempotent_on_double_description_outputs():
+    """The sorted ``cell_key`` that ``dual_generators`` and
+    ``intersect_cells`` return is its own ``cell_key``, on seeded normals
+    and pairs of cells of ranks 2-4, many of them with a line; this is
+    what lets ``fold_cells`` compare intersections as they are."""
+    rng = random.Random(2411)
+    lined = 0
+    for i in range(6000):
+        rank = 2 + i % 3
+        if i % 2:
+            a = _random_cell(rng, rank)
+            out = intersect_cells(a, _random_cell(rng, rank, a), rank)
+        else:
+            normals = [_vec(rng, rank) for _ in range(rng.randint(0, 4))]
+            out = dual_generators(normals, rank)
+        assert tuple(sorted(cell_key(out))) == out, out
+        lined += _lined(out)
+    assert lined >= 1500, lined
+
+
+def _reference_fold_cells(systems, rank):
+    """``fold_cells`` as it was, keying every intersection again."""
+    current = [tuple(sorted(cell_key(c))) for c in systems[0]]
+    for nxt in systems[1:]:
+        merged = {}
+        for c1 in current:
+            for c2 in nxt:
+                key = cell_key(intersect_cells(c1, c2, rank))
+                merged.setdefault(key, tuple(sorted(key)))
+        current = list(merged.values())
+    return current
+
+
+def _fold_cases():
+    """Seeded systems of closed cells: wall arrangements of one seeded
+    cone (pointed or with a line), and lists of random cells, most of
+    them holding ± one line that the systems share."""
+    rng = random.Random(2412)
+    for i in range(60):
+        sigma = _random_cone(rng, 1 + i % 3)
+        yield sigma.rank, [arrangement_cells(sigma, _random_walls(rng, sigma))
+                           for _ in range(rng.randint(2, 3))]
+    for i in range(60):
+        rank = 2 + i % 3
+        line = _vec(rng, rank)
+        yield rank, [[_random_cell(rng, rank)
+                      + ([line, tuple(-x for x in line)]
+                         if rng.random() < 0.7 else [])
+                      for _ in range(rng.randint(1, 3))]
+                     for _ in range(rng.randint(2, 3))]
+
+
+def test_fold_cells_matches_the_reference_and_keys_no_intersection(
+        monkeypatch):
+    """``fold_cells`` returns the reference's cells in the reference's
+    order, and calls ``cell_key`` only on the cells of the first system."""
+    calls = []
+    monkeypatch.setattr(subdivision, "cell_key",
+                        lambda gens: calls.append(1) or cell_key(gens))
+    lined = 0
+    for rank, systems in _fold_cases():
+        expected = _reference_fold_cells(systems, rank)
+        calls.clear()
+        assert subdivision.fold_cells(systems, rank) == expected, systems
+        assert len(calls) == len(systems[0])
+        lined += any(_lined(c) for c in expected)
+    assert lined >= 40, lined
