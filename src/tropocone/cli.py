@@ -2,7 +2,8 @@
 lattices, subdivision verification, pushforwards, fibrations, and a
 manifest runner producing deterministic, auditable reports.
 
-Exit codes: 0 verified/computed, 1 validation failure, 2 input error.
+Exit codes: 0 verified/computed, 1 validation failure (a
+``TropoconeError``), 2 input error (an ``InputError``).
 """
 
 from __future__ import annotations
@@ -13,25 +14,10 @@ import sys
 
 from . import io_json
 from .io_json import SchemaError
+from .value import InputError, TropoconeError
 
 # Every command writes through io_json; each imports the other modules it
-# runs, so a cold start loads only those.  The exit-code mapping names
-# exception classes by module and looks up only modules already imported:
-# no other class can have been raised.  Input errors come first (BadMarks
-# is a GraphError).
-INPUT_ERRORS = (("io_json", "SchemaError"), ("graphs", "BadMarks"))
-VALIDATION_ERRORS = (("complexes", "ComplexError"), ("cone", "ConeError"),
-                     ("graphs", "GraphError"), ("moduli", "ModuliError"),
-                     ("subdivision", "SubdivisionError"),
-                     ("weights", "WeightError"),
-                     ("fibration", "FibrationError"),
-                     ("stfib", "FibrationMorphismError"),
-                     ("spaces", "SpaceError"))
-
-
-def _loaded(pairs):
-    return tuple(getattr(sys.modules[f"{__package__}.{m}"], c)
-                 for m, c in pairs if f"{__package__}.{m}" in sys.modules)
+# runs, so a cold start loads only those.
 
 
 def _read(path):
@@ -152,6 +138,10 @@ def cmd_subdivide(args):
     from .subdivision import (SubdivisionError, identity_subdivision,
                               ord_subdivision, stellar, validate_subdivision)
     phi, _ = io_json.complex_from_json(_read_json(args.complex))
+    if args.ord and (args.stellar or args.ray is not None):
+        raise SchemaError("--ord takes no --stellar or --ray")
+    if args.ray is not None and not args.stellar:
+        raise SchemaError("--ray needs --stellar")
     if args.ord:
         sub = ord_subdivision(phi)
     elif args.stellar:
@@ -421,12 +411,10 @@ def main(argv=None):
         result = COMMANDS[args.command](args)
         _write_out(result, getattr(args, "out", None))
         return 0
-    # an except clause is evaluated when an exception reaches it, so these
-    # see the modules the command imported; anything else propagates
-    except _loaded(INPUT_ERRORS) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except _loaded(VALIDATION_ERRORS) as exc:
+    except TropoconeError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
 

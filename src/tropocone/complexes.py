@@ -26,10 +26,10 @@ from .intlinalg import (
     solve_integer_columns,
     unimodular_inverse,
 )
-from .value import Value, set_field
+from .value import TropoconeError, Value
 
 
-class ComplexError(ValueError):
+class ComplexError(TropoconeError):
     pass
 
 
@@ -67,11 +67,6 @@ class PoicComplex(Value):
     """
 
     _fields = ("cones", "order", "face_maps")
-
-    def __init__(self, cones: dict, order: frozenset, face_maps: dict):
-        set_field(self, "cones", cones)
-        set_field(self, "order", order)
-        set_field(self, "face_maps", face_maps)
 
     def ids(self):
         return sorted(self.cones)
@@ -273,10 +268,6 @@ class LinearStructure(Value):
 
     __slots__ = _fields = ("target_rank", "maps")
 
-    def __init__(self, target_rank: int, maps: dict):
-        set_field(self, "target_rank", target_rank)
-        set_field(self, "maps", maps)
-
     def map(self, p):
         return self.maps[p]
 
@@ -405,11 +396,6 @@ class PolyhedralCell(Value):
     """V-representation of a rational polyhedron: vertices and rays."""
 
     __slots__ = _fields = ("name", "vertices", "rays")
-
-    def __init__(self, name: str, vertices: tuple, rays: tuple):
-        set_field(self, "name", name)
-        set_field(self, "vertices", vertices)
-        set_field(self, "rays", rays)
 
 
 def _cell_cone_gens(cell: PolyhedralCell):

@@ -29,10 +29,10 @@ from .intlinalg import (
     saturation,
     saturation_coordinates,
 )
-from .value import Value, set_field
+from .value import TropoconeError, Value
 
 
-class ConeError(ValueError):
+class ConeError(TropoconeError):
     pass
 
 
@@ -260,11 +260,6 @@ class Poic(Value):
 
     __slots__ = _fields = ("rank", "facets", "closure_rays")
 
-    def __init__(self, rank: int, facets: tuple, closure_rays: tuple):
-        set_field(self, "rank", rank)
-        set_field(self, "facets", facets)
-        set_field(self, "closure_rays", closure_rays)
-
     @property
     def dim(self):
         return self.rank
@@ -381,13 +376,6 @@ class FaceEmbedding(Value):
 
     __slots__ = _fields = ("sub", "sup", "matrix", "gens_key")
 
-    def __init__(self, sub: Poic, sup: Poic, matrix: IntMatrix,
-                 gens_key: tuple):
-        set_field(self, "sub", sub)
-        set_field(self, "sup", sup)
-        set_field(self, "matrix", matrix)
-        set_field(self, "gens_key", gens_key)
-
     @property
     def dim(self):
         return self.sub.rank
@@ -474,15 +462,6 @@ class PoicMorphism(Value):
 
     __slots__ = _fields = ("matrix", "domain", "codomain", "injective",
                            "face_embedding", "face")
-
-    def __init__(self, matrix: IntMatrix, domain: Poic, codomain: Poic,
-                 injective: bool, face_embedding: bool, face: FaceEmbedding):
-        set_field(self, "matrix", matrix)
-        set_field(self, "domain", domain)
-        set_field(self, "codomain", codomain)
-        set_field(self, "injective", injective)
-        set_field(self, "face_embedding", face_embedding)
-        set_field(self, "face", face)
 
 
 def _image_in_cone(matrix, sigma, xi):

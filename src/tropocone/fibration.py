@@ -19,7 +19,7 @@ from .cone import (
 )
 from .complexes import LinearStructure, PoicComplex
 from .intlinalg import IntMatrix, unimodular_inverse
-from .spaces import PoicSpace, iso_class_reps, space_from_complex, space_isos
+from .spaces import iso_class_reps, space_from_complex, space_isos
 from .subdivision import (
     Report,
     Subdivision,
@@ -28,10 +28,10 @@ from .subdivision import (
     validate_subdivision,
 )
 from .weights import Weight, WeightLattice, minkowski_basis
-from .value import Value, set_field
+from .value import TropoconeError, Value
 
 
-class FibrationError(ValueError):
+class FibrationError(TropoconeError):
     pass
 
 
@@ -51,16 +51,7 @@ class Fibration(Value):
 
     __slots__ = _fields = ("complex", "space", "object_map", "transforms",
                            "morphism_map", "linear")
-
-    def __init__(self, complex: PoicComplex, space: PoicSpace,
-                 object_map: dict, transforms: dict, morphism_map: dict,
-                 linear: LinearStructure = None):
-        set_field(self, "complex", complex)
-        set_field(self, "space", space)
-        set_field(self, "object_map", object_map)
-        set_field(self, "transforms", transforms)
-        set_field(self, "morphism_map", morphism_map)
-        set_field(self, "linear", linear)
+    _defaults = {"linear": None}
 
     def pi(self, p):
         return self.object_map[p]

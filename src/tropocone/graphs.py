@@ -14,10 +14,10 @@ import itertools
 import re
 from functools import cached_property
 
-from .value import Value, set_field
+from .value import InputError, TropoconeError, Value
 
 
-class GraphError(ValueError):
+class GraphError(TropoconeError):
     pass
 
 
@@ -41,7 +41,7 @@ class UnstableParameters(GraphError):
     pass
 
 
-class BadMarks(GraphError):
+class BadMarks(GraphError, InputError):
     """A negative genus, a repeated mark, or a mark named like a gluing
     label; an input error rather than a failed construction."""
 
@@ -52,12 +52,6 @@ class DiscreteGraph(Value):
     ((label, flag), ...) pairs."""
 
     _fields = ("nflags", "root", "inv", "marking")
-
-    def __init__(self, nflags: int, root: tuple, inv: tuple, marking: tuple):
-        set_field(self, "nflags", nflags)
-        set_field(self, "root", root)
-        set_field(self, "inv", inv)
-        set_field(self, "marking", marking)
 
     # -- basic sets ------------------------------------------------------
     def vertices(self):
@@ -459,14 +453,6 @@ class GraphCategory(Value):
     """
 
     _fields = ("genus", "labels", "classes", "automorphisms", "maximal")
-
-    def __init__(self, genus: int, labels: tuple, classes: dict,
-                 automorphisms: dict, maximal: tuple):
-        set_field(self, "genus", genus)
-        set_field(self, "labels", labels)
-        set_field(self, "classes", classes)
-        set_field(self, "automorphisms", automorphisms)
-        set_field(self, "maximal", maximal)
 
     def ids(self):
         return sorted(self.classes)

@@ -12,14 +12,14 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from .value import Value, set_field
+from .value import TropoconeError, Value, set_field
 
 
-class ZeroVector(ValueError):
+class ZeroVector(TropoconeError):
     """Raised when a primitive vector of the zero vector is requested."""
 
 
-class NotSublattice(ValueError):
+class NotSublattice(TropoconeError):
     """Raised when an alleged sublattice vector is not an integer
     combination of the ambient basis."""
 
@@ -513,8 +513,7 @@ class Lattice(Value):
             raise ValueError("basis width disagrees with ambient rank")
         if frac_rank(basis.to_rows()) != basis.rows:
             raise ValueError("basis rows are rationally dependent")
-        set_field(self, "ambient_rank", ambient_rank)
-        set_field(self, "basis", basis)
+        super().__init__(ambient_rank, basis)
 
     @staticmethod
     def standard(n):
@@ -562,15 +561,6 @@ class QuotientPresentation(Value):
 
     __slots__ = _fields = ("source_rank", "free_rank", "torsion_factors",
                            "projection", "torsion_projection")
-
-    def __init__(self, source_rank: int, free_rank: int,
-                 torsion_factors: tuple, projection: IntMatrix,
-                 torsion_projection: IntMatrix):
-        set_field(self, "source_rank", source_rank)
-        set_field(self, "free_rank", free_rank)
-        set_field(self, "torsion_factors", torsion_factors)
-        set_field(self, "projection", projection)
-        set_field(self, "torsion_projection", torsion_projection)
 
     def free_part(self, v):
         return self.projection.apply(v)

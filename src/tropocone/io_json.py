@@ -14,6 +14,7 @@ from .complexes import (LinearStructure, PoicComplex, complex_new,
                         validate_linear)
 from .cone import Poic, poic_new
 from .intlinalg import IntMatrix
+from .value import InputError
 
 if TYPE_CHECKING:  # the readers import these when they run
     from .graphs import DiscreteGraph
@@ -21,7 +22,7 @@ if TYPE_CHECKING:  # the readers import these when they run
     from .weights import Weight
 
 
-class SchemaError(ValueError):
+class SchemaError(InputError):
     pass
 
 

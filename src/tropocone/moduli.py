@@ -15,13 +15,11 @@ from itertools import combinations
 from .cone import Poic, poic_new
 from .complexes import (
     LinearStructure,
-    PoicComplex,
     complex_new,
     validate_linear,
 )
 from .graphs import (
     DiscreteGraph,
-    GraphCategory,
     _merge,
     circuits,
     contractions_from,
@@ -34,11 +32,11 @@ from .intlinalg import (
     solve_integer,
     solve_integer_columns,
 )
-from .spaces import PoicSpace, space_new
-from .value import Value, set_field
+from .spaces import space_new
+from .value import TropoconeError, Value, set_field
 
 
-class ModuliError(ValueError):
+class ModuliError(TropoconeError):
     pass
 
 
@@ -73,22 +71,16 @@ class DistanceData(Value):
     im(M_A), and the rows of ``basis`` are a basis of N_dist in its free
     coordinates.  ``split_coords`` maps a split side without labels[0] to
     its coordinates in the basis, a table that ``split_in_basis`` reads
-    first; it is left out of ``==``, ``hash`` and the repr.
+    first; it is a keyword-only argument, not a field, and is left out
+    of ``==``, ``hash`` and the repr.
     """
 
     _fields = ("labels", "pairs", "m_matrix", "free_projection", "basis",
                "rank")
     __slots__ = _fields + ("split_coords",)
 
-    def __init__(self, labels: tuple, pairs: tuple, m_matrix: IntMatrix,
-                 free_projection: object, basis: IntMatrix, rank: int,
-                 split_coords: dict = None):
-        set_field(self, "labels", labels)
-        set_field(self, "pairs", pairs)
-        set_field(self, "m_matrix", m_matrix)
-        set_field(self, "free_projection", free_projection)
-        set_field(self, "basis", basis)
-        set_field(self, "rank", rank)
+    def __init__(self, *args, split_coords=None, **kwargs):
+        super().__init__(*args, **kwargs)
         set_field(self, "split_coords",
                   {} if split_coords is None else split_coords)
 
@@ -171,22 +163,11 @@ class ModuliComplex(Value):
 
     __slots__ = _fields = ("category", "complex", "linear", "distance")
 
-    def __init__(self, category: GraphCategory, complex: PoicComplex,
-                 linear: LinearStructure, distance: DistanceData):
-        set_field(self, "category", category)
-        set_field(self, "complex", complex)
-        set_field(self, "linear", linear)
-        set_field(self, "distance", distance)
-
 
 class ModuliSpace(Value):
     """The positive-genus moduli object: a poic-space of stable graphs."""
 
     __slots__ = _fields = ("category", "space")
-
-    def __init__(self, category: GraphCategory, space: PoicSpace):
-        set_field(self, "category", category)
-        set_field(self, "space", space)
 
 
 def _contraction_matrix(small: DiscreteGraph, big: DiscreteGraph, mapping):

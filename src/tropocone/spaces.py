@@ -11,10 +11,10 @@ from __future__ import annotations
 from .cone import check_morphism, faces
 from .complexes import PoicComplex
 from .intlinalg import IntMatrix
-from .value import Value, set_field
+from .value import TropoconeError, Value
 
 
-class SpaceError(ValueError):
+class SpaceError(TropoconeError):
     pass
 
 
@@ -23,10 +23,6 @@ class PoicSpace(Value):
     pair (x, y) to the tuple of its IntMatrix morphisms."""
 
     __slots__ = _fields = ("objects", "homs")
-
-    def __init__(self, objects: dict, homs: dict):
-        set_field(self, "objects", objects)
-        set_field(self, "homs", homs)
 
     def ids(self):
         return sorted(self.objects)

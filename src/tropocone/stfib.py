@@ -56,11 +56,11 @@ from .subdivision import (
     pushforward,
     validate_complex_morphism,
 )
-from .value import Value, set_field
+from .value import TropoconeError, Value
 from .weights import Weight, is_balanced, pullback
 
 
-class FibrationMorphismError(ValueError):
+class FibrationMorphismError(TropoconeError):
     pass
 
 
@@ -82,17 +82,6 @@ class STFibration(Value):
 
     __slots__ = _fields = ("genus", "labels", "fibration", "trees",
                            "moduli_category", "tree_of_cone", "distance")
-
-    def __init__(self, genus: int, labels: tuple, fibration: Fibration,
-                 trees: object, moduli_category: object, tree_of_cone: dict,
-                 distance: DistanceData):
-        set_field(self, "genus", genus)
-        set_field(self, "labels", labels)
-        set_field(self, "fibration", fibration)
-        set_field(self, "trees", trees)
-        set_field(self, "moduli_category", moduli_category)
-        set_field(self, "tree_of_cone", tree_of_cone)
-        set_field(self, "distance", distance)
 
     @property
     def complex(self):
@@ -189,17 +178,6 @@ class FibrationMorphism(Value):
 
     __slots__ = _fields = ("source", "target", "cone_map", "matrices",
                            "int_matrix", "space_map", "space_matrices")
-
-    def __init__(self, source: object, target: object, cone_map: dict,
-                 matrices: dict, int_matrix: IntMatrix, space_map: dict,
-                 space_matrices: dict):
-        set_field(self, "source", source)
-        set_field(self, "target", target)
-        set_field(self, "cone_map", cone_map)
-        set_field(self, "matrices", matrices)
-        set_field(self, "int_matrix", int_matrix)
-        set_field(self, "space_map", space_map)
-        set_field(self, "space_matrices", space_matrices)
 
     def complex_morphism(self) -> ComplexMorphism:
         return ComplexMorphism(
@@ -466,14 +444,6 @@ class ProductFibration(Value):
 
     __slots__ = _fields = ("fibration", "left", "right", "pairs",
                            "space_pairs")
-
-    def __init__(self, fibration: Fibration, left: STFibration,
-                 right: STFibration, pairs: dict, space_pairs: dict):
-        set_field(self, "fibration", fibration)
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-        set_field(self, "pairs", pairs)
-        set_field(self, "space_pairs", space_pairs)
 
 
 def product_fibration(left: STFibration, right: STFibration):

@@ -46,11 +46,11 @@ from .intlinalg import (
     smith_normal_form,
     solve_integer_columns,
 )
-from .value import Value, set_field
+from .value import TropoconeError, Value
 from .weights import Weight
 
 
-class SubdivisionError(ValueError):
+class SubdivisionError(TropoconeError):
     pass
 
 
@@ -76,13 +76,6 @@ class ComplexMorphism(Value):
     subdivision axioms (``validate_subdivision``)."""
 
     _fields = ("source", "target", "cone_map", "matrices")
-
-    def __init__(self, source: PoicComplex, target: PoicComplex,
-                 cone_map: dict, matrices: dict):
-        set_field(self, "source", source)
-        set_field(self, "target", target)
-        set_field(self, "cone_map", cone_map)
-        set_field(self, "matrices", matrices)
 
     @cached_property
     def _pieces_by_target(self):
@@ -698,12 +691,6 @@ class Cycle(Value):
     """A weight on a subdivision of a base complex, up to refinement."""
 
     __slots__ = _fields = ("base", "subdivision", "weight")
-
-    def __init__(self, base: PoicComplex, subdivision: Subdivision,
-                 weight: Weight):
-        set_field(self, "base", base)
-        set_field(self, "subdivision", subdivision)
-        set_field(self, "weight", weight)
 
 
 def cycle_equal(c1: Cycle, c2: Cycle) -> bool:

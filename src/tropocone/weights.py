@@ -19,10 +19,10 @@ from .intlinalg import (
     vadd,
     vscale,
 )
-from .value import Value, set_field
+from .value import TropoconeError, Value
 
 
-class WeightError(ValueError):
+class WeightError(TropoconeError):
     pass
 
 
@@ -42,10 +42,6 @@ class Weight(Value):
     """Integer function on the k-dimensional isomorphism classes."""
 
     __slots__ = _fields = ("dim", "values")
-
-    def __init__(self, dim: int, values: dict):
-        set_field(self, "dim", dim)
-        set_field(self, "values", values)
 
     def __getitem__(self, cls):
         return self.values.get(cls, 0)
@@ -71,14 +67,6 @@ class NormalVector(Value):
     """
 
     __slots__ = _fields = ("at", "toward", "lift", "free", "torsion")
-
-    def __init__(self, at: str, toward: str, lift: tuple, free: tuple,
-                 torsion: tuple):
-        set_field(self, "at", at)
-        set_field(self, "toward", toward)
-        set_field(self, "lift", lift)
-        set_field(self, "free", free)
-        set_field(self, "torsion", torsion)
 
 
 def _quotient_at(phi: PoicComplex, lin: LinearStructure, s):
@@ -146,10 +134,6 @@ class WeightLattice(Value):
     basis."""
 
     __slots__ = _fields = ("dim", "basis")
-
-    def __init__(self, dim: int, basis: tuple):
-        set_field(self, "dim", dim)
-        set_field(self, "basis", basis)
 
     @property
     def rank(self):

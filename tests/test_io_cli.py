@@ -293,6 +293,12 @@ def _shear_ord(tmp_path):
     return ["subdivide", "--complex", path, "--ord"]
 
 
+def _m04_subdivide(tmp_path, *flags):
+    """subdivide on M_0,4 with ``flags``."""
+    path = _write(tmp_path / "m04.json", _m04_documents()[0])
+    return ["subdivide", "--complex", path, *flags]
+
+
 def _incompatible_subdivision(tmp_path):
     st = spanning_tree_fibration(1, ["1", "2"])
     sub = stellar(st.complex, "G1 x glue", (1, 2))
@@ -386,12 +392,17 @@ def test_negative_k_error_names_the_option(argv, capsys):
      "input error: a manifest's 'output' is a file path"),
     (lambda t: ["clutch", "--left", "\u00b2:1,c", "--right", "0:3,4,c"], 2,
      "input error: expected g:A with a genus g >= 0, not '\u00b2:1,c'"),
+    (lambda t: _m04_subdivide(t, "--ord", "--stellar", "G0", "--ray", "1"),
+     2, "input error: --ord takes no --stellar or --ray"),
+    (lambda t: _m04_subdivide(t, "--ray", "5,5"), 2,
+     "input error: --ray needs --stellar"),
 ], ids=["manifest-unreadable-input", "out-unwritable",
         "manifest-output-unwritable", "manifest-out-param",
         "manifest-input-not-a-path", "manifest-out-input",
         "weights-not-face-embedding", "non-utf8-input", "shear-ord",
         "manifest-output-list", "manifest-output-true",
-        "clutch-superscript-genus"])
+        "clutch-superscript-genus", "subdivide-ord-with-stellar",
+        "subdivide-ray-without-stellar"])
 def test_cli_errors_name_their_cause(tmp_path, argv, code, message, capsys):
     """``message`` is a pattern; {t} stands for the temporary directory."""
     assert cli.main(argv(tmp_path)) == code

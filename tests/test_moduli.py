@@ -278,7 +278,8 @@ def test_a_side_outside_the_table_keeps_the_solve_and_its_error():
     doubled = IntMatrix(data.basis.rows, data.basis.cols,
                         tuple(2 * x for x in data.basis.entries))
     broken = DistanceData(data.labels, data.pairs, data.m_matrix,
-                          data.free_projection, doubled, data.rank, {})
+                          data.free_projection, doubled, data.rank,
+                          split_coords={})
     assert broken.split_in_basis(("1",)) == (0,) * data.rank
     with pytest.raises(ModuliError, match="escapes"):
         broken.split_in_basis(("2", "3"))

@@ -2,16 +2,21 @@
 refuse assignment, and construct alike from positions and keywords."""
 
 import importlib
+import pkgutil
 
 import pytest
 
+import tropocone
 from tropocone.complexes import PoicComplex
 from tropocone.cone import poic_new
-from tropocone.graphs import enumerate_category, graph_new
+from tropocone.fibration import Fibration
+from tropocone.graphs import BadMarks, GraphError, enumerate_category, \
+    graph_new
 from tropocone.intlinalg import IntMatrix, Lattice
+from tropocone.io_json import SchemaError
 from tropocone.moduli import DistanceData
 from tropocone.subdivision import Report, identity_subdivision
-from tropocone.value import Value
+from tropocone.value import InputError, TropoconeError, Value
 from tropocone.weights import Weight, WeightLattice
 
 # module -> class -> its fields in positional order
@@ -123,6 +128,48 @@ def test_value_semantics(module, name):
         obj.not_a_field = 1
 
 
+@pytest.mark.parametrize("module,name", CLASSES)
+def test_binding_errors_raise_type_error(module, name):
+    """The constructor refuses what a function signature would: a missing
+    field, an extra position, an unknown keyword, a field given twice."""
+    cls = getattr(importlib.import_module(f"tropocone.{module}"), name)
+    fields = FIELDS[module][name]
+    values, _ = _values(name, fields)
+    for args, kwargs in (((), dict(zip(fields[1:], values[1:]))),
+                         ((*values, values[0]), {}),
+                         (values, {"not_a_field": 1}),
+                         (values, {fields[0]: values[0]}),
+                         (values[:1], {fields[0]: values[0]})):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def test_fibration_linear_defaults_to_none():
+    fields = FIELDS["fibration"]["Fibration"]
+    values = tuple(f"{f}-a" for f in fields[:-1])
+    assert Fibration(*values).linear is None
+    assert Fibration(**dict(zip(fields, values))).linear is None
+    assert Fibration(*values, linear="lin").linear == "lin"
+
+
+def test_every_error_derives_from_the_package_root():
+    """Each exception class a module defines is a ``TropoconeError``, so
+    the CLI maps it to an exit code; the input errors are ``InputError``."""
+    errors = []
+    for info in pkgutil.iter_modules(tropocone.__path__):
+        module = importlib.import_module(f"tropocone.{info.name}")
+        errors += [obj for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj.__module__ == module.__name__]
+    assert len(errors) >= 40
+    assert all(issubclass(e, TropoconeError) for e in errors), errors
+    assert issubclass(InputError, TropoconeError)
+    assert issubclass(TropoconeError, ValueError)
+    assert issubclass(SchemaError, InputError)
+    assert issubclass(BadMarks, InputError) and issubclass(BadMarks,
+                                                            GraphError)
+
+
 def test_equality_is_within_one_class():
     assert Weight(1, ()) != WeightLattice(1, ())
     assert Weight(1, ()) != (1, ())
@@ -148,6 +195,10 @@ def test_report_is_mutable_and_unhashable():
     assert repr(second) == "Report(issues=[])"
     second.issues = first.issues
     assert second == first
+    for args, kwargs in ((([], []), {}), ((), {"not_a_field": 1}),
+                         (([],), {"issues": []})):
+        with pytest.raises(TypeError):
+            Report(*args, **kwargs)
     with pytest.raises(TypeError):
         hash(first)
 
