@@ -101,6 +101,14 @@ class PoicComplex(Value):
             return IntMatrix.identity(self.dim(p))
         return self.face_maps[(p, q)]
 
+    def arrows(self):
+        """The hom-sets: each cone's identity, then each face map."""
+        homs = {(p, p): (IntMatrix.identity(self.dim(p)),)
+                for p in self.ids()}
+        homs.update(((p, q), (self.face_maps[(p, q)],))
+                    for (p, q) in self.order)
+        return homs
+
     def is_pure(self, n=None):
         """Every cone lies under some top-dimensional cone."""
         if n is None:
@@ -227,32 +235,37 @@ def product_id(p, q):
     return f"{p} x {q}"
 
 
+def product_objects(objects1, objects2):
+    """One product cone per pair of factor cones, in id order; returns
+    (cones, pairs) where pairs maps each product id to its factor ids."""
+    cones, pairs = {}, {}
+    for p in sorted(objects1):
+        for q in sorted(objects2):
+            pid = product_id(p, q)
+            cones[pid] = cone_product(objects1[p], objects2[q])
+            pairs[pid] = (p, q)
+    return cones, pairs
+
+
+def product_homs(homs1, homs2):
+    """The product rule for arrows: each pair of factor hom-sets (x1, y1)
+    and (x2, y2) gives the hom-set of (x1, x2) -> (y1, y2), the
+    block_diag of each pair of their matrices."""
+    return {(product_id(x1, x2), product_id(y1, y2)):
+            tuple(block_diag(a, b) for a in ms1 for b in ms2)
+            for (x1, y1), ms1 in homs1.items()
+            for (x2, y2), ms2 in homs2.items()}
+
+
 def product_complex(phi: PoicComplex, psi: PoicComplex):
     """Product complex; returns (complex, pairs) where pairs maps each
-    product id to its factor ids."""
-    cones = {}
-    pairs = {}
-    for p in phi.ids():
-        for q in psi.ids():
-            pid = product_id(p, q)
-            cones[pid] = cone_product(phi.cones[p], psi.cones[q])
-            pairs[pid] = (p, q)
-    order = set()
-    face_maps = {}
-    for p1 in phi.ids():
-        for q1 in psi.ids():
-            for p2 in phi.ids():
-                for q2 in psi.ids():
-                    le_p = p1 == p2 or (p1, p2) in phi.order
-                    le_q = q1 == q2 or (q1, q2) in psi.order
-                    if not (le_p and le_q) or (p1 == p2 and q1 == q2):
-                        continue
-                    a = product_id(p1, q1)
-                    b = product_id(p2, q2)
-                    order.add((a, b))
-                    face_maps[(a, b)] = block_diag(
-                        phi.facemap(p1, p2), psi.facemap(q1, q2))
-    return PoicComplex(cones=cones, order=frozenset(order),
+    product id to its factor ids.  Each product relation is a pair of
+    factor arrows (relations or identities, not both identities)."""
+    cones, pairs = product_objects(phi.cones, psi.cones)
+    face_maps = {r: m for r, (m,) in product_homs(phi.arrows(),
+                                                   psi.arrows()).items()
+                 if r[0] != r[1]}
+    return PoicComplex(cones=cones, order=frozenset(face_maps),
                        face_maps=face_maps), pairs
 
 

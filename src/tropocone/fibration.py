@@ -19,7 +19,7 @@ from .cone import (
 )
 from .complexes import LinearStructure, PoicComplex
 from .intlinalg import IntMatrix, unimodular_inverse
-from .spaces import iso_class_reps, space_from_complex, space_isos
+from .spaces import iso_class_reps, isos_from, space_from_complex, space_isos
 from .subdivision import (
     Report,
     Subdivision,
@@ -67,7 +67,6 @@ def validate_fibration(fib: Fibration) -> Report:
     report = Report()
     phi, space = fib.complex, fib.space
     relations = sorted(phi.order)
-    above = phi._neighbours[1]
     # naturality of the transforms
     for (p, q) in relations:
         if (p, q) not in fib.morphism_map:
@@ -82,7 +81,7 @@ def validate_fibration(fib: Fibration) -> Report:
         if lhs != rhs:
             report.add("shape", f"transform square fails at {p}<{q}")
     for (p, q) in relations:
-        for r in above.get(q, ()):
+        for r in phi.above(q):
             lhs = fib.pi_mor(q, r) @ fib.pi_mor(p, q)
             if lhs != fib.pi_mor(p, r):
                 report.add("shape", f"morphism map not functorial "
@@ -117,24 +116,29 @@ def validate_fibration(fib: Fibration) -> Report:
         if face is None or face.dim != target.rank:
             report.add("interior-iso",
                        f"transform at {p} does not identify interiors", p)
-    # axiom 3: lifting of space morphisms, unique up to isomorphism (the
-    # valid factorizations may differ by cones with isomorphic images, as
-    # in the two-sheet examples; their images must be isomorphic)
-    # in which q each composite g @ pi(p<q), g an iso pi(q) -> x, lands;
-    # the composites are formed once per (p, x) and looked up per f
+    _check_lifting(fib, reps, report)
+    return report
+
+
+def _check_lifting(fib: Fibration, reps, report: Report):
+    """Axiom 3: lifting of space morphisms, unique up to isomorphism (the
+    valid factorizations may differ by cones with isomorphic images, as in
+    the two-sheet examples; their images must be isomorphic).  Each cone
+    p tables the q that each composite g @ pi(p<q), g an iso out of pi(q),
+    lands in, keyed by (target of g, composite); each hom out of pi(p) is
+    looked up there."""
+    phi, space = fib.complex, fib.space
+    isos = {x: isos_from(space, x) for x in space.ids()}
     for p in sorted(phi.ids()):
         x0 = fib.pi(p)
-        for x in space.ids():
-            homs = space.hom(x0, x)
-            if not homs:
-                continue
-            lands = {}
-            for q in [p] + above.get(p, []):
-                pih = fib.pi_mor(p, q)
-                for g in space_isos(space, fib.pi(q), x):
-                    lands.setdefault(g @ pih, set()).add(q)
-            for f in homs:
-                valid_q = lands.get(f, ())
+        lands = {}
+        for q in [p] + phi.above(p):
+            pih = fib.pi_mor(p, q)
+            for x, g in isos[fib.pi(q)]:
+                lands.setdefault((x, g @ pih), set()).add(q)
+        for x in space.targets[x0]:
+            for f in space.hom(x0, x):
+                valid_q = lands.get((x, f), ())
                 if not valid_q:
                     report.add("lifting",
                                f"morphism {x0}->{x} does not lift at {p}",

@@ -37,8 +37,8 @@ class LoopContraction(GraphError):
     pass
 
 
-class UnstableParameters(GraphError):
-    pass
+class UnstableParameters(GraphError, InputError):
+    """A genus and marks with 2g + #A - 2 <= 0, which no stable graph has."""
 
 
 class BadMarks(GraphError, InputError):

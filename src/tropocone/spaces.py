@@ -8,6 +8,8 @@ uniquely up to isomorphism) are verified exhaustively.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .cone import check_morphism, faces
 from .complexes import PoicComplex
 from .intlinalg import IntMatrix
@@ -22,7 +24,7 @@ class PoicSpace(Value):
     """A poic-space: ``objects`` maps an id to its Poic, and ``homs`` a
     pair (x, y) to the tuple of its IntMatrix morphisms."""
 
-    __slots__ = _fields = ("objects", "homs")
+    _fields = ("objects", "homs")
 
     def ids(self):
         return sorted(self.objects)
@@ -32,6 +34,15 @@ class PoicSpace(Value):
 
     def hom(self, x, y):
         return self.homs.get((x, y), ())
+
+    @cached_property
+    def targets(self):
+        """The sorted targets of the hom-sets out of each object, built
+        once."""
+        targets = {x: [] for x in self.objects}
+        for (x, y) in sorted(self.homs):
+            targets.setdefault(x, []).append(y)
+        return targets
 
     def classes(self, k):
         reps = iso_class_reps(self)
@@ -57,8 +68,16 @@ def space_isos(space: PoicSpace, x, y):
     return [m for m in space.hom(x, y) if is_space_iso(space, x, y, m)]
 
 
+def isos_from(space: PoicSpace, x):
+    """The isomorphisms out of x, as (target, matrix) pairs in target
+    order."""
+    return [(y, m) for y in space.targets[x] if space.dim(y) == space.dim(x)
+            for m in space_isos(space, x, y)]
+
+
 def iso_class_reps(space: PoicSpace):
-    """Representative (smallest id) of each isomorphism class."""
+    """Representative (smallest id) of each isomorphism class: the classes
+    are joined along the hom-sets that hold an isomorphism."""
     reps = {x: x for x in space.ids()}
 
     def find(x):
@@ -67,27 +86,19 @@ def iso_class_reps(space: PoicSpace):
             x = reps[x]
         return x
 
-    for x in space.ids():
-        for y in space.ids():
-            if x < y and space_isos(space, x, y):
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    a, b = sorted((rx, ry))
-                    reps[b] = a
+    for (x, y) in space.homs:
+        if x < y and space.dim(x) == space.dim(y) \
+                and space_isos(space, x, y):
+            a, b = sorted((find(x), find(y)))
+            reps[b] = a
     return {x: find(x) for x in space.ids()}
 
 
 def space_new(objects, homs) -> PoicSpace:
     """Validated poic-space from objects and extensional hom-sets."""
     objects = dict(objects)
-    cleaned = {}
-    for (x, y), mats in homs.items():
-        uniq = []
-        for m in mats:
-            if m not in uniq:
-                uniq.append(m)
-        if uniq:
-            cleaned[(x, y)] = tuple(uniq)
+    cleaned = {key: tuple(dict.fromkeys(mats))
+               for key, mats in homs.items() if mats}
     space = PoicSpace(objects=objects, homs=cleaned)
     for x in space.ids():
         if IntMatrix.identity(space.dim(x)) not in space.hom(x, x):
@@ -103,12 +114,9 @@ def space_new(objects, homs) -> PoicSpace:
             realizations.setdefault((y, mor.face.gens_key), []).append(
                 (x, m))
     # composition closure, on the composable pairs (x -> y, y -> z)
-    targets = {}
-    for (y, z) in sorted(cleaned):
-        targets.setdefault(y, []).append(z)
     members = {key: set(mats) for key, mats in cleaned.items()}
     for (x, y) in sorted(cleaned):
-        for z in targets.get(y, ()):
+        for z in space.targets[y]:
             for f in cleaned[(x, y)]:
                 for g in cleaned[(y, z)]:
                     if g @ f not in members.get((x, z), ()):
@@ -135,9 +143,4 @@ def space_new(objects, homs) -> PoicSpace:
 
 def space_from_complex(phi: PoicComplex) -> PoicSpace:
     """A poset complex viewed as a poic-space."""
-    homs = {}
-    for p in phi.ids():
-        homs[(p, p)] = (IntMatrix.identity(phi.dim(p)),)
-    for (p, q) in phi.order:
-        homs[(p, q)] = (phi.facemap(p, q),)
-    return space_new(dict(phi.cones), homs)
+    return space_new(dict(phi.cones), phi.arrows())

@@ -14,12 +14,13 @@ from functools import reduce
 from .complexes import (
     LinearStructure,
     product_complex,
+    product_homs,
     product_id,
     product_linear,
+    product_objects,
     relint_complex,
 )
 from .cone import poic_new
-from .cone import product as cone_product
 from .fibration import (
     Fibration,
     FibrationError,
@@ -47,7 +48,7 @@ from .moduli import (
     build_moduli,
     distance_structure,
 )
-from .spaces import space_from_complex, space_isos, space_new
+from .spaces import isos_from, space_from_complex, space_isos, space_new
 from .subdivision import (
     ComplexMorphism,
     Subdivision,
@@ -121,20 +122,15 @@ def spanning_tree_fibration(g, labels) -> STFibration:
         raise UnstableParameters("unstable parameters for the fibration")
     full = tuple(sorted(labels + tuple(gluing_labels(g))))
     trees = build_moduli(0, full)
-    if g == 0:
-        glue = relint_complex(poic_new(0, []), "glue")
-    else:
-        glue = relint_complex(
-            poic_new(g, [(tuple(1 if j == i else 0 for j in range(g)), True)
-                         for i in range(g)]), "glue")
+    # the gluing factor: a positive orthant with the zero linear structure
+    glue = relint_complex(
+        poic_new(g, [(tuple(int(j == i) for j in range(g)), True)
+                     for i in range(g)]), "glue")
     source, pairs = product_complex(trees.complex, glue)
     dist = trees.distance
-    maps = {}
-    for pid, (t_id, _) in pairs.items():
-        base = trees.linear.maps[t_id]
-        rows = [tuple(base.row(i)) + (0,) * g for i in range(base.rows)]
-        maps[pid] = IntMatrix.from_rows(rows, base.cols + g)
-    linear = LinearStructure(target_rank=dist.rank, maps=maps)
+    linear = product_linear(trees.complex, trees.linear, glue,
+                            LinearStructure(0, {"glue": IntMatrix(0, g, ())}),
+                            pairs)
 
     if g == 0:
         # the gluing set is empty, so the trees are the target
@@ -210,12 +206,8 @@ def validate_fibration_morphism(fm: FibrationMorphism):
     sp_s, sp_t = src.space, tgt.space
     for (x, y), mats in sorted(sp_s.homs.items()):
         for f in mats:
-            cand = None
-            for f2 in sp_t.hom(fm.space_map[x], fm.space_map[y]):
-                if f2 @ fm.space_matrices[x] == fm.space_matrices[y] @ f:
-                    cand = f2
-                    break
-            if cand is None:
+            if not any(f2 @ fm.space_matrices[x] == fm.space_matrices[y] @ f
+                       for f2 in sp_t.hom(fm.space_map[x], fm.space_map[y])):
                 raise FibrationMorphismError(
                     f"space morphism {x}->{y} has no image hom")
     return True
@@ -225,22 +217,19 @@ def space_iso_lifting(fm: FibrationMorphism):
     """The lifting property of isomorphisms demanded of (weakly) proper
     morphisms of fibrations; returns (flag, witness)."""
     sp_s, sp_t = fm.source.fibration.space, fm.target.fibration.space
+    fibres = {}
+    for x in sp_s.ids():
+        fibres.setdefault(fm.space_map[x], []).append(x)
+    lifts = {x: isos_from(sp_s, x) for x in sp_s.ids()}
     for s in sp_t.ids():
-        for t in sp_t.ids():
-            for f in space_isos(sp_t, s, t):
-                for s2 in sp_s.ids():
-                    if fm.space_map[s2] != s:
-                        continue
-                    found = []
-                    for t2 in sp_s.ids():
-                        if fm.space_map[t2] != t:
-                            continue
-                        for f2 in space_isos(sp_s, s2, t2):
-                            if fm.space_matrices[t2] @ f2 == \
-                                    f @ fm.space_matrices[s2]:
-                                found.append((t2, f2))
-                    if len(found) != 1:
-                        return False, (s2, f, found)
+        for t, f in isos_from(sp_t, s):
+            for s2 in fibres.get(s, ()):
+                found = [(t2, f2) for t2, f2 in lifts[s2]
+                         if fm.space_map[t2] == t
+                         and fm.space_matrices[t2] @ f2
+                         == f @ fm.space_matrices[s2]]
+                if len(found) != 1:
+                    return False, (s2, f, found)
     return True, None
 
 
@@ -451,20 +440,9 @@ def product_fibration(left: STFibration, right: STFibration):
     source, pairs = product_complex(f1.complex, f2.complex)
     linear = product_linear(f1.complex, f1.linear, f2.complex, f2.linear,
                             pairs)
-    objects = {}
-    space_pairs = {}
-    homs = {}
-    for x1 in f1.space.ids():
-        for x2 in f2.space.ids():
-            xid = product_id(x1, x2)
-            objects[xid] = cone_product(f1.space.objects[x1],
-                                        f2.space.objects[x2])
-            space_pairs[xid] = (x1, x2)
-    for (x1, y1), m1s in f1.space.homs.items():
-        for (x2, y2), m2s in f2.space.homs.items():
-            key = (product_id(x1, x2), product_id(y1, y2))
-            homs[key] = tuple(block_diag(a, b) for a in m1s for b in m2s)
-    space = space_new(objects, homs)
+    objects, space_pairs = product_objects(f1.space.objects,
+                                           f2.space.objects)
+    space = space_new(objects, product_homs(f1.space.homs, f2.space.homs))
     object_map = {}
     transforms = {}
     for pid, (p1, p2) in pairs.items():

@@ -1,15 +1,18 @@
 import pytest
 
 from tropocone.cone import poic_new
+from tropocone.cone import product as cone_product
 from tropocone.complexes import (
     LinearStructure,
     MissingFace,
     NotPolyhedralComplex,
     NotThin,
+    PoicComplex,
     PolyhedralCell,
     complex_new,
     conify,
     product_complex,
+    product_id,
     relint_complex,
     single_cone_complex,
     skeleton,
@@ -17,7 +20,8 @@ from tropocone.complexes import (
     star1,
     validate_linear,
 )
-from tropocone.intlinalg import IntMatrix
+from tropocone.intlinalg import IntMatrix, block_diag
+from tropocone.moduli import build_moduli
 from tropocone.spaces import space_new
 
 
@@ -98,6 +102,67 @@ def test_product_complex():
     two = skeleton(phi, 1)  # 3 cones
     prod, _ = product_complex(two, r)
     assert len(prod.ids()) == 3
+
+
+# reference: the product over every pair of product cones, with an order
+# membership test for each
+
+def _reference_product_complex(phi: PoicComplex, psi: PoicComplex):
+    """Product complex; returns (complex, pairs) where pairs maps each
+    product id to its factor ids."""
+    cones = {}
+    pairs = {}
+    for p in phi.ids():
+        for q in psi.ids():
+            pid = product_id(p, q)
+            cones[pid] = cone_product(phi.cones[p], psi.cones[q])
+            pairs[pid] = (p, q)
+    order = set()
+    face_maps = {}
+    for p1 in phi.ids():
+        for q1 in psi.ids():
+            for p2 in phi.ids():
+                for q2 in psi.ids():
+                    le_p = p1 == p2 or (p1, p2) in phi.order
+                    le_q = q1 == q2 or (q1, q2) in psi.order
+                    if not (le_p and le_q) or (p1 == p2 and q1 == q2):
+                        continue
+                    a = product_id(p1, q1)
+                    b = product_id(p2, q2)
+                    order.add((a, b))
+                    face_maps[(a, b)] = block_diag(
+                        phi.facemap(p1, p2), psi.facemap(q1, q2))
+    return PoicComplex(cones=cones, order=frozenset(order),
+                       face_maps=face_maps), pairs
+
+
+def _moduli(*marks):
+    return build_moduli(0, list(marks)).complex
+
+
+def _open_ray():
+    return relint_complex(poic_new(1, [((1,), True)]), "r")
+
+
+@pytest.mark.parametrize("factors", [
+    lambda: (_moduli("1", "2", "3", "4", "5"),
+             relint_complex(poic_new(0, []), "glue")),
+    lambda: (_moduli("1", "2", "3", "4"), _moduli("1", "2", "3", "4")),
+    lambda: (quadrant_complex(), _open_ray()),
+    lambda: (complex_new(shear_cones(), {("a", "b")}, {("a", "b"): SHEAR}),
+             quadrant_complex()),
+], ids=["m05-point", "m04-m04", "quadrant-open-ray", "line-quadrant"])
+def test_product_complex_matches_the_all_pairs_reference(factors):
+    """One product relation per pair of factor arrows gives the cones,
+    relations and face maps of the all-pairs product, and a valid
+    complex."""
+    phi, psi = factors()
+    prod, pairs = product_complex(phi, psi)
+    ref, ref_pairs = _reference_product_complex(phi, psi)
+    assert prod == ref
+    assert list(pairs.items()) == list(ref_pairs.items())
+    assert prod.order
+    complex_new(prod.cones, prod.order, prod.face_maps)
 
 
 def test_star1():

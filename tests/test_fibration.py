@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tropocone import cone, io_json
+from tropocone import cone, fibration, io_json, spaces
 from tropocone.cone import (
     NotIntoCodomain,
     Poic,
@@ -23,6 +23,7 @@ from tropocone.fibration import (
     NotPureSource,
     _absent_closure_faces,
     _apply_cells,
+    _check_lifting,
     compatible_refinement,
     equivariant_basis,
     fibration_from_complex,
@@ -420,6 +421,167 @@ def test_space_and_fibration_checks_match_reference(g, labels):
         if kind == "drop" and g > 0:
             # a lost automorphism breaks lifting, past the shape checks
             assert issues[0]["axiom"] == "lifting"
+
+
+# ---------------------------------------------------------------------------
+# references: the isomorphism classes from space_isos on every pair of
+# objects, and the lifting axiom with its composites formed once per (p, x)
+# for every object x of the space
+
+def _reference_iso_class_reps(space: PoicSpace):
+    """Representative (smallest id) of each isomorphism class."""
+    reps = {x: x for x in space.ids()}
+
+    def find(x):
+        while reps[x] != x:
+            reps[x] = reps[reps[x]]
+            x = reps[x]
+        return x
+
+    for x in space.ids():
+        for y in space.ids():
+            if x < y and space_isos(space, x, y):
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    a, b = sorted((rx, ry))
+                    reps[b] = a
+    return {x: find(x) for x in space.ids()}
+
+
+def _reference_lifting(fib, reps, report):
+    phi, space = fib.complex, fib.space
+    above = phi._neighbours[1]
+    # axiom 3: lifting of space morphisms, unique up to isomorphism (the
+    # valid factorizations may differ by cones with isomorphic images, as
+    # in the two-sheet examples; their images must be isomorphic)
+    # in which q each composite g @ pi(p<q), g an iso pi(q) -> x, lands;
+    # the composites are formed once per (p, x) and looked up per f
+    for p in sorted(phi.ids()):
+        x0 = fib.pi(p)
+        for x in space.ids():
+            homs = space.hom(x0, x)
+            if not homs:
+                continue
+            lands = {}
+            for q in [p] + above.get(p, []):
+                pih = fib.pi_mor(p, q)
+                for g in space_isos(space, fib.pi(q), x):
+                    lands.setdefault(g @ pih, set()).add(q)
+            for f in homs:
+                valid_q = lands.get(f, ())
+                if not valid_q:
+                    report.add("lifting",
+                               f"morphism {x0}->{x} does not lift at {p}",
+                               (p, x))
+                elif len({reps[fib.pi(q)] for q in valid_q}) > 1:
+                    report.add("lifting",
+                               f"lifts of {x0}->{x} at {p} land in "
+                               f"non-isomorphic images: {sorted(valid_q)}",
+                               (p, x))
+    return report
+
+
+def _blocks_space(blocks):
+    """Open rays, one per id, with the identity between any two ids of a
+    block: the blocks are the isomorphism classes."""
+    ray = poic_new(1, [((1,), True)])
+    one = (IntMatrix.identity(1),)
+    return space_new({x: ray for block in blocks for x in block},
+                     {(x, y): one for block in blocks
+                      for x in block for y in block})
+
+
+def _clutch_product_space():
+    from tropocone.stfib import product_fibration
+    return product_fibration(spanning_tree_fibration(1, ["1", "c"]),
+                             spanning_tree_fibration(0, ["3", "4", "c"])
+                             ).fibration.space
+
+
+@pytest.mark.parametrize("space", [
+    lambda: build_moduli(2, []).space,
+    lambda: space_from_complex(
+        build_moduli(0, ["1", "2", "3", "4", "5"]).complex),
+    _clutch_product_space,
+    lambda: _blocks_space([["e", "b", "f"], ["d"], ["c", "a"], ["g", "h"]]),
+], ids=["m2", "m05", "clutch-product", "blocks"])
+def test_iso_classes_match_the_all_pairs_reference(space):
+    """Joining along the hom-sets that hold an isomorphism gives the
+    classes of space_isos on every pair of objects."""
+    space = space()
+    assert iso_class_reps(space) == _reference_iso_class_reps(space)
+
+
+def test_iso_classes_are_the_blocks_with_their_least_ids():
+    space = _blocks_space([["e", "b", "f"], ["d"], ["c", "a"], ["g", "h"]])
+    assert iso_class_reps(space) == {"a": "a", "b": "b", "c": "a", "d": "d",
+                                     "e": "b", "f": "b", "g": "g", "h": "g"}
+
+
+def _broken(fib, rng):
+    """Seeded broken copies of a fibration: three with one morphism-map
+    entry swapped for another hom of its shape, two with one transform
+    swapped for that of another cone of its dimension."""
+    mats = sorted({m for ms in fib.space.homs.values() for m in ms},
+                  key=lambda m: (m.rows, m.cols, m.entries))
+    swaps = [(rel, m) for rel, old in sorted(fib.morphism_map.items())
+             for m in mats if (m.rows, m.cols) == (old.rows, old.cols)
+             and m != old]
+    for rel, new in rng.sample(swaps, min(3, len(swaps))):
+        yield Fibration(fib.complex, fib.space, fib.object_map,
+                        fib.transforms, {**fib.morphism_map, rel: new},
+                        fib.linear)
+    phi = fib.complex
+    pairs = [(p, q) for p in phi.ids() for q in phi.ids()
+             if phi.dim(p) == phi.dim(q) > 0
+             and fib.transforms[p] != fib.transforms[q]]
+    for p, q in rng.sample(pairs, min(2, len(pairs))):
+        yield Fibration(phi, fib.space, fib.object_map,
+                        {**fib.transforms, p: fib.transforms[q]},
+                        fib.morphism_map, fib.linear)
+
+
+@pytest.mark.parametrize("g,labels", [(0, ["1", "2", "3", "4", "5"]),
+                                      (1, ["a", "b"]), (2, [])])
+def test_lifting_table_matches_the_per_object_reference(g, labels):
+    """The lifting check tables each cone's composites once and walks the
+    homs out of pi(p); its issues equal, in order, those of the loop over
+    every object x, on valid fibrations and on broken ones (which the
+    lifting check is handed directly, past the shape checks that would
+    stop validate_fibration first)."""
+    fib = spanning_tree_fibration(g, labels).fibration
+    reps = iso_class_reps(fib.space)
+    assert validate_fibration(fib).ok
+    assert _check_lifting(fib, reps, Report()).ok
+    assert _reference_lifting(fib, reps, Report()).ok
+    seen = 0
+    for broken in _broken(fib, random.Random(f"broken {g} {labels}")):
+        issues = _check_lifting(broken, reps, Report()).issues
+        assert issues == _reference_lifting(broken, reps, Report()).issues
+        seen += bool(issues)
+        assert not validate_fibration(broken).ok
+        assert validate_fibration(broken).issues \
+            == _reference_validate_fibration(broken).issues
+    # a swapped morphism-map entry leaves some hom without its lift
+    assert seen
+
+
+def test_validate_fibration_calls_space_isos_per_hom(monkeypatch):
+    """The lifting table reads the isomorphisms out of each object once,
+    and the classes come from the hom-sets: at most 4 space_isos calls per
+    hom-set on st(0, a,1..5), where the loop over every pair (p, x) made
+    97,911."""
+    fib = spanning_tree_fibration(0, ["a", "1", "2", "3", "4", "5"]).fibration
+    real, calls = spaces.space_isos, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (spaces, fibration):
+        monkeypatch.setattr(module, "space_isos", counted)
+    assert validate_fibration(fib).ok
+    assert 0 < len(calls) <= 4 * len(fib.space.homs)
 
 
 # ---------------------------------------------------------------------------

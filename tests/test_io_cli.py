@@ -396,13 +396,20 @@ def test_negative_k_error_names_the_option(argv, capsys):
      2, "input error: --ord takes no --stellar or --ray"),
     (lambda t: _m04_subdivide(t, "--ray", "5,5"), 2,
      "input error: --ray needs --stellar"),
+    (lambda t: ["enumerate", "--genus", "0", "--marks", "1,2"], 2,
+     r"input error: 2g \+ #A - 2 must be positive"),
+    (lambda t: ["build-moduli", "--genus", "0", "--marks", "1,2"], 2,
+     r"input error: 2g \+ #A - 2 must be positive"),
+    (lambda t: ["st-fibration", "--genus", "1", "--marks="], 2,
+     "input error: unstable parameters for the fibration"),
 ], ids=["manifest-unreadable-input", "out-unwritable",
         "manifest-output-unwritable", "manifest-out-param",
         "manifest-input-not-a-path", "manifest-out-input",
         "weights-not-face-embedding", "non-utf8-input", "shear-ord",
         "manifest-output-list", "manifest-output-true",
         "clutch-superscript-genus", "subdivide-ord-with-stellar",
-        "subdivide-ray-without-stellar"])
+        "subdivide-ray-without-stellar", "enumerate-unstable",
+        "build-moduli-unstable", "st-fibration-unstable"])
 def test_cli_errors_name_their_cause(tmp_path, argv, code, message, capsys):
     """``message`` is a pattern; {t} stands for the temporary directory."""
     assert cli.main(argv(tmp_path)) == code

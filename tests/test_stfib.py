@@ -1,6 +1,6 @@
 import pytest
 
-from tropocone import stfib
+from tropocone import stfib, subdivision
 from tropocone.cone import NotIntoCodomain, check_morphism
 from tropocone.fibration import (
     FibrationError,
@@ -282,6 +282,56 @@ def test_fibration_pushforward_forgetful_m05_to_m04():
         audit[t] = audit.get(t, 0) + lattice_index(sup, sub)
     assert {t: v for t, v in audit.items() if v} == out.nonzero()
     assert len(set(vals)) == 1  # proportional to the fundamental weight
+
+
+# ---------------------------------------------------------------------------
+# the dilaton equation ft_a* psi_a = (n - 2) [M_0,n] (Kerber & Markwig,
+# "Intersecting Psi-classes on tropical M_{0,n}", IMRN 2009), with psi_a
+# read off the trees rather than computed by the library
+
+def _psi(st, leg):
+    """psi_leg on the source of st: weight 1 on each codimension-one cone
+    whose one 4-valent vertex carries the leg."""
+    k = st.complex.max_dim() - 1
+    values = {}
+    for pid in st.complex.classes(k):
+        tree = st.trees.category.classes[st.tree_of_cone[pid]]
+        v = tree.root[tree.marking_dict()[leg]]
+        if sum(tree.root[x] == v for x in range(tree.nflags)) - 1 == 4:
+            values[pid] = 1
+    return Weight(k, values)
+
+
+def _dilaton(n):
+    """ft_a* psi_a along forgetful(0, [a, 1..n], a), on the P-fine
+    refinement of M_0,n; and the weight the dilaton equation predicts."""
+    fm = forgetful(0, ["a"] + [str(i) for i in range(1, n + 1)], "a")
+    psi = _psi(fm.source, "a")
+    assert psi.values
+    assert is_balanced(fm.source.complex, fm.source.fibration.linear, psi)
+    from tropocone.subdivision import pfine_refinement
+    fine = pfine_refinement(fm.complex_morphism())
+    out = fibration_pushforward(fm, identity_subdivision(fm.source.complex),
+                                fine, identity_subdivision(fine.source), psi,
+                                psi.dim)
+    top = fine.source.classes(fine.source.max_dim())
+    return out.nonzero(), {t: n - 2 for t in top}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_dilaton_pushes_psi_to_n_minus_two(n):
+    pushed, expected = _dilaton(n)
+    assert pushed == expected
+
+
+def test_dilaton_sees_a_wrong_lattice_index(monkeypatch):
+    """A pushforward that adds one to every lattice index fails the
+    dilaton equation."""
+    real = subdivision.lattice_index
+    monkeypatch.setattr(subdivision, "lattice_index",
+                        lambda sup, sub: real(sup, sub) + 1)
+    pushed, expected = _dilaton(4)
+    assert pushed != expected
 
 
 def test_fibration_pushforward_clutching_trivial_subdivisions():

@@ -10,8 +10,8 @@ import tropocone
 from tropocone.complexes import PoicComplex
 from tropocone.cone import poic_new
 from tropocone.fibration import Fibration
-from tropocone.graphs import BadMarks, GraphError, enumerate_category, \
-    graph_new
+from tropocone.graphs import BadMarks, GraphError, UnstableParameters, \
+    enumerate_category, graph_new
 from tropocone.intlinalg import IntMatrix, Lattice
 from tropocone.io_json import SchemaError
 from tropocone.moduli import DistanceData
@@ -166,8 +166,8 @@ def test_every_error_derives_from_the_package_root():
     assert issubclass(InputError, TropoconeError)
     assert issubclass(TropoconeError, ValueError)
     assert issubclass(SchemaError, InputError)
-    assert issubclass(BadMarks, InputError) and issubclass(BadMarks,
-                                                            GraphError)
+    for error in (BadMarks, UnstableParameters):
+        assert issubclass(error, InputError) and issubclass(error, GraphError)
 
 
 def test_equality_is_within_one_class():
