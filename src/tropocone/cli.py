@@ -9,6 +9,7 @@ Exit codes: 0 verified/computed, 1 validation failure (a
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -43,14 +44,19 @@ def _nonnegative(text):
 
 
 def _write_out(doc, path):
-    if path:
-        try:
+    try:
+        if path:
             with open(path, "w") as fh:
                 io_json.dump(doc, fh)
-        except OSError as exc:
-            raise SchemaError(f"cannot write {path}: {exc}") from exc
-    else:
-        io_json.dump(doc, sys.stdout)
+        else:
+            io_json.dump(doc, sys.stdout)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not path:
+            # a closed stdout: the interpreter's last flush goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SchemaError(
+            f"cannot write {path or 'standard output'}: {exc}") from exc
 
 
 def _marks(text):

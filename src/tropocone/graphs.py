@@ -154,6 +154,27 @@ def _merge(g: DiscreteGraph, forest):
     return comp
 
 
+def rebuild(nflags, root, inv, marking, removed):
+    """The graph on the flags 0..nflags-1 not in ``removed``, kept in
+    their order: ``root`` and ``inv`` are lists on the old flags and
+    ``marking`` (label, old flag) pairs.  Returns (graph, flag map old ->
+    new)."""
+    new = {}
+    for x in range(nflags):
+        if x not in removed:
+            new[x] = len(new)
+    return graph_new(len(new), [new[root[x]] for x in new],
+                     [new[inv[x]] for x in new],
+                     {lab: new[f] for lab, f in marking}), new
+
+
+def carry(e, flags):
+    """The edge e = (a, b) carried through the flag map ``flags``, as a
+    sorted pair."""
+    a, b = flags[e[0]], flags[e[1]]
+    return (a, b) if a < b else (b, a)
+
+
 def _contract_forest(g: DiscreteGraph, forest):
     """Contract a forest of edges in one pass; returns (graph, flag map
     old -> new).  Each component keeps its least vertex and the other
@@ -167,14 +188,8 @@ def _contract_forest(g: DiscreteGraph, forest):
     comp = _merge(g, forest)
     removed = {x for e in forest for x in e}
     removed |= {v for v, c in comp.items() if c != v}
-    new_index = {}
-    for x in range(g.nflags):
-        if x not in removed:
-            new_index[x] = len(new_index)
-    root = [new_index[comp[g.root[x]]] for x in new_index]
-    inv = [new_index[g.inv[x]] for x in new_index]
-    marking = {lab: new_index[f] for lab, f in g.marking}
-    return graph_new(len(new_index), root, inv, marking), new_index
+    return rebuild(g.nflags, [comp[v] for v in g.root], g.inv, g.marking,
+                   removed)
 
 
 def contract(g: DiscreteGraph, e) -> DiscreteGraph:
@@ -189,12 +204,8 @@ def contract_set(g: DiscreteGraph, edge_set):
     of the contraction.
     """
     current, flagmap = _contract_forest(g, edge_set)
-    edge_map = {}
-    for (a, b) in g.edges():
-        if a in flagmap and b in flagmap:
-            na, nb = flagmap[a], flagmap[b]
-            edge_map[(a, b)] = (min(na, nb), max(na, nb))
-    return current, edge_map
+    return current, {e: carry(e, flagmap) for e in g.edges()
+                     if e[0] in flagmap and e[1] in flagmap}
 
 
 def is_forest(g: DiscreteGraph, edge_set):
@@ -358,29 +369,21 @@ def star_tree(labels) -> DiscreteGraph:
     return graph_new(n + 1, root, inv, marking)
 
 
-def _graft_on_leg(t: DiscreteGraph, leg_flag, new_label):
+def _graft(t: DiscreteGraph, flag, label):
+    """Graft a trivalent vertex n carrying a new leg n+3 = ``label`` onto
+    the leg or edge at ``flag``: flag is joined to n+1, and n+2 takes the
+    flag's old partner, or for a leg its old label."""
     n = t.nflags
-    w, p, q, s = n, n + 1, n + 2, n + 3
-    root = list(t.root) + [w, w, w, w]
-    inv = list(t.inv) + [w, leg_flag, q, s]
-    inv[leg_flag] = p
+    other = t.inv[flag]
+    root = list(t.root) + [n] * 4
+    inv = list(t.inv) + [n, flag, n + 2, n + 3]
+    inv[flag] = n + 1
     marking = dict(t.marking)
-    old_label = t.label_of(leg_flag)
-    marking[old_label] = q
-    marking[str(new_label)] = s
-    return graph_new(n + 4, root, inv, marking)
-
-
-def _graft_on_edge(t: DiscreteGraph, edge, new_label):
-    a, b = edge
-    n = t.nflags
-    w, c, d, s = n, n + 1, n + 2, n + 3
-    root = list(t.root) + [w, w, w, w]
-    inv = list(t.inv) + [w, a, b, s]
-    inv[a] = c
-    inv[b] = d
-    marking = dict(t.marking)
-    marking[str(new_label)] = s
+    if other == flag:
+        marking[t.label_of(flag)] = n + 2
+    else:
+        inv[other], inv[n + 2] = n + 2, other
+    marking[str(label)] = n + 3
     return graph_new(n + 4, root, inv, marking)
 
 
@@ -394,10 +397,8 @@ def trivalent_trees(labels):
     for lab in labels[3:]:
         nxt = []
         for t in trees:
-            for leg in t.legs():
-                nxt.append(_graft_on_leg(t, leg, lab))
-            for e in t.edges():
-                nxt.append(_graft_on_edge(t, e, lab))
+            nxt += [_graft(t, leg, lab) for leg in t.legs()]
+            nxt += [_graft(t, a, lab) for a, _ in t.edges()]
         trees = nxt
     return trees
 
@@ -545,17 +546,11 @@ def contractions_from(cat: GraphCategory, big_id):
             quotient, edge_map = contract_set(big, combo)
             small_id, phi = cat.locate(quotient)
             # edge bijection: small edge -> quotient edge -> big edge
-            inv_edge = {}
-            for ge, qe in edge_map.items():
-                a, b = phi[qe[0]], phi[qe[1]]
-                inv_edge[(min(a, b), max(a, b))] = ge
+            inv_edge = {carry(qe, phi): ge for ge, qe in edge_map.items()}
             maps = out.setdefault(small_id, [])
             small_edges = cat.classes[small_id].edges()
             for auto in cat.automorphisms[small_id]:
-                mapping = {}
-                for (a, b) in small_edges:
-                    ia, ib = auto[a], auto[b]
-                    mapping[(a, b)] = inv_edge[(min(ia, ib), max(ia, ib))]
+                mapping = {e: inv_edge[carry(e, auto)] for e in small_edges}
                 key = (small_id, tuple(sorted(mapping.items())))
                 if key not in seen:
                     seen.add(key)

@@ -170,15 +170,17 @@ class ModuliSpace(Value):
     __slots__ = _fields = ("category", "space")
 
 
-def _contraction_matrix(small: DiscreteGraph, big: DiscreteGraph, mapping):
-    """Face-embedding matrix sigma_small -> sigma_big from an edge map."""
-    big_idx = {e: i for i, e in enumerate(big.edges())}
-    cols = []
-    for e in small.edges():
-        col = [0] * len(big_idx)
-        col[big_idx[mapping[e]]] = 1
-        cols.append(tuple(col))
-    return IntMatrix.from_cols(cols, len(big_idx))
+def edge_matrix(rows, cols, image):
+    """The 0/1 matrix with a row per key of ``rows`` and a column per key
+    of ``cols``: column j has its 1 at the row of image[cols[j]], and none
+    when cols[j] has no image.  A contraction's face map is the one from
+    the small graph's edges to the big graph's."""
+    at = {key: i for i, key in enumerate(rows)}
+    entries = [0] * (len(rows) * len(cols))
+    for j, key in enumerate(cols):
+        if key in image:
+            entries[at[image[key]] * len(cols) + j] = 1
+    return IntMatrix(len(rows), len(cols), tuple(entries))
 
 
 def build_moduli(g, labels):
@@ -202,8 +204,9 @@ def build_moduli(g, labels):
                     raise ModuliError(
                         "genus-zero skeleton is not a poset")
                 order.add((small_id, big_id))
-                fmaps[(small_id, big_id)] = _contraction_matrix(
-                    cat.classes[small_id], cat.classes[big_id], mors[0])
+                fmaps[(small_id, big_id)] = edge_matrix(
+                    cat.classes[big_id].edges(),
+                    cat.classes[small_id].edges(), mors[0])
         phi = complex_new(cones, order, fmaps)
         maps = {cid: tree_distance_matrix(rep, data)
                 for cid, rep in cat.classes.items()}
@@ -215,10 +218,9 @@ def build_moduli(g, labels):
     for y in cat.ids():
         out_of_y = contractions_from(cat, y)
         for x in cat.ids():
-            mats = []
-            for mapping in out_of_y.get(x, ()):
-                mats.append(_contraction_matrix(
-                    cat.classes[x], cat.classes[y], mapping))
+            mats = [edge_matrix(cat.classes[y].edges(),
+                                cat.classes[x].edges(), mapping)
+                    for mapping in out_of_y.get(x, ())]
             if mats:
                 homs[(x, y)] = tuple(mats)
     space = space_new(cones, homs)

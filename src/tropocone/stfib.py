@@ -32,9 +32,11 @@ from .graphs import (
     BadMarks,
     DiscreteGraph,
     UnstableParameters,
+    carry,
     check_marks,
     gluing_labels,
     graph_new,
+    rebuild,
     st_join,
 )
 from .intlinalg import (
@@ -47,6 +49,7 @@ from .moduli import (
     DistanceData,
     build_moduli,
     distance_structure,
+    edge_matrix,
 )
 from .spaces import isos_from, space_from_complex, space_isos, space_new
 from .subdivision import (
@@ -93,25 +96,17 @@ class STFibration(Value):
         return self.fibration.space
 
 
-def _unit_rows(keys, col):
-    """One unit row per key, at that key's column."""
-    n = len(col)
-    return IntMatrix(len(keys), n, tuple(
-        int(col[k] == j) for k in keys for j in range(n)))
-
-
 def _st_edge_matrix(tree_rep: DiscreteGraph, g: int, cat):
     """Class of st(T) in cat and the matrix sigma_T x R^g ->
     sigma_{st(T)-rep}."""
     image = st_join(tree_rep, g) if g > 0 else tree_rep
     # st_join keeps the flags, so every edge of the image is a tree edge
     # or a gluing pair
-    col = {e: i for i, e in enumerate(tree_rep.edges())}
     marking = tree_rep.marking_dict()
-    for i in range(1, g + 1):
-        fa, fb = marking[f"g{i}"], marking[f"g{i}*"]
-        col[(min(fa, fb), max(fa, fb))] = len(col)
-    return _class_and_matrix(cat, image, _unit_rows(image.edges(), col))
+    cols = tree_rep.edges() + [carry((f"g{i}", f"g{i}*"), marking)
+                               for i in range(1, g + 1)]
+    return _class_and_matrix(cat, image, edge_matrix(
+        image.edges(), cols, dict(zip(cols, cols))))
 
 
 def spanning_tree_fibration(g, labels) -> STFibration:
@@ -148,10 +143,10 @@ def spanning_tree_fibration(g, labels) -> STFibration:
         object_map[pid], transforms[pid] = _st_edge_matrix(
             trees.category.classes[t_id], g, target_cat)
         tree_of_cone[pid] = t_id
+    inverses = {p: unimodular_inverse(t) for p, t in transforms.items()}
     morphism_map = {}
     for (p, q) in source.order:
-        m = transforms[q] @ source.facemap(p, q) \
-            @ unimodular_inverse(transforms[p])
+        m = transforms[q] @ source.facemap(p, q) @ inverses[p]
         homset = space.hom(object_map[p], object_map[q])
         if m not in homset:
             raise FibrationError(
@@ -277,9 +272,9 @@ def forget_leg(g: DiscreteGraph, label):
         return (min(f, g.inv[f]), max(f, g.inv[f]))
 
     removed = {la}
-    # old edge -> the pair of old flags that carries its image, or None
-    # when the edge is dropped; every other edge keeps its flags
-    image = {}
+    # old edge -> the pair of old flags that carries its image; a dropped
+    # edge has none
+    image = {e: e for e in edges}
     glue_hit = None
     if len(others) <= 2:
         if len(others) != 2:
@@ -295,30 +290,18 @@ def forget_leg(g: DiscreteGraph, label):
             ha, hb = g.inv[f1], g.inv[f2]
             removed = {la, f1, f2, va}
             inv[ha], inv[hb] = hb, ha
-            image = {edge(f1): (ha, hb), edge(f2): (ha, hb)}
+            image[edge(f1)] = image[edge(f2)] = (ha, hb)
         else:
             # drop the edge at va and move the other leg across it
             leg_flag, edge_flag = (f1, f2) if leg1 else (f2, f1)
             removed = {la, edge_flag, g.inv[edge_flag], va}
             root[leg_flag] = g.root[g.inv[edge_flag]]
-            image = {edge(edge_flag): None}
+            del image[edge(edge_flag)]
             glue_hit = (g.label_of(leg_flag), edges.index(edge(edge_flag)))
-    kept = [x for x in range(g.nflags) if x not in removed]
-    new_index = {x: i for i, x in enumerate(kept)}
-    out = graph_new(len(kept), [new_index[root[x]] for x in kept],
-                    [new_index[inv[x]] for x in kept],
-                    {lab: new_index[f] for lab, f in g.marking
-                     if lab != label})
-    new_edge = {}
-    for e in edges:
-        flags = image.get(e, e)
-        if flags is not None:
-            a, b = new_index[flags[0]], new_index[flags[1]]
-            new_edge[e] = (min(a, b), max(a, b))
-    eta = IntMatrix.from_rows(
-        [[1 if new_edge.get(e) == f else 0 for e in edges]
-         for f in out.edges()], len(edges))
-    return out, eta, glue_hit
+    out, flags = rebuild(g.nflags, root, inv, [
+        (lab, f) for lab, f in g.marking if lab != label], removed)
+    return out, edge_matrix(out.edges(), edges, {
+        e: carry(pair, flags) for e, pair in image.items()}), glue_hit
 
 
 def _class_and_matrix(cat, graph, eta):
@@ -334,9 +317,8 @@ def _class_and_matrix(cat, graph, eta):
     graph_idx = {e: i for i, e in enumerate(graph.edges())}
     rep_edges = cat.classes[cls].edges()
     entries = ()
-    for (a, b) in rep_edges:
-        ra, rb = inv_phi[a], inv_phi[b]
-        entries += eta.row(graph_idx[(min(ra, rb), max(ra, rb))])
+    for e in rep_edges:
+        entries += eta.row(graph_idx[carry(e, inv_phi)])
     return cls, IntMatrix(len(rep_edges), eta.cols, entries)
 
 
@@ -384,46 +366,18 @@ def forgetful(g, labels, mark) -> FibrationMorphism:
 # ---------------------------------------------------------------------------
 # clutching
 
-def clutch_graphs(g1: DiscreteGraph, g2: DiscreteGraph,
-                  shared) -> DiscreteGraph:
-    """Join two marked graphs at the shared leg label."""
-    m1, m2 = g1.marking_dict(), g2.marking_dict()
-    l1, l2 = m1[shared], m2[shared]
-    v2 = g2.root[l2]
-    v1 = g1.root[l1]
-    new_index = {}
-    k = 0
-    for x in range(g1.nflags):
-        if x != l1:
-            new_index[("a", x)] = k
-            k += 1
-    for x in range(g2.nflags):
-        if x not in (l2, v2):
-            new_index[("b", x)] = k
-            k += 1
-    root = [0] * k
-    inv = [0] * k
-    for x in range(g1.nflags):
-        if x == l1:
-            continue
-        i = new_index[("a", x)]
-        root[i] = new_index[("a", g1.root[x])]
-        inv[i] = new_index[("a", g1.inv[x])]
-    for x in range(g2.nflags):
-        if x in (l2, v2):
-            continue
-        i = new_index[("b", x)]
-        r = g2.root[x]
-        root[i] = new_index[("a", v1)] if r == v2 else new_index[("b", r)]
-        inv[i] = new_index[("b", g2.inv[x])]
-    marking = {}
-    for lab, f in g1.marking:
-        if lab != shared:
-            marking[lab] = new_index[("a", f)]
-    for lab, f in g2.marking:
-        if lab != shared:
-            marking[lab] = new_index[("b", f)]
-    return graph_new(k, root, inv, marking), new_index
+def clutch_graphs(g1: DiscreteGraph, g2: DiscreteGraph, shared):
+    """Join two marked graphs at the shared leg label.  Returns (graph,
+    flag map): the map is on the disjoint union, whose flags are those of
+    g1 followed by those of g2 shifted by g1.nflags."""
+    n = g1.nflags
+    l1, l2 = g1.marking_dict()[shared], g2.marking_dict()[shared]
+    v1, v2 = g1.root[l1], n + g2.root[l2]
+    root = list(g1.root) + [v1 if n + r == v2 else n + r for r in g2.root]
+    inv = list(g1.inv) + [n + x for x in g2.inv]
+    marking = [(lab, f) for lab, f in g1.marking if lab != shared] + [
+        (lab, n + f) for lab, f in g2.marking if lab != shared]
+    return rebuild(n + g2.nflags, root, inv, marking, {l1, n + l2, v2})
 
 
 class ProductFibration(Value):
@@ -460,24 +414,26 @@ def product_fibration(left: STFibration, right: STFibration):
                             pairs=pairs, space_pairs=space_pairs)
 
 
-def _clutch_edge_matrix(gL, gR, joined, index_map, cat, glue=(0, 0)):
+def _clutch_edge_matrix(gL, gR, joined, flags, cat, glue=(0, 0)):
     """Class of the joined graph in cat and the matrix
     sigma_L x R^glue[0] x sigma_R x R^glue[1] -> sigma_{joined-rep} x
     R^(glue[0] + glue[1]): edges go to edges, and the gluing lengths of
     the left then the right side to the gluing rows."""
     # clutch_graphs keeps each flag's side, so every edge of the joined
-    # graph is a left edge or a right edge
-    col, lengths = {}, []
-    for side, graph, n in (("a", gL, glue[0]), ("b", gR, glue[1])):
-        for (x, y) in graph.edges():
-            a, b = index_map[(side, x)], index_map[(side, y)]
-            col[(min(a, b), max(a, b))] = len(col)
-        for i in range(n):
-            col[(side, i)] = len(col)
-            lengths.append((side, i))
-    cls, eta = _class_and_matrix(cat, joined, _unit_rows(joined.edges(), col))
+    # graph is a left edge or a right edge; gluing length i is the key i
+    cols, lengths = [], []
+    for shift, graph, n in ((0, gL, glue[0]), (gL.nflags, gR, glue[1])):
+        glue_keys = range(len(lengths), len(lengths) + n)
+        cols += [carry((a + shift, b + shift), flags)
+                 for a, b in graph.edges()] + list(glue_keys)
+        lengths += glue_keys
+
+    def unit_rows(rows):
+        return edge_matrix(rows, cols, dict(zip(rows, rows)))
+
+    cls, eta = _class_and_matrix(cat, joined, unit_rows(joined.edges()))
     return cls, IntMatrix.from_rows(
-        eta.to_rows() + _unit_rows(lengths, col).to_rows(), len(col))
+        eta.to_rows() + unit_rows(lengths).to_rows(), len(cols))
 
 
 def clutching(g, labels_a, h, labels_b) -> FibrationMorphism:
@@ -512,9 +468,9 @@ def clutching(g, labels_a, h, labels_b) -> FibrationMorphism:
     for xid, (x1, x2) in prod.space_pairs.items():
         g1 = left.moduli_category.classes[x1]
         g2 = right.moduli_category.classes[x2]
-        joined, index_map = clutch_graphs(g1, g2, c)
+        joined, flags = clutch_graphs(g1, g2, c)
         space_map[xid], space_matrices[xid] = _clutch_edge_matrix(
-            g1, g2, joined, index_map, target.moduli_category)
+            g1, g2, joined, flags, target.moduli_category)
     # join each pair of source trees at c, the right one renamed by shift
     cone_map = {}
     matrices = {}
@@ -523,9 +479,9 @@ def clutching(g, labels_a, h, labels_b) -> FibrationMorphism:
         t2 = right.trees.category.classes[right.tree_of_cone[p2]]
         t2 = graph_new(t2.nflags, t2.root, t2.inv,
                        {shift.get(lab, lab): f for lab, f in t2.marking})
-        joined, index_map = clutch_graphs(t1, t2, c)
+        joined, flags = clutch_graphs(t1, t2, c)
         cls, matrices[pid] = _clutch_edge_matrix(
-            t1, t2, joined, index_map, target.trees.category, (g, h))
+            t1, t2, joined, flags, target.trees.category, (g, h))
         cone_map[pid] = product_id(cls, "glue")
     cm = FibrationMorphism(source=prod, target=target, cone_map=cone_map,
                            matrices=matrices, int_matrix=int_matrix,

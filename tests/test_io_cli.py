@@ -264,6 +264,23 @@ def _unwritable_output(tmp_path):
         tmp_path, output=str(tmp_path / "missing" / "report.json"))
 
 
+def test_closed_stdout_is_an_input_error_without_traceback():
+    """A reader that stops after one byte, as ``| head -c 1`` does.  M_0,6
+    prints more than a pipe holds, so the command is still writing when
+    the pipe closes."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tropocone.cli", "build-moduli", "--genus",
+         "0", "--marks", "1,2,3,4,5,6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert "Traceback" not in err
+    assert err.startswith("input error: cannot write standard output: ")
+
+
 def _input_not_a_path(tmp_path):
     return _manifest(tmp_path, {"command": "weights",
                                 "inputs": {"complex": _quadrant(tmp_path),

@@ -3,6 +3,7 @@ against the all-pairs search they replace."""
 
 import itertools
 import random
+from math import factorial, prod
 
 import pytest
 
@@ -20,11 +21,26 @@ from tropocone.intlinalg import IntMatrix, solve_integer, unimodular_inverse
 from tropocone.moduli import (
     DistanceData,
     ModuliError,
-    _contraction_matrix,
     build_moduli,
     distance_structure,
 )
 from tropocone.spaces import is_space_iso
+from tropocone.weights import Weight, is_balanced, minkowski_basis
+
+
+# ---------------------------------------------------------------------------
+# reference: the face-embedding matrix as it was built before the one
+# edge-length matrix of the surgeries
+
+def _contraction_matrix(small, big, mapping):
+    """Face-embedding matrix sigma_small -> sigma_big from an edge map."""
+    big_idx = {e: i for i, e in enumerate(big.edges())}
+    cols = []
+    for e in small.edges():
+        col = [0] * len(big_idx)
+        col[big_idx[mapping[e]]] = 1
+        cols.append(tuple(col))
+    return IntMatrix.from_cols(cols, len(big_idx))
 
 
 # ---------------------------------------------------------------------------
@@ -283,3 +299,53 @@ def test_a_side_outside_the_table_keeps_the_solve_and_its_error():
     assert broken.split_in_basis(("1",)) == (0,) * data.rank
     with pytest.raises(ModuliError, match="escapes"):
         broken.split_in_basis(("2", "3"))
+
+
+# ---------------------------------------------------------------------------
+# psi-class products on M_0,n (Kerber & Markwig, "Intersecting Psi-classes
+# on tropical M_{0,n}", IMRN 2009), read off the trees in the test
+
+def _psi_product(m, k):
+    """psi_1^k_1 ... psi_n^k_n: on each tree whose every vertex V has
+    valence 3 + (the sum of k_i over the legs i at V), the value
+    prod_V (sum k_i)! / prod k_i!; 0 on the other trees."""
+    cat = m.category
+    values = {}
+    for cid in m.complex.classes(len(cat.labels) - 3 - sum(k.values())):
+        tree = cat.classes[cid]
+        value = 1
+        for v in tree.vertices():
+            ks = [k[lab] for lab, f in tree.marking if tree.root[f] == v]
+            if tree.valence(v) != 3 + sum(ks):
+                break
+            value *= factorial(sum(ks)) // prod(map(factorial, ks))
+        else:
+            values[cid] = value
+    return Weight(len(cat.labels) - 3 - sum(k.values()), values)
+
+
+@pytest.mark.parametrize("n, count", [(5, 21), (6, 84)])
+def test_psi_products_are_minkowski_weights(n, count):
+    """Each product of dimension >= 1 is balanced and an integer
+    combination of the Minkowski basis; the top products are the
+    multinomials (n - 3)! / prod k_i!."""
+    labels = [str(i) for i in range(1, n + 1)]
+    m = build_moduli(0, labels)
+    exponents = [ks for ks in itertools.product(range(n - 2), repeat=n)
+                 if sum(ks) <= n - 3]
+    assert len(exponents) == count
+    bases = {}
+    for ks in exponents:
+        psi = _psi_product(m, dict(zip(labels, ks)))
+        ids = m.complex.classes(psi.dim)
+        if psi.dim == 0:
+            assert psi.values == {
+                ids[0]: factorial(n - 3) // prod(map(factorial, ks))}
+            continue
+        assert psi.values and is_balanced(m.complex, m.linear, psi)
+        if psi.dim not in bases:
+            basis = minkowski_basis(m.complex, m.linear, psi.dim).basis
+            bases[psi.dim] = IntMatrix.from_cols(
+                [[w[cid] for cid in ids] for w in basis], len(ids))
+        assert solve_integer(bases[psi.dim],
+                             tuple(psi[cid] for cid in ids)) is not None

@@ -425,7 +425,10 @@ def _reference_clutch_edge_matrix(gL, gR, joined, index_map, cat,
     eR = {e: i for i, e in enumerate(gR.edges())}
     ncols = len(eL) + extraL + len(eR) + extraR
     offR = len(eL) + extraL
-    back = {v: k for k, v in index_map.items()}
+    # the union flag map: k < gL.nflags is left flag k, else right flag
+    # k - gL.nflags
+    back = {v: ("a", k) if k < gL.nflags else ("b", k - gL.nflags)
+            for k, v in index_map.items()}
     rows = []
     for (a, b) in rep.edges():
         ra, rb = inv_phi[a], inv_phi[b]
@@ -718,6 +721,50 @@ def test_clutching_sends_a_split_relation_to_a_nonzero_split():
     assert total(left, sides) == (0,) * left.rank
     split_45 = tuple(joined.split_in_basis(("4", "5")))
     assert total(joined, sides) == split_45 != (0,) * joined.rank
+
+
+def test_clutching_sends_the_leg_function_of_c_to_a_split():
+    """The diagnosis of unequal clutching, in pair coordinates.  The
+    splits {1,2}, {1,3}, {2,3} of 1,2,3,c sum to a_1 + a_2 + a_3 + a_c,
+    where a_i is 1 on the pairs that contain i: the row sums of
+    m_matrix, which N_dist forgets.  The join d(i, j) = d1(i, c) +
+    d2(c, j) sends a_1, a_2, a_3 to leg functions of the target, but a_c
+    to the split {1,2,3} | {4,5}, which N_dist(1..5) keeps."""
+    left = distance_structure(["1", "2", "3", "c"])
+    total = tuple(map(sum, zip(*[left.split_vector(side) for side in
+                                 [("1", "2"), ("1", "3"), ("2", "3")]])))
+    assert total == tuple(map(sum, left.m_matrix.to_rows())) \
+        == (2,) * len(left.pairs)
+    assert left.free_projection.free_part(total) == \
+        (0,) * left.free_projection.free_rank
+
+    target = distance_structure(["1", "2", "3", "4", "5"])
+
+    def join(d1):
+        """The target pair function of d1 on the left and 0 on 4,5,c."""
+        def left_at(i, j):
+            return d1[(min(i, j), max(i, j))]
+        return tuple(left_at(i, j) if j in "123" else 0 if i in "45"
+                     else left_at(i, "c") for i, j in target.pairs)
+
+    def leg(data, lab):
+        return data.m_matrix.col(data.labels.index(lab))
+
+    for lab in "123":
+        assert join(dict(zip(left.pairs, leg(left, lab)))) == \
+            leg(target, lab)
+    a_c = join(dict(zip(left.pairs, leg(left, "c"))))
+    assert a_c == target.split_vector(("1", "2", "3"))
+    assert target.split_in_basis(("1", "2", "3")) == (0, 0, 0, 0, -1)
+
+
+def test_st_fibration_inverts_each_transform_once(monkeypatch):
+    calls = []
+    real = stfib.unimodular_inverse
+    monkeypatch.setattr(stfib, "unimodular_inverse",
+                        lambda m: calls.append(m) or real(m))
+    st = spanning_tree_fibration(0, ["a", "1", "2", "3", "4"])
+    assert 0 < len(calls) <= len(st.complex.ids())
 
 
 # The lattice maps as they were computed before they came from the splits:
