@@ -52,9 +52,6 @@ def _write_out(doc, path):
             io_json.dump(doc, sys.stdout)
             sys.stdout.flush()
     except OSError as exc:
-        if not path:
-            # a closed stdout: the interpreter's last flush goes nowhere
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise SchemaError(
             f"cannot write {path or 'standard output'}: {exc}") from exc
 
@@ -425,5 +422,18 @@ def main(argv=None):
         return 1
 
 
+def console():
+    """main as the console script: a stdout closed by its reader goes to
+    the null device, so the interpreter's last flush stays silent."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        fd = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(fd, sys.stdout.fileno())
+        os.close(fd)
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

@@ -159,10 +159,8 @@ def rebuild(nflags, root, inv, marking, removed):
     their order: ``root`` and ``inv`` are lists on the old flags and
     ``marking`` (label, old flag) pairs.  Returns (graph, flag map old ->
     new)."""
-    new = {}
-    for x in range(nflags):
-        if x not in removed:
-            new[x] = len(new)
+    new = {x: i for i, x in enumerate(
+        x for x in range(nflags) if x not in removed)}
     return graph_new(len(new), [new[root[x]] for x in new],
                      [new[inv[x]] for x in new],
                      {lab: new[f] for lab, f in marking}), new

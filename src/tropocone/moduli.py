@@ -173,12 +173,13 @@ class ModuliSpace(Value):
 def edge_matrix(rows, cols, image):
     """The 0/1 matrix with a row per key of ``rows`` and a column per key
     of ``cols``: column j has its 1 at the row of image[cols[j]], and none
-    when cols[j] has no image.  A contraction's face map is the one from
-    the small graph's edges to the big graph's."""
+    when that image is None.  A key missing from ``image``, or an image
+    that is no row, raises KeyError.  A contraction's face map is the one
+    from the small graph's edges to the big graph's."""
     at = {key: i for i, key in enumerate(rows)}
     entries = [0] * (len(rows) * len(cols))
     for j, key in enumerate(cols):
-        if key in image:
+        if image[key] is not None:
             entries[at[image[key]] * len(cols) + j] = 1
     return IntMatrix(len(rows), len(cols), tuple(entries))
 

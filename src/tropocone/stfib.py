@@ -96,6 +96,11 @@ class STFibration(Value):
         return self.fibration.space
 
 
+def _key_rows(keys, cols):
+    """One unit row per key, at its column (KeyError if it has none)."""
+    return edge_matrix(cols, keys, dict(zip(keys, keys))).transpose()
+
+
 def _st_edge_matrix(tree_rep: DiscreteGraph, g: int, cat):
     """Class of st(T) in cat and the matrix sigma_T x R^g ->
     sigma_{st(T)-rep}."""
@@ -105,8 +110,7 @@ def _st_edge_matrix(tree_rep: DiscreteGraph, g: int, cat):
     marking = tree_rep.marking_dict()
     cols = tree_rep.edges() + [carry((f"g{i}", f"g{i}*"), marking)
                                for i in range(1, g + 1)]
-    return _class_and_matrix(cat, image, edge_matrix(
-        image.edges(), cols, dict(zip(cols, cols))))
+    return _class_and_matrix(cat, image, _key_rows(image.edges(), cols))
 
 
 def spanning_tree_fibration(g, labels) -> STFibration:
@@ -266,14 +270,11 @@ def forget_leg(g: DiscreteGraph, label):
     others = [x for x in range(g.nflags)
               if g.root[x] == va and x not in (va, la)]
     edges = g.edges()
+    edge = {f: e for e in edges for f in e}
     root, inv = list(g.root), list(g.inv)
-
-    def edge(f):
-        return (min(f, g.inv[f]), max(f, g.inv[f]))
-
     removed = {la}
-    # old edge -> the pair of old flags that carries its image; a dropped
-    # edge has none
+    # old edge -> the pair of old flags that carries its image, or None
+    # for a dropped edge
     image = {e: e for e in edges}
     glue_hit = None
     if len(others) <= 2:
@@ -290,18 +291,18 @@ def forget_leg(g: DiscreteGraph, label):
             ha, hb = g.inv[f1], g.inv[f2]
             removed = {la, f1, f2, va}
             inv[ha], inv[hb] = hb, ha
-            image[edge(f1)] = image[edge(f2)] = (ha, hb)
+            image[edge[f1]] = image[edge[f2]] = (ha, hb)
         else:
             # drop the edge at va and move the other leg across it
             leg_flag, edge_flag = (f1, f2) if leg1 else (f2, f1)
             removed = {la, edge_flag, g.inv[edge_flag], va}
             root[leg_flag] = g.root[g.inv[edge_flag]]
-            del image[edge(edge_flag)]
-            glue_hit = (g.label_of(leg_flag), edges.index(edge(edge_flag)))
+            image[edge[edge_flag]] = None
+            glue_hit = (g.label_of(leg_flag), edges.index(edge[edge_flag]))
     out, flags = rebuild(g.nflags, root, inv, [
         (lab, f) for lab, f in g.marking if lab != label], removed)
     return out, edge_matrix(out.edges(), edges, {
-        e: carry(pair, flags) for e, pair in image.items()}), glue_hit
+        e: pair and carry(pair, flags) for e, pair in image.items()}), glue_hit
 
 
 def _class_and_matrix(cat, graph, eta):
@@ -311,15 +312,11 @@ def _class_and_matrix(cat, graph, eta):
     cls, phi = cat.locate(graph)
     if cls is None:
         raise FibrationMorphismError("graph class missing from category")
-    inv_phi = [0] * len(phi)
-    for x, y in enumerate(phi):
-        inv_phi[y] = x
+    inv_phi = {y: x for x, y in enumerate(phi)}
     graph_idx = {e: i for i, e in enumerate(graph.edges())}
     rep_edges = cat.classes[cls].edges()
-    entries = ()
-    for e in rep_edges:
-        entries += eta.row(graph_idx[carry(e, inv_phi)])
-    return cls, IntMatrix(len(rep_edges), eta.cols, entries)
+    return cls, IntMatrix(len(rep_edges), eta.cols, sum(
+        (eta.row(graph_idx[carry(e, inv_phi)]) for e in rep_edges), ()))
 
 
 def forgetful(g, labels, mark) -> FibrationMorphism:
@@ -427,13 +424,9 @@ def _clutch_edge_matrix(gL, gR, joined, flags, cat, glue=(0, 0)):
         cols += [carry((a + shift, b + shift), flags)
                  for a, b in graph.edges()] + list(glue_keys)
         lengths += glue_keys
-
-    def unit_rows(rows):
-        return edge_matrix(rows, cols, dict(zip(rows, rows)))
-
-    cls, eta = _class_and_matrix(cat, joined, unit_rows(joined.edges()))
+    cls, eta = _class_and_matrix(cat, joined, _key_rows(joined.edges(), cols))
     return cls, IntMatrix.from_rows(
-        eta.to_rows() + unit_rows(lengths).to_rows(), len(cols))
+        eta.to_rows() + _key_rows(lengths, cols).to_rows(), len(cols))
 
 
 def clutching(g, labels_a, h, labels_b) -> FibrationMorphism:

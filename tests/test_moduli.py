@@ -23,6 +23,7 @@ from tropocone.moduli import (
     ModuliError,
     build_moduli,
     distance_structure,
+    edge_matrix,
 )
 from tropocone.spaces import is_space_iso
 from tropocone.weights import Weight, is_balanced, minkowski_basis
@@ -167,6 +168,18 @@ def test_representatives_are_their_own_canonical_form():
             canon, phi, _ = canonical_form(rep)
             assert canon == rep
             assert phi == tuple(range(rep.nflags))
+
+
+def test_edge_matrix_reads_every_column_s_image():
+    assert edge_matrix("xyz", "ab", {"a": "z", "b": "x"}) == \
+        IntMatrix.from_rows([[0, 1], [0, 0], [1, 0]])
+    # None is the one way to leave a column without its 1
+    assert edge_matrix("xy", "ab", {"a": "y", "b": None}) == \
+        IntMatrix.from_rows([[0, 0], [1, 0]])
+    with pytest.raises(KeyError):
+        edge_matrix("xy", "ab", {"a": "y"})
+    with pytest.raises(KeyError):
+        edge_matrix("xy", "ab", {"a": "y", "b": "w"})
 
 
 def test_m06_face_poset():

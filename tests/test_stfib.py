@@ -29,6 +29,7 @@ from tropocone.stfib import (
     UnstableAfterForgetting,
     _class_and_matrix,
     _clutch_edge_matrix,
+    _key_rows,
     _st_edge_matrix,
     clutch_graphs,
     clutching,
@@ -584,6 +585,13 @@ def test_clutch_edge_matrix_matches_reference(labels_a, labels_b):
             assert _clutch_edge_matrix(g1, g2, joined, index_map, cat) == \
                 _reference_clutch_edge_matrix(g1, g2, joined, index_map,
                                               cat, 0, 0)
+
+
+def test_key_rows_put_each_key_at_its_column():
+    assert _key_rows(["c", "a"], ["a", "b", "c"]) == \
+        IntMatrix.from_rows([[0, 0, 1], [1, 0, 0]])
+    with pytest.raises(KeyError):
+        _key_rows(["a", "d"], ["a", "b", "c"])
 
 
 # The per-cone search that chose each source cone's target chart and matrix
